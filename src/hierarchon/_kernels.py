@@ -1,13 +1,15 @@
-"""Hot integer kernels, with numba-jitted and pure-numpy lanes.
+"""Hot integer kernels.
 
-Every kernel exists twice: a ``_nb`` variant compiled with numba and a ``_np``
-variant written against plain numpy.  The public names dispatch to the numba
-lane unless it is unavailable or ``HIERARCHON_NO_NUMBA=1`` is set.  Both lanes
-must agree bit-for-bit; tests/test_kernels.py asserts this and
-benchmarks/bench_kernels.py measures the gap.
+The group-ring product has one lane: a loop-free numpy contraction over
+leading batch axes.  The remaining kernels exist twice, a ``_nb`` variant
+compiled with numba and a ``_np`` variant written against plain numpy; the
+public names dispatch to the numba lane when numba is installed, unless
+``HIERARCHON_NO_NUMBA=1`` is set.  Both lanes must agree bit-for-bit, which
+tests/test_kernels.py asserts.
 """
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,62 +17,74 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - sandbox always has numba
+except ImportError:  # numba is an optional extra
     HAS_NUMBA = False
 
 USE_NUMBA = HAS_NUMBA and os.environ.get("HIERARCHON_NO_NUMBA", "") != "1"
+
+# int64 cells one chunk of the batched product may hold in its phi x phi
+# intermediate (2 MB), so a large batch never materialises in one piece
+_CHUNK_CELLS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
 # group-ring matrix product: entries are integer coefficient vectors over
 # exponents [0, phi) of zeta_c; the product accumulates the cyclic convolution
-# into a full length-c vector (reduction happens in cyclo.reduce_full).
-
-def _gr_matmul_np(A, B, c):
-    r, m, phi = A.shape
-    s = B.shape[1]
-    out = np.zeros((r, s, c), dtype=np.int64)
-    Bf = B.reshape(m, s * phi)
-    for u in range(phi):
-        contrib = (A[:, :, u] @ Bf).reshape(r, s, phi)
-        idx = u + np.arange(phi)
-        idx[idx >= c] -= c
-        out[:, :, idx] += contrib
-    return out
+# into a full length-c vector (reduction happens in Conductor.reduce).
 
 
-if HAS_NUMBA:
+@lru_cache(maxsize=None)
+def _scatter(phi, c):
+    """0/1 (phi*phi, c) matrix sending exponent pair (u, v) to (u + v) mod c."""
+    u = np.arange(phi)
+    S = np.zeros((phi * phi, c), dtype=np.int64)
+    S[np.arange(phi * phi), ((u[:, None] + u[None, :]) % c).ravel()] = 1
+    return S
 
-    @njit(cache=True)
-    def _gr_matmul_nb(A, B, c):  # pragma: no cover - exercised via dispatch
-        r, m, phi = A.shape
-        s = B.shape[1]
-        out = np.zeros((r, s, c), dtype=np.int64)
-        for i in range(r):
-            for k in range(s):
-                acc = out[i, k]
-                for j in range(m):
-                    a_ij = A[i, j]
-                    b_jk = B[j, k]
-                    for u in range(phi):
-                        a = a_ij[u]
-                        if a == 0:
-                            continue
-                        for v in range(phi):
-                            b = b_jk[v]
-                            if b != 0:
-                                w = u + v
-                                if w >= c:
-                                    w -= c
-                                acc[w] += a * b
-        return out
+
+def _contract(A, B, c):
+    """(n, r, m, phi) x (n, m, s, phi) -> unreduced (n, r, s, c).
+
+    One integer contraction into all exponent pairs (u, v), then one
+    scatter of the pairs onto u + v mod c.
+    """
+    n, r, m, phi = A.shape
+    s = B.shape[2]
+    pairs = A.transpose(0, 1, 3, 2).reshape(n, r * phi, m) @ B.reshape(n, m, s * phi)
+    pairs = pairs.reshape(n, r, phi, s, phi).transpose(0, 1, 3, 2, 4)
+    return (pairs.reshape(n * r * s, phi * phi) @ _scatter(phi, c)).reshape(n, r, s, c)
+
+
+def gr_matmul_batch(A, B, c):
+    """(..., r, m, phi) x (..., m, s, phi) -> unreduced (..., r, s, c).
+
+    Leading axes broadcast as in numpy.matmul, and long batches run in
+    chunks of bounded size.  The caller guarantees the sums fit in int64.
+    """
+    A = np.asarray(A)
+    B = np.asarray(B)
+    r, m, phi = A.shape[-3:]
+    s = B.shape[-2]
+    lead = A.shape[:-3]
+    if B.shape[:-3] != lead:
+        lead = np.broadcast_shapes(lead, B.shape[:-3])
+        A = np.broadcast_to(A, lead + A.shape[-3:])
+        B = np.broadcast_to(B, lead + B.shape[-3:])
+    A = A.reshape(-1, r, m, phi)
+    B = B.reshape(-1, m, s, phi)
+    step = max(1, _CHUNK_CELLS // (r * s * phi * phi))
+    if len(A) <= step:
+        out = _contract(A, B, c)
+    else:
+        out = np.concatenate(
+            [_contract(A[lo:lo + step], B[lo:lo + step], c) for lo in range(0, len(A), step)]
+        )
+    return out.reshape(lead + (r, s, c))
 
 
 def gr_matmul(A, B, c):
     """(r,m,phi) x (m,s,phi) -> unreduced (r,s,c) group-ring product."""
-    if USE_NUMBA:
-        return _gr_matmul_nb(A, B, c)
-    return _gr_matmul_np(A, B, c)
+    return _contract(A[None], B[None], c)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 from . import __version__
 from .diagonal import verify_cgk
 from .exactmat import from_interchange
-from .hierarchy import REFERENCE_COUNTS, enumerate_level, membership
+from .hierarchy import REFERENCE_COUNTS, enumerate_level, enumerate_levels, membership
 from .qutrit3 import survey
 from .semiclifford import find_witness, gate_hash, gate_report
 from .teleport import verify_gadget
@@ -75,8 +75,7 @@ def cmd_enumerate(args):
     levels = []
     lines = ["level  count    reference  verdict"]
     closure_failures = 0
-    for k in range(1, args.max_level + 1):
-        cat = enumerate_level(args.d, args.n, k, cache_dir=cache, jobs=args.jobs)
+    for k, cat in enumerate(enumerate_levels(args.d, args.n, args.max_level, cache), 1):
         ref = refs.get(k)
         verdict = _verdict(len(cat), ref)
         closure_failures += cat.meta.get("closure_failure_count", 0)
@@ -115,10 +114,7 @@ def cmd_membership(args):
         print("error: %s" % e, file=sys.stderr)
         return 2
     cache = _cache_dir(args)
-    catalogs = {
-        k: enumerate_level(su.d, n, k, cache_dir=cache, jobs=args.jobs)
-        for k in range(1, args.max_level + 1)
-    }
+    catalogs = dict(enumerate(enumerate_levels(su.d, n, args.max_level, cache), 1))
     level = None
     for k in range(1, args.max_level + 1):
         if membership(su, k, catalogs=catalogs):
@@ -144,7 +140,7 @@ def cmd_membership(args):
 
 def cmd_diagonal(args):
     cache = _cache_dir(args)
-    catalog = enumerate_level(args.d, 1, args.k, cache_dir=cache, jobs=args.jobs)
+    catalog = enumerate_level(args.d, 1, args.k, cache_dir=cache)
     result = verify_cgk(args.d, args.k, catalog)
     ok = not result["missing"] and not result["extra"]
     report = {
@@ -186,7 +182,7 @@ def cmd_semiclifford(args):
         _emit(args, report, [line])
         return 0
     cache = _cache_dir(args)
-    catalog = enumerate_level(args.d, 1, args.catalog, cache_dir=cache, jobs=args.jobs)
+    catalog = enumerate_level(args.d, 1, args.catalog, cache_dir=cache)
     total = len(catalog)
     found = 0
     counterexamples = []
@@ -221,7 +217,7 @@ def cmd_semiclifford(args):
 
 def cmd_teleport(args):
     cache = _cache_dir(args)
-    catalog = enumerate_level(args.d, 1, 3, cache_dir=cache, jobs=args.jobs)
+    catalog = enumerate_level(args.d, 1, 3, cache_dir=cache)
     result = verify_gadget(args.d, samples=args.samples, seed=args.seed, catalog=catalog)
     report = {
         "schema": "hierarchon.teleport/1",
@@ -249,10 +245,8 @@ def cmd_qutrit3(args):
     return 0 if result["failed"] == 0 else 1
 
 
-def _common(sub, jobs=True):
+def _common(sub):
     sub.add_argument("--cache-dir", default=None)
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--format", choices=("table", "json"), default="table")
     sub.add_argument("--out", default=None)
 
@@ -303,6 +297,7 @@ def _build_parser():
     p = subs.add_parser("qutrit3", help="two-qutrit third-level survey")
     p.add_argument("action", choices=("survey",))
     p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     _common(p)
     p.set_defaults(func=cmd_qutrit3)
 

@@ -86,25 +86,22 @@ class Conductor:
             raise ValueError("demotion cannot grow the conductor")
         if m_new == self.m:
             return np.array(arr)
-        small = conductor(self.d, m_new)
-        f = self.c // small.c
-        keep = arr[..., f * np.arange(small.phi)]
-        mask = np.ones(self.phi, dtype=bool)
-        mask[f * np.arange(small.phi)] = False
-        tensor_any = np.any(np.asarray(arr[..., mask]) != 0)
-        if tensor_any:
+        # exponents that survive are the multiples of f = c / d**m_new
+        arr = np.asarray(arr)
+        f = self.c // conductor(self.d, m_new).c
+        split = arr.reshape(arr.shape[:-1] + (self.phi // f, f))
+        if np.any(split[..., 1:]):
             return None
-        return keep.copy()
+        return split[..., 0].copy()
 
     def min_level(self, arr):
         """Smallest m_new such that demote_tensor(arr, m_new) is valid."""
+        arr = np.asarray(arr)
         m_new = self.m
-        probe = np.asarray(arr)
         while m_new > 1:
-            smaller = conductor(self.d, m_new).demote_tensor(probe, m_new - 1)
-            if smaller is None:
+            f = self.c // conductor(self.d, m_new - 1).c
+            if np.any(arr.reshape(arr.shape[:-1] + (self.phi // f, f))[..., 1:]):
                 break
-            probe = smaller
             m_new -= 1
         return m_new
 
@@ -114,6 +111,8 @@ def normalize(nums, den):
     if den == 0:
         raise ZeroDivisionError("zero denominator")
     arr = np.asarray(nums)
+    if den == 1:
+        return arr, den
     if arr.dtype == object:
         g = reduce(math.gcd, (abs(int(x)) for x in arr.flat), 0)
     else:
@@ -226,7 +225,7 @@ def max_abs(arr):
         return 0
     if arr.dtype == object:
         return max(abs(int(x)) for x in arr.flat)
-    return int(np.max(np.abs(arr)))
+    return max(int(arr.max()), -int(arr.min()))
 
 
 class CycloScalar:

@@ -9,6 +9,7 @@ ever leaving the field.
 
 from fractions import Fraction
 import math
+import re
 
 import numpy as np
 
@@ -113,13 +114,11 @@ class ExactMatrix:
         return ExactMatrix(self.d, m_new, vec, self.den)
 
     def demote_min(self):
-        m_new = self.cond.min_level(self.nums)
+        cond = self.cond
+        m_new = cond.min_level(self.nums)
         if m_new == self.m:
             return self
-        out = self.nums
-        for step_m in range(self.m - 1, m_new - 1, -1):
-            out = conductor(self.d, step_m + 1).demote_tensor(out, step_m)
-        return ExactMatrix(self.d, m_new, out, self.den)
+        return ExactMatrix(self.d, m_new, cond.demote_tensor(self.nums, m_new), self.den)
 
     def _common(self, other):
         if self.d != other.d:
@@ -211,14 +210,17 @@ class ExactMatrix:
     def pow_int(self, k):
         if k < 0:
             raise ValueError("negative matrix powers are not needed here")
-        out = ExactMatrix.identity(self.d, self.dim, self.m)
+        if k == 0:
+            return ExactMatrix.identity(self.d, self.dim, self.m)
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out @ base
-            base = base @ base
+                out = base if out is None else out @ base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base @ base
 
     # -- predicates ---------------------------------------------------------
 
@@ -246,11 +248,11 @@ class ExactMatrix:
 
     def first_nonzero(self):
         r, s = self.shape
-        flat = self.nums.reshape(r * s, -1)
-        for idx in range(r * s):
-            if np.any(flat[idx] != 0):
-                return divmod(idx, s)
-        raise ValueError("zero matrix")
+        flat = np.any(self.nums != 0, axis=-1).reshape(r * s)
+        idx = int(flat.argmax())
+        if not flat[idx]:
+            raise ValueError("zero matrix")
+        return divmod(idx, s)
 
     # -- canonical form -------------------------------------------------------
 
@@ -303,15 +305,25 @@ def equal_up_to_phase(A, B):
     """
     if A.shape != B.shape:
         return False
-    if A.is_zero() or B.is_zero():
-        return A.is_zero() and B.is_zero()
     a, b = A._common(B)
-    i, j = a.first_nonzero()
-    if not np.any(np.asarray(b.nums[i, j]) != 0):
+    cond = a.cond
+    both = np.stack([a.nums, b.nums])
+    r, s = a.shape
+    nonzero = both.any(axis=-1).reshape(2, r * s)
+    zero_a, zero_b = ~nonzero.any(axis=1)
+    if zero_a or zero_b:
+        return bool(zero_a and zero_b)
+    slot = int(nonzero[0].argmax())
+    if not nonzero[1, slot]:
         return False
-    lhs = ExactMatrix(a.d, a.m, a.nums, 1).scale_vec(b.nums[i, j])
-    rhs = ExactMatrix(b.d, b.m, b.nums, 1).scale_vec(a.nums[i, j])
-    return lhs == rhs
+    entries = both.reshape(2, r * s, 1, cond.phi)
+    # row 0 is every entry of A times B[slot], row 1 every entry of B times A[slot]
+    slots = entries[::-1, slot][:, None]
+    if both.dtype == object or max_abs(both) ** 2 * cond.phi * cond.c >= INT64_SAFE:
+        raw = [_gr_matmul_obj(entries[k].astype(object), slots[k].astype(object), cond) for k in (0, 1)]
+    else:
+        raw = cond.reduce(K.gr_matmul_batch(entries, slots, cond.c))
+    return np.array_equal(raw[0], raw[1])
 
 
 def kron(a, b):
@@ -342,6 +354,37 @@ def kron(a, b):
     out = cond.reduce(raw)
     out = out.transpose(0, 2, 1, 3, 4).reshape(r1 * r2, s1 * s2, cond.phi)
     return ExactMatrix(a.d, m, out, a.den * b.den)
+
+
+def matmul_many(As, Bs):
+    """[a @ b for a, b in zip(As, Bs)], one batched kernel call per conductor.
+
+    Pairs holding Python-object coefficients, and groups whose int64 bound
+    fails, take ExactMatrix.__matmul__ one pair at a time.
+    """
+    out = [None] * len(As)
+    groups = {}
+    for idx, (a, b) in enumerate(zip(As, Bs)):
+        if a.d != b.d:
+            raise ValueError("mixed base primes")
+        if a.shape[1] != b.shape[0]:
+            raise ValueError("dim mismatch")
+        if a.nums.dtype == object or b.nums.dtype == object:
+            out[idx] = a @ b
+        else:
+            groups.setdefault((max(a.m, b.m), a.shape, b.shape), []).append(idx)
+    for (m, ashape, _), idxs in groups.items():
+        A = np.stack([As[i].promote(m).nums for i in idxs])
+        B = np.stack([Bs[i].promote(m).nums for i in idxs])
+        cond = conductor(As[idxs[0]].d, m)
+        if max_abs(A) * max_abs(B) * ashape[1] * cond.phi * cond.c >= INT64_SAFE:
+            for i in idxs:
+                out[i] = As[i] @ Bs[i]
+            continue
+        raw = cond.reduce(K.gr_matmul_batch(A, B, cond.c))
+        for row, i in zip(raw, idxs):
+            out[i] = ExactMatrix(cond.d, m, row, As[i].den * Bs[i].den)
+    return out
 
 
 def _gr_matmul_obj(A, B, cond):
@@ -443,6 +486,8 @@ def conjugate_action(G, M):
 # interchange documents
 
 INTERCHANGE_VERSION = 1
+# conductor tables are dense c x phi(c) arrays, so documents past this are refused
+MAX_CONDUCTOR = 1000
 
 
 def to_interchange(su, n):
@@ -466,12 +511,39 @@ def to_interchange(su, n):
     }
 
 
+def _is_int(x):
+    # type() rather than isinstance, which would let JSON true and false through
+    return type(x) is int
+
+
+def _field(doc, name, check, what):
+    if name not in doc:
+        raise ValueError("interchange document has no %r field" % name)
+    value = doc[name]
+    if not check(value):
+        raise ValueError("interchange field %r must be %s" % (name, what))
+    return value
+
+
 def from_interchange(doc):
+    """The (ScaledUnitary, n) a document describes; ValueError when malformed.
+
+    Every field is checked before use: the document type, the field types,
+    an odd prime d, a conductor d**m with m >= 1 up to MAX_CONDUCTOR,
+    d**(2n) entries of phi(c) integer pairs each, nonzero denominators and
+    a positive scale2 written p/q.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("interchange document must be a JSON object")
     if doc.get("version") != INTERCHANGE_VERSION:
         raise ValueError("unknown interchange version")
-    d = doc["d"]
-    n = doc["n"]
-    c = doc["conductor"]
+    d = _field(doc, "d", lambda x: _is_int(x) and x > 2 and _is_prime(x), "an odd prime")
+    n = _field(doc, "n", lambda x: _is_int(x) and x >= 1, "a positive integer")
+    c = _field(doc, "conductor", _is_int, "an integer")
+    scale2 = _field(doc, "scale2", lambda x: isinstance(x, str), "a string p/q")
+    entries = _field(doc, "entries", lambda x: isinstance(x, list), "a list")
+    if c > MAX_CONDUCTOR:
+        raise ValueError("conductor %d is past the supported %d" % (c, MAX_CONDUCTOR))
     m = 0
     cc = c
     while cc > 1 and cc % d == 0:
@@ -480,22 +552,29 @@ def from_interchange(doc):
     if cc != 1 or m < 1:
         raise ValueError("conductor is not a power of d")
     cond = conductor(d, m)
-    dim = d ** n
-    entries = doc["entries"]
-    if len(entries) != dim * dim:
+    dim = 1
+    for _ in range(n):
+        dim *= d
+        if dim * dim > len(entries):
+            raise ValueError("entry count does not match d^n")
+    if dim * dim != len(entries):
         raise ValueError("entry count does not match d^n")
+    if not re.fullmatch(r"[0-9]+(/0*[1-9][0-9]*)?", scale2) or Fraction(scale2) <= 0:
+        raise ValueError("interchange field 'scale2' must be a positive fraction p/q")
     den = 1
     for cell in entries:
-        for p, q in cell:
-            den = den * q // math.gcd(den, q)
-    nums = np.zeros((dim, dim, cond.phi), dtype=object)
-    for idx, cell in enumerate(entries):
-        i, j = divmod(idx, dim)
-        for e, (p, q) in enumerate(cell):
-            nums[i, j, e] = p * (den // q)
-    num, dd = Fraction(doc["scale2"]).numerator, Fraction(doc["scale2"]).denominator
-    mat = ExactMatrix(d, m, nums, den)
-    return ScaledUnitary(mat, Fraction(num, dd)), n
+        if type(cell) is not list or len(cell) != cond.phi:
+            raise ValueError("every entry must list phi(conductor) = %d coefficients" % cond.phi)
+        for pq in cell:
+            if type(pq) is not list or len(pq) != 2 or not (_is_int(pq[0]) and _is_int(pq[1])):
+                raise ValueError("every coefficient must be an integer pair [num, den]")
+            if pq[1] == 0:
+                raise ValueError("a coefficient has a zero denominator")
+            if pq[1] != 1:
+                den = math.lcm(den, pq[1])
+    flat = [p * (den // q) for cell in entries for p, q in cell]
+    nums = np.array(flat, dtype=object).reshape(dim, dim, cond.phi)
+    return ScaledUnitary(ExactMatrix(d, m, nums, den), Fraction(scale2)), n
 
 
 # ---------------------------------------------------------------------------
@@ -579,29 +658,50 @@ class FingerprintContext:
 
     def key(self, mat):
         """Fingerprint of canonical_rep(mat), computed without the division."""
-        i, j = mat.first_nonzero()
-        parts = [b"%d,%d,%d;" % (mat.shape[0], mat.shape[1], mat.d)]
-        canon = None
-        for pi, p in enumerate(self.primes):
-            powvec = self.powvec(pi, mat.m)
-            if mat.nums.dtype == object:
-                ev = _fp_eval_obj(mat.nums, powvec, p)
-            else:
-                ev = K.fp_eval(mat.nums, powvec, p)
-            slot = int(ev[i, j]) % p
-            if slot:
-                norm = ev * pow(slot, p - 2, p) % p
-            else:
-                if canon is None:
-                    canon = mat.canonical_rep()
-                cp = self.powvec(pi, canon.m)
-                if canon.nums.dtype == object:
-                    cev = _fp_eval_obj(canon.nums, cp, p)
-                else:
-                    cev = K.fp_eval(canon.nums, cp, p)
-                norm = cev * pow(canon.den % p, p - 2, p) % p
-            parts.append(norm.astype(np.int32).tobytes())
-        return b"".join(parts)
+        return self.keys([mat])[0]
+
+    def keys(self, mats):
+        """key(mat) for every mat, evaluated as one batch per conductor."""
+        out = [None] * len(mats)
+        groups = {}
+        for idx, mat in enumerate(mats):
+            groups.setdefault((mat.m, mat.shape, mat.nums.dtype == object), []).append(idx)
+        for (m, (r, s), obj), idxs in groups.items():
+            nums = np.stack([mats[i].nums for i in idxs])
+            N = len(idxs)
+            rows = np.arange(N)
+            # the first nonzero entry of each matrix, row-major, located exactly
+            nonzero = nums.any(axis=-1).reshape(N, r * s)
+            slots = nonzero.argmax(axis=1)
+            if not nonzero[rows, slots].all():
+                raise ValueError("zero matrix")
+            parts = [[b"%d,%d,%d;" % (r, s, self.d)] for _ in idxs]
+            for pi, p in enumerate(self.primes):
+                powvec = self.powvec(pi, m)
+                ev = (_fp_eval_obj if obj else K.fp_eval)(nums, powvec, p).reshape(N, r * s)
+                slot = ev[rows, slots]
+                inv = np.array([pow(int(x), p - 2, p) for x in slot], dtype=np.int64)
+                norm = (ev * inv[:, None] % p).astype(np.int32)
+                for row, i in enumerate(idxs):
+                    if slot[row]:
+                        parts[row].append(norm[row].tobytes())
+                    else:
+                        parts[row].append(self._canonical_part(mats[i], pi))
+            for row, i in enumerate(idxs):
+                out[i] = b"".join(parts[row])
+        return out
+
+    def _canonical_part(self, mat, pi):
+        """The key part of prime pi when the slot entry vanishes mod p."""
+        p = self.primes[pi]
+        canon = mat.canonical_rep()
+        cp = self.powvec(pi, canon.m)
+        if canon.nums.dtype == object:
+            cev = _fp_eval_obj(canon.nums, cp, p)
+        else:
+            cev = K.fp_eval(canon.nums, cp, p)
+        norm = cev * pow(canon.den % p, p - 2, p) % p
+        return norm.astype(np.int32).tobytes()
 
 
 def _fp_eval_obj(nums, powvec, p):

@@ -27,6 +27,7 @@ from .exactmat import (
     conjugate_action,
     equal_up_to_phase,
     from_interchange,
+    matmul_many,
     to_interchange,
 )
 from .phasespace import PauliElement, pauli_x, pauli_z, recognize_pauli, to_matrix
@@ -179,70 +180,70 @@ class LevelCatalog:
     """The distinct phase classes of one level, fingerprint-indexed.
 
     Representatives are kept in fingerprint-digest order, so repeated runs
-    and any jobs split produce identical catalogs.  A digest miss disproves
-    membership outright; digest hits are confirmed by exact
-    cross-multiplication, so collisions cost time, never correctness.
+    produce identical catalogs.  A digest miss disproves membership
+    outright; digest hits are confirmed by exact cross-multiplication, so
+    collisions cost time, never correctness.
     """
 
-    def __init__(self, d, n, k, fp, materialize=True):
+    def __init__(self, d, n, k, fp):
         self.d = d
         self.n = n
         self.k = k
         self.fp = fp
-        self.materialize = materialize
         self.digests = []
-        self.sources = []
         self._reps = []
         self._buckets = {}
-        self._rebuild = None
         self.meta = {}
 
     def __len__(self):
         return len(self.digests)
 
     def _rep(self, idx):
-        su = self._reps[idx]
-        if su is None:
-            su = self._rebuild(self.sources[idx])
-        return su
+        return self._reps[idx]
 
     def representatives(self):
-        for idx in range(len(self.digests)):
-            yield self._rep(idx)
+        yield from self._reps
 
     def _digest(self, mat):
         return hashlib.sha256(self.fp.key(mat)).digest()
 
-    def add(self, su, source=None):
-        """Insert a gate class; False when the class is already present."""
+    def digests_of(self, mats):
+        """_digest of every matrix, fingerprinted in one batch."""
+        return [hashlib.sha256(key).digest() for key in self.fp.keys(mats)]
+
+    def add(self, su, digest=None):
+        """Insert a gate class; False when the class is already present.
+
+        digest, when given, is the _digest of su.mat from a batched pass.
+        """
         mat = su.mat.demote_min()
         su = ScaledUnitary(mat, su.scale2)
-        dig = self._digest(mat)
+        dig = self._digest(mat) if digest is None else digest
         bucket = self._buckets.get(dig)
         if bucket is not None:
             for idx in bucket:
-                if equal_up_to_phase(mat, self._rep(idx).mat):
+                if equal_up_to_phase(mat, self._reps[idx].mat):
                     return False
-        idx = len(self.digests)
+        self._buckets.setdefault(dig, []).append(len(self.digests))
         self.digests.append(dig)
-        self.sources.append(source)
-        self._reps.append(su if self.materialize else None)
-        self._buckets.setdefault(dig, []).append(idx)
+        self._reps.append(su)
         return True
 
-    def contains(self, gate):
-        """Exact membership of the phase class of gate in this catalog."""
+    def contains(self, gate, digest=None):
+        """Exact membership of the phase class of gate in this catalog.
+
+        digest, as for add, skips fingerprinting the gate again.
+        """
         mat = gate.mat if isinstance(gate, ScaledUnitary) else gate
         mat = mat.demote_min()
-        bucket = self._buckets.get(self._digest(mat))
+        bucket = self._buckets.get(self._digest(mat) if digest is None else digest)
         if not bucket:
             return False
-        return any(equal_up_to_phase(mat, self._rep(i).mat) for i in bucket)
+        return any(equal_up_to_phase(mat, self._reps[i].mat) for i in bucket)
 
     def sort(self):
         order = sorted(range(len(self.digests)), key=lambda i: (self.digests[i], i))
         self.digests = [self.digests[i] for i in order]
-        self.sources = [self.sources[i] for i in order]
         self._reps = [self._reps[i] for i in order]
         self._buckets = {}
         for idx, dig in enumerate(self.digests):
@@ -253,7 +254,7 @@ def _pauli_catalog(d, n, fp):
     cat = LevelCatalog(d, n, 1, fp)
     for pq in product(range(d), repeat=2 * n):
         P = PauliElement(d, 0, pq[:n], pq[n:])
-        cat.add(ScaledUnitary.exact(to_matrix(P)), source=("pauli",) + pq)
+        cat.add(ScaledUnitary.exact(to_matrix(P)))
     cat.sort()
     cat.meta = {"candidates": 0, "pairs": 0}
     return cat
@@ -304,21 +305,33 @@ def _omega_pairs(fp, mats, d):
     return out
 
 
-def _powers(mat, d):
-    out = [ExactMatrix.identity(mat.d, mat.dim, mat.m)]
-    for _ in range(d - 1):
-        out.append(out[-1] @ mat)
-    return out
+def _powers_many(mats, d):
+    """[I, M, ..., M**(d-1)] for every M, one batched product per exponent."""
+    cols = [[ExactMatrix.identity(M.d, M.dim, M.m) for M in mats], list(mats)]
+    while len(cols) < d:
+        cols.append(matmul_many(cols[-1], mats))
+    return [list(p) for p in zip(*cols)]
 
 
-def _closure_gaps(Up, Vp, catalog):
+def _monomials(pow_pairs, d):
+    """Up[i] @ Vp[j] for every (Up, Vp) and (i, j), row-major, as one batch."""
+    left = [Up[i] for Up, _ in pow_pairs for i in range(d) for _ in range(d)]
+    right = [Vp[j] for _, Vp in pow_pairs for _ in range(d) for j in range(d)]
+    return matmul_many(left, right)
+
+
+def _closure_gaps(monos, digests, catalog):
+    """Exponents (i, j) whose monomial U**i V**j misses the catalog.
+
+    monos holds the d*d monomials of one pair in row-major (i, j) order and
+    digests their catalog digests; every digest hit is confirmed exactly.
+    """
     d = catalog.d
-    gaps = []
-    for a in range(d):
-        for b in range(d):
-            if not catalog.contains(Up[a] @ Vp[b]):
-                gaps.append((a, b))
-    return gaps
+    return [
+        divmod(idx, d)
+        for idx, (M, dig) in enumerate(zip(monos, digests))
+        if not catalog.contains(M, digest=dig)
+    ]
 
 
 def k_closure_check(T, catalog):
@@ -329,36 +342,117 @@ def k_closure_check(T, catalog):
     the tuple to reconstruct a gate one level up.
     """
     d = T.d
-    pows = [(_powers(U, d), _powers(V, d)) for U, V in T.pairs]
+    pows = _powers_many(T.members(), d)
     if T.n == 1:
-        return not _closure_gaps(pows[0][0], pows[0][1], catalog)
+        monos = _monomials([(pows[0], pows[1])], d)
+        return not _closure_gaps(monos, catalog.digests_of(monos), catalog)
     for exps in product(range(d), repeat=2 * T.n):
-        M = pows[0][0][exps[0]]
-        first = True
-        for i, (Up, Vp) in enumerate(pows):
-            if not first:
-                M = M @ Up[exps[2 * i]]
-            M = M @ Vp[exps[2 * i + 1]]
-            first = False
+        M = pows[0][exps[0]]
+        for i in range(1, 2 * T.n):
+            M = M @ pows[i][exps[i]]
         if not catalog.contains(M):
             return False
     return True
 
 
-def _lift_level(prev, jobs=1, materialize=True):
+# pairs whose monomials one batched closure pass holds at a time
+_CLOSURE_PAIRS = 128
+
+
+def _closure_failures(phased, pairs, prev):
+    """The gaps of every pair, from batched passes over the monomials.
+
+    The powers of each phased representative are taken once; the d*d
+    monomials of a block of pairs form one batched product and one
+    fingerprint pass, and each pair's gaps are then read off by
+    _closure_gaps.  Blocks bound the monomials held at once.
+    """
+    d = prev.d
+    dd = d * d
+    involved = sorted({x for pair in pairs for x in pair})
+    pows = dict(zip(involved, _powers_many([phased[x] for x in involved], d)))
+    gaps = []
+    for lo in range(0, len(pairs), _CLOSURE_PAIRS):
+        block = pairs[lo:lo + _CLOSURE_PAIRS]
+        monos = _monomials([(pows[a], pows[b]) for a, b in block], d)
+        digests = prev.digests_of(monos)
+        gaps.extend(
+            _closure_gaps(monos[t * dd:(t + 1) * dd], digests[t * dd:(t + 1) * dd], prev)
+            for t in range(len(block))
+        )
+    return gaps
+
+
+@lru_cache(maxsize=None)
+def _right_paulis(d, n):
+    """Each right Pauli P of the sweep as a column map: (G P)[:, j] = G[:, src[j]] omega**e[j]."""
+    dim = d ** n
+    cond = conductor(d, 1)
+    src = np.empty((d ** (2 * n), dim), dtype=np.intp)
+    exps = np.empty((d ** (2 * n), dim), dtype=np.intp)
+    for pi, pq in enumerate(product(range(d), repeat=2 * n)):
+        P = to_matrix(PauliElement(d, 0, pq[:n], pq[n:]))
+        for j in range(dim):
+            (row,) = np.flatnonzero(np.any(P.nums[:, j] != 0, axis=-1))
+            src[pi, j] = row
+            exps[pi, j] = root_of_unity_log(P.nums[row, j], P.den, cond)
+    return src, exps
+
+
+@lru_cache(maxsize=None)
+def _omega_shifts(d, m):
+    """(d, phi, phi) integer maps x -> x * omega**e on reduced coefficient rows."""
+    cond = conductor(d, m)
+    f = cond.c // d
+    return np.array([[cond.zeta_vec(u + e * f) for u in range(cond.phi)] for e in range(d)])
+
+
+def _right_pauli_sweep(gates, d, n):
+    """G P for every gate G and right Pauli P, gate-major, without products.
+
+    G P permutes the columns of G and multiplies each by a power of omega,
+    which keeps both the minimal conductor and the content of G, so the
+    images come out demoted and normalised.
+    """
+    src, exps = _right_paulis(d, n)
+    mats = [G.demote_min() for G in gates]
+    out = [None] * (len(mats) * len(src))
+    groups = {}
+    for gi, G in enumerate(mats):
+        groups.setdefault((G.m, G.nums.dtype == object), []).append(gi)
+    for (m, _), idxs in groups.items():
+        nums = np.stack([mats[gi].nums for gi in idxs])
+        # (gate, row, pauli, col, phi) -> (gate, pauli, col, row, phi) @ shifts
+        cols = nums[:, :, src].transpose(0, 2, 3, 1, 4)
+        imgs = (cols @ _omega_shifts(d, m)[exps][None]).transpose(0, 1, 3, 2, 4)
+        for k, gi in enumerate(idxs):
+            for pi in range(len(src)):
+                out[gi * len(src) + pi] = ExactMatrix(d, m, imgs[k, pi], mats[gi].den)
+    return out
+
+
+def _lift_level(prev):
     d, n, k = prev.d, prev.n, prev.k + 1
     fp = prev.fp
 
+    # most classes fail rephasing because M**d is not scalar; one batched
+    # power of the whole level finds them before the per-gate rephasing
+    mats = [su.mat for su in prev.representatives()]
+    powers = mats
+    for _ in range(d - 1):
+        powers = matmul_many(powers, mats)
     skipped = {}
     reps = []
     phased = []
-    for idx in range(len(prev)):
-        su = prev._rep(idx)
-        corr, why = _corrections_reason(su.mat)
+    for M, Md in zip(mats, powers):
+        if Md.scalar_if_scalar() is None:
+            corr, why = None, "power_not_scalar"
+        else:
+            corr, why = _corrections_reason(M)
         if corr is None:
             skipped[why] = skipped.get(why, 0) + 1
             continue
-        reps.append(su.mat)
+        reps.append(M)
         phased.append(corr[0].matrix())
 
     pairs = _omega_pairs(fp, reps, d)
@@ -367,45 +461,28 @@ def _lift_level(prev, jobs=1, materialize=True):
     closure_failures = []
     if k >= 4:
         kept = []
-        pow_cache = {}
-        for a, b in pairs:
-            if a not in pow_cache:
-                pow_cache[a] = _powers(phased[a], d)
-            if b not in pow_cache:
-                pow_cache[b] = _powers(phased[b], d)
-            gaps = _closure_gaps(pow_cache[a], pow_cache[b], prev)
+        for (a, b), gaps in zip(pairs, _closure_failures(phased, pairs, prev)):
             if gaps:
                 closure_failures.append({"pair": [a, b], "gaps": gaps})
             else:
                 kept.append((a, b))
         pairs = kept
 
-    paulis = []
-    for pq in product(range(d), repeat=2 * n):
-        paulis.append(to_matrix(PauliElement(d, 0, pq[:n], pq[n:])))
-
-    cat = LevelCatalog(d, n, k, fp, materialize=materialize)
-
-    def rebuild(source):
-        _, a, b, pi = source
-        G = reconstruct(ConjugateTuple(d, n, [(phased[a], phased[b])]))
-        return ScaledUnitary((G.mat @ paulis[pi]).demote_min(), G.scale2)
-
-    cat._rebuild = rebuild
-
-    bounds = np.linspace(0, len(pairs), jobs + 1).astype(int)
-    chunks = []
-    for ci in range(jobs):
-        before = len(cat)
-        for a, b in pairs[bounds[ci]:bounds[ci + 1]]:
-            G = reconstruct(ConjugateTuple(d, n, [(phased[a], phased[b])]))
-            for pi, P in enumerate(paulis):
-                su = ScaledUnitary((G.mat @ P).demote_min(), G.scale2)
-                if not cat.add(su, source=("pair", a, b, pi)):
-                    raise AssertionError(
-                        "right-Pauli sweep repeated a class; the pair list is inconsistent"
-                    )
-        chunks.append(len(cat) - before)
+    # the reconstruction start depends on the first member alone, so the
+    # memo computes it once per distinct a
+    memo = {}
+    gates = [
+        reconstruct(ConjugateTuple(d, n, [(phased[a], phased[b])]), memo=memo)
+        for a, b in pairs
+    ]
+    images = _right_pauli_sweep([G.mat for G in gates], d, n)
+    cat = LevelCatalog(d, n, k, fp)
+    for idx, (img, dig) in enumerate(zip(images, cat.digests_of(images))):
+        G = gates[idx // d ** (2 * n)]
+        if not cat.add(ScaledUnitary(img, G.scale2), digest=dig):
+            raise AssertionError(
+                "right-Pauli sweep repeated a class; the pair list is inconsistent"
+            )
 
     cat.meta = {
         "candidates": len(reps),
@@ -413,8 +490,6 @@ def _lift_level(prev, jobs=1, materialize=True):
         "pairs": len(pairs),
         "closure_failures": closure_failures[:20],
         "closure_failure_count": len(closure_failures),
-        "jobs": int(jobs),
-        "chunks": chunks,
     }
     cat.sort()
     return cat
@@ -449,8 +524,6 @@ def _save_cache(cat, cache_dir):
         h.update(_doc_bytes(cat._rep(idx), cat.n))
     from . import __version__
 
-    # jobs/chunks describe the run, not the catalog; keeping them out makes
-    # cache files byte-identical for any worker count
     head = {
         "version": 1,
         "library": __version__,
@@ -460,7 +533,7 @@ def _save_cache(cat, cache_dir):
         "k": cat.k,
         "count": len(cat),
         "content_hash": h.hexdigest(),
-        "meta": {k2: v for k2, v in cat.meta.items() if k2 not in ("jobs", "chunks")},
+        "meta": cat.meta,
     }
     z = _zstd()
     path = compressed if z else plain
@@ -511,7 +584,7 @@ def _load_cache(d, n, k, cache_dir, fp):
         su, gn = from_interchange(g)
         if gn != n:
             raise ValueError("cache file %s mixes wire counts" % path)
-        cat.add(su, source=("cache",))
+        cat.add(su)
     cat.sort()
     cat.meta = dict(doc.get("meta") or {})
     cat.meta["from_cache"] = path
@@ -522,16 +595,7 @@ def _load_cache(d, n, k, cache_dir, fp):
 # entry points
 
 
-def enumerate_level(d, n, k, cache_dir=None, jobs=1, materialize=True):
-    """The catalog of level-k phase classes on n wires of dimension d.
-
-    cache_dir None picks up the HIERARCHON_CACHE environment variable; pass
-    False to force a fresh run.  Lower levels are loaded from cache when
-    present, so a run resumes from the highest level already on disk.
-    jobs only partitions the sweep bookkeeping; the catalog is identical
-    for any value.  materialize=False keeps digests and rebuild recipes
-    instead of matrices, for counts that do not fit in memory.
-    """
+def _check_request(d, n, k):
     if k < 1:
         raise ValueError("levels start at 1")
     if n not in (1, 2):
@@ -542,20 +606,49 @@ def enumerate_level(d, n, k, cache_dir=None, jobs=1, materialize=True):
             "(the Clifford quotient alone has millions of classes); "
             "use the dedicated two-qutrit survey instead"
         )
+
+
+def enumerate_levels(d, n, k, cache_dir=None):
+    """The catalogs of levels 1..k on n wires of dimension d, in order.
+
+    Each level is loaded from the cache when present and otherwise lifted
+    from the level before it, which is already in memory, so no level is
+    built twice.  cache_dir None picks up the HIERARCHON_CACHE environment
+    variable; pass False to force a fresh run.  Lifted levels are written
+    to the cache.
+    """
+    _check_request(d, n, k)
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV) or False
     fp = fingerprint_context(d)
+    cat = None
+    for level in range(1, k + 1):
+        cached = _load_cache(d, n, level, cache_dir, fp) if cache_dir else None
+        if cached is not None:
+            cat = cached
+        else:
+            cat = _pauli_catalog(d, n, fp) if level == 1 else _lift_level(cat)
+            if cache_dir:
+                cat.meta["cache_path"] = _save_cache(cat, cache_dir)
+        yield cat
+
+
+def enumerate_level(d, n, k, cache_dir=None):
+    """The catalog of level-k phase classes on n wires of dimension d.
+
+    The last catalog of enumerate_levels, which takes the same arguments.
+    A cached level k is loaded on its own; otherwise the run resumes from
+    the levels already on disk.
+    """
+    _check_request(d, n, k)
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_ENV) or False
     if cache_dir:
-        cached = _load_cache(d, n, k, cache_dir, fp)
+        cached = _load_cache(d, n, k, cache_dir, fingerprint_context(d))
         if cached is not None:
             return cached
-    if k == 1:
-        cat = _pauli_catalog(d, n, fp)
-    else:
-        prev = enumerate_level(d, n, k - 1, cache_dir=cache_dir, jobs=jobs)
-        cat = _lift_level(prev, jobs=jobs, materialize=materialize)
-    if cache_dir and materialize:
-        cat.meta["cache_path"] = _save_cache(cat, cache_dir)
+    for cat in enumerate_levels(d, n, k, cache_dir):
+        pass
     return cat
 
 

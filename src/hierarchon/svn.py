@@ -9,6 +9,7 @@ while the true normaliser 1/sqrt(scale2) usually does not exist in the field.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,7 +182,18 @@ def _weyl_word(T, a, b):
     return out
 
 
-def _rotated_reconstruct(T):
+@lru_cache(maxsize=None)
+def _weyl_pair_reconstruction(d, a, b):
+    """The exact Clifford of the direction (a, b), as _rotated_reconstruct needs it."""
+    from .phasespace import to_matrix, weyl
+
+    x, y = (d - 1, 0) if a == 0 else (0, 1)
+    WA = to_matrix(weyl(d, (a,), (b,)))
+    WB = to_matrix(weyl(d, (x,), (y,)))
+    return reconstruct(ConjugateTuple(d, 1, [(WA, WB)]), _rotate=False)
+
+
+def _rotated_reconstruct(T, memo=None):
     """Reconstruct through a symplectic change of the tuple.
 
     The pair (U, V) is traded for its image under R in SL(2, Z_d), picked so
@@ -190,26 +202,26 @@ def _rotated_reconstruct(T):
     The Weyl-calculus phases make the rotated pair a genuine tuple, so no
     phase bookkeeping survives to the caller.
     """
-    from .phasespace import weyl, to_matrix
-
     d = T.d
     directions = [(0, 1)] + [(1, t) for t in range(1, d)]
     for a, b in directions:
         x, y = ((d - 1, 0) if a == 0 else (0, 1))
         rotated = ConjugateTuple(d, 1, [(_weyl_word(T, a, b), _weyl_word(T, x, y))])
         try:
-            G2 = reconstruct(rotated, _rotate=False)
+            G2 = reconstruct(rotated, _rotate=False, memo=memo)
         except ValueError:
             continue
-        WA = to_matrix(weyl(d, (a,), (b,)))
-        WB = to_matrix(weyl(d, (x,), (y,)))
-        TR = reconstruct(ConjugateTuple(d, 1, [(WA, WB)]), _rotate=False)
+        TR = _weyl_pair_reconstruction(d, a, b)
         return ScaledUnitary(G2.mat @ TR.mat.dagger(), G2.scale2 * TR.scale2)
     raise ValueError("reconstruction norm is not rational")
 
 
-def reconstruct(T, _rotate=True):
-    """The unique-up-to-phase unitary with the given conjugation behaviour."""
+def _start(T):
+    """(u0, |u0|^2) spanning the joint fixed space of the first members.
+
+    None when neither a projector column nor the monomialising frame gives
+    a vector of rational norm, so that only a rotation of the tuple can.
+    """
     d, n = T.d, T.n
     dim = d ** n
     prod = None
@@ -241,9 +253,30 @@ def reconstruct(T, _rotate=True):
         except ValueError:
             u0 = None
     if u0 is None:
+        return None
+    return u0, (u0.dagger() @ u0).entry(0, 0)
+
+
+def reconstruct(T, _rotate=True, memo=None):
+    """The unique-up-to-phase unitary with the given conjugation behaviour.
+
+    The fixed vector u0 depends on the first members U_i alone.  A caller
+    reconstructing many tuples that share first members passes one dict as
+    memo, and u0 is then found once per distinct set of first members.
+    """
+    d, n = T.d, T.n
+    if memo is None:
+        start = _start(T)
+    else:
+        key = tuple((U.m, U.to_key()) for U, _ in T.pairs)
+        if key not in memo:
+            memo[key] = _start(T)
+        start = memo[key]
+    if start is None:
         if not (_rotate and n == 1):
             raise ValueError("reconstruction norm is not rational")
-        return _rotated_reconstruct(T)
+        return _rotated_reconstruct(T, memo)
+    u0, norm2 = start
     block = u0
     for i in range(n - 1, -1, -1):
         V = T.pairs[i][1]
@@ -253,7 +286,6 @@ def reconstruct(T, _rotate=True):
             cur = V @ cur
             blocks.append(cur)
         block = _hstack(blocks)
-    norm2 = (u0.dagger() @ u0).entry(0, 0)
     if not norm2.is_rational():
         raise ValueError("reconstruction norm is not rational")
     return ScaledUnitary(block, norm2.as_fraction())

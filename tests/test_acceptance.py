@@ -13,7 +13,7 @@ import random
 import pytest
 
 from hierarchon.diagonal import verify_cgk
-from hierarchon.hierarchy import enumerate_level
+from hierarchon.hierarchy import enumerate_level, enumerate_levels
 from hierarchon.phasespace import to_matrix, weyl, weyl_mul, weyl_to_pauli
 from hierarchon.qutrit3 import (
     Septuple,
@@ -263,7 +263,7 @@ def test_conjugate_tuple_monomials_are_traceless_and_orthogonal():
                 assert _trace_is_zero(daggers[idx] @ monomials[jdx])
 
 
-# -- determinism across parallelism -----------------------------------------------
+# -- determinism -------------------------------------------------------------------
 
 
 def _tree_bytes(root):
@@ -276,12 +276,10 @@ def _tree_bytes(root):
     return out
 
 
-def test_parallel_enumeration_is_byte_identical(tmp_path):
-    a, b = str(tmp_path / "one"), str(tmp_path / "eight")
-    for k in (1, 2, 3):
-        one = enumerate_level(3, 1, k, cache_dir=a, jobs=1)
-        eight = enumerate_level(3, 1, k, cache_dir=b, jobs=8)
-        assert one.digests == eight.digests
+def test_enumeration_is_byte_identical_across_cache_dirs(tmp_path):
+    a, b = str(tmp_path / "first"), str(tmp_path / "second")
+    for first, second in zip(enumerate_levels(3, 1, 3, a), enumerate_levels(3, 1, 3, b)):
+        assert first.digests == second.digests
     assert _tree_bytes(a) == _tree_bytes(b)
 
 

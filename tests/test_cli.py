@@ -5,10 +5,15 @@ byte-identity tests rerun commands against the warm cache and compare
 stdout verbatim.
 """
 
+import contextlib
+import io
 import json
 import os
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hierarchon.cli import SIZE_CEILING, _estimate_members, _verdict, main
 from hierarchon.cyclo import CycloScalar
@@ -27,12 +32,15 @@ def cache_env(tmp_path_factory):
         os.environ["HIERARCHON_CACHE"] = old
 
 
+def _t9_doc():
+    z9 = CycloScalar.zeta(3, 2, 1)
+    return to_interchange(ScaledUnitary.exact(ExactMatrix.diag(3, [z9 ** 0, z9, z9 ** 2])), 1)
+
+
 @pytest.fixture(scope="module")
 def t9_file(tmp_path_factory):
-    z9 = CycloScalar.zeta(3, 2, 1)
-    su = ScaledUnitary.exact(ExactMatrix.diag(3, [z9 ** 0, z9, z9 ** 2]))
     path = tmp_path_factory.mktemp("gates") / "t9.json"
-    path.write_text(json.dumps(to_interchange(su, 1)))
+    path.write_text(json.dumps(_t9_doc()))
     return str(path)
 
 
@@ -74,14 +82,6 @@ def test_enumerate_is_deterministic_across_reruns(capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
-
-
-def test_enumerate_jobs_do_not_change_the_bytes(capsys):
-    one = ["enumerate", "--d", "3", "--max-level", "2", "--format", "json"]
-    eight = one + ["--jobs", "8"]
-    _, out1, _ = run(capsys, one)
-    _, out8, _ = run(capsys, eight)
-    assert out1 == out8
 
 
 def test_enumerate_refuses_two_wire_levels(capsys):
@@ -145,6 +145,78 @@ def test_membership_rejects_a_broken_gate_file(capsys, tmp_path, t9_file):
     code, _, err = run(capsys, ["membership", str(bad)])
     assert code == 2
     assert "scale2" in err
+
+
+def _cell(doc, idx):
+    return doc["entries"][idx % len(doc["entries"])]
+
+
+def _inplace(change):
+    """An edit that mutates the document and returns it."""
+    return lambda doc: (change(doc), doc)[1]
+
+
+# each edit leaves a document the loader must refuse
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-50, 50), st.floats(allow_nan=False),
+    st.text(max_size=4),
+    # a two-integer list can be a valid coefficient, so lengths skip two
+    st.lists(st.integers(-3, 3), max_size=3).filter(lambda v: len(v) != 2),
+)
+
+
+def _keeps_the_document_valid(field, value):
+    if field == "scale2" and isinstance(value, str):
+        try:
+            return Fraction(value) == 1
+        except (ValueError, ZeroDivisionError):
+            return False
+    return value == {"d": 3, "n": 1, "conductor": 9}.get(field) and not isinstance(value, bool)
+
+
+_MALFORMED = st.one_of(
+    _JSON_VALUES.map(lambda v: lambda doc: v),  # not an object at all
+    st.sampled_from(["version", "d", "n", "conductor", "scale2", "entries"]).map(
+        lambda f: lambda doc: {k: v for k, v in doc.items() if k != f}
+    ),
+    st.tuples(st.sampled_from(["d", "n", "conductor", "scale2", "entries"]), _JSON_VALUES)
+    .filter(lambda fv: not _keeps_the_document_valid(*fv))
+    .map(lambda fv: lambda doc: dict(doc, **{fv[0]: fv[1]})),
+    st.sampled_from([1, 4, 9, 15, 2 ** 61 - 1]).map(lambda d: lambda doc: dict(doc, d=d)),
+    st.sampled_from([0, 1, 3 ** 8, 18, 27 * 5]).map(lambda c: lambda doc: dict(doc, conductor=c)),
+    st.sampled_from([2, 3, 10 ** 18]).map(lambda n: lambda doc: dict(doc, n=n)),
+    st.sampled_from(["0", "1/0", "-1", "1.5", "1e9", "x", ""]).map(
+        lambda v: lambda doc: dict(doc, scale2=v)
+    ),
+    st.integers(0, 80).map(lambda i: lambda doc: dict(doc, entries=doc["entries"][:i % 9])),
+    st.integers(0, 8).map(lambda i: _inplace(lambda doc: _cell(doc, i).append([1, 1]))),
+    st.integers(0, 8).map(lambda i: _inplace(lambda doc: _cell(doc, i).pop())),
+    st.tuples(st.integers(0, 8), st.integers(0, 5)).map(
+        lambda ij: _inplace(lambda doc: _cell(doc, ij[0]).__setitem__(ij[1], [1, 0]))
+    ),
+    st.tuples(st.integers(0, 8), st.integers(0, 5), _JSON_VALUES).map(
+        lambda ijv: _inplace(lambda doc: _cell(doc, ijv[0]).__setitem__(ijv[1], ijv[2]))
+    ),
+    st.tuples(st.integers(0, 8), _JSON_VALUES).map(
+        lambda iv: _inplace(lambda doc: doc["entries"].__setitem__(iv[0], iv[1]))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edit=_MALFORMED)
+def test_malformed_gate_files_exit_two_with_one_line(edit):
+    doc = edit(_t9_doc())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gate.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["membership", path, "--max-level", "1"])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_membership_rejects_a_missing_file(capsys):

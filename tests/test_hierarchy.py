@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase
 from hierarchon.hierarchy import (
     REFERENCE_COUNTS,
     enumerate_level,
+    enumerate_levels,
     k_closure_check,
     membership,
     order_d_corrections,
@@ -348,15 +351,76 @@ def test_cache_resume_recomputes_only_the_top(tmp_path):
     assert os.path.exists(top)
 
 
-def test_jobs_split_changes_nothing(tmp_path):
-    a = enumerate_level(3, 1, 3, cache_dir=str(tmp_path / "a"), jobs=1)
-    b = enumerate_level(3, 1, 3, cache_dir=str(tmp_path / "b"), jobs=5)
-    assert a.digests == b.digests
-    with open(a.meta["cache_path"], "rb") as fh:
-        abytes = fh.read()
-    with open(b.meta["cache_path"], "rb") as fh:
-        bbytes = fh.read()
-    assert abytes == bbytes
+def _tree_sha256(root):
+    """One sha256 over every file under root: relative path, then content hash."""
+    h = hashlib.sha256()
+    for base, _, names in sorted(os.walk(root)):
+        for name in sorted(names):
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            h.update(os.path.relpath(path, root).encode() + b"\0" + hashlib.sha256(data).digest())
+    return h.hexdigest()
+
+
+# Recorded from the per-product lift that preceded the batched one: the plain
+# JSON cache tree of d=3 through level 3, and the d=3 level-4 digest list.
+PINNED_D3_TREE = "d78f6cb4b453e450fc2d53bc09e4078c6fa6e6b0bb76312ecd7ce79bf382fba7"
+PINNED_D3_LEVEL4 = "6a78d7fb4ed01d68d5ad30e21cbf2982441f7c3fafea9cdf6fdc8cc9a6742356"
+
+
+def test_catalog_bytes_are_pinned(tmp_path, d3):
+    from hierarchon.hierarchy import _zstd
+
+    assert hashlib.sha256(b"".join(d3[4].digests)).hexdigest() == PINNED_D3_LEVEL4
+    if _zstd() is not None:
+        pytest.skip("the tree pin is of plain JSON caches; zstandard compresses them")
+    enumerate_level(3, 1, 3, cache_dir=str(tmp_path))
+    assert _tree_sha256(str(tmp_path)) == PINNED_D3_TREE
+
+
+def test_level_walk_and_single_level_write_identical_caches(tmp_path):
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    walked = list(enumerate_levels(3, 1, 3, cache_dir=a))
+    single = enumerate_level(3, 1, 3, cache_dir=b)
+    assert walked[-1].digests == single.digests
+    assert _tree_sha256(a) == _tree_sha256(b)
+
+
+def test_enumerate_levels_lifts_each_level_once(monkeypatch):
+    from hierarchon import hierarchy
+
+    lifted = []
+    real = hierarchy._lift_level
+
+    def spy(prev):
+        lifted.append(prev.k + 1)
+        return real(prev)
+
+    monkeypatch.setattr(hierarchy, "_lift_level", spy)
+    counts = [len(cat) for cat in enumerate_levels(3, 1, 3, cache_dir=False)]
+    assert counts == [9, 216, 1944]
+    assert lifted == [2, 3]
+
+
+def test_batched_keys_match_single_keys(d3):
+    fp = d3[1].fp
+    p = fp.primes[0]
+    # a first nonzero entry of p vanishes mod p and takes the canonical path
+    phi = conductor(3, 1).phi
+    nums = np.zeros((3, 3, phi), dtype=np.int64)
+    nums[0, 0, 0] = p
+    nums[1, 1, 1] = 1
+    nums[2, 2, 0] = 2
+    mats = [su.mat for su in list(d3[3].representatives())[:40]]
+    mats += [m.promote(3) for m in mats[:5]]
+    big = nums.astype(object)
+    big[2, 2, 0] = 2 ** 70  # past int64, so the batch holds Python objects
+    mats += [ExactMatrix(3, 1, nums, 1), ExactMatrix(3, 1, big, 1)]
+    assert mats[-1].nums.dtype == object
+    mats += [zx(3)[0], dft(3).mat]
+    assert fp.keys(mats) == [fp.key(m) for m in mats]
+    assert d3[3].digests_of(mats) == [d3[3]._digest(m) for m in mats]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hierarchon import _kernels as K
+from hierarchon import exactmat
 from hierarchon.cyclo import conductor
+from hierarchon.exactmat import ExactMatrix, _gr_matmul_obj
 
 
 rng = np.random.default_rng(11)
@@ -21,16 +23,64 @@ def embed_tensor(arr, c):
 # ---------------------------------------------------------------------------
 # group-ring matmul
 
-@pytest.mark.parametrize("d,m,dim", [(3, 1, 3), (3, 2, 4), (5, 1, 5), (7, 1, 2)])
-def test_matmul_lanes_agree(d, m, dim):
+@pytest.mark.parametrize(
+    "d,m,dim", [(3, 1, 3), (3, 2, 4), (5, 1, 5), (7, 1, 2), (5, 2, 3), (7, 2, 2)]
+)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_matmul_lanes_agree(d, m, dim, data):
+    """Batched and 3-D gr_matmul against the Python-object product."""
     cond = conductor(d, m)
-    A = rng.integers(-20, 20, size=(dim, dim, cond.phi))
-    B = rng.integers(-20, 20, size=(dim, dim, cond.phi))
-    out_np = K._gr_matmul_np(A, B, cond.c)
-    if K.HAS_NUMBA:
-        out_nb = K._gr_matmul_nb(A, B, cond.c)
-        assert np.array_equal(out_np, out_nb)
-    assert np.array_equal(K.gr_matmul(A, B, cond.c), out_np)
+    batch = data.draw(st.integers(1, 64), label="batch")
+    r, k, s = (data.draw(st.integers(1, dim)) for _ in range(3))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    A = gen.integers(-20, 20, size=(batch, r, k, cond.phi))
+    B = gen.integers(-20, 20, size=(batch, k, s, cond.phi))
+    got = cond.reduce(K.gr_matmul_batch(A, B, cond.c))
+    assert got.shape == (batch, r, s, cond.phi)
+    for i in range(batch):
+        want = _gr_matmul_obj(A[i].astype(object), B[i].astype(object), cond)
+        assert np.array_equal(got[i], want)
+        assert np.array_equal(cond.reduce(K.gr_matmul(A[i], B[i], cond.c)), want)
+
+
+def test_matmul_batch_broadcasts_and_chunks(monkeypatch):
+    cond = conductor(3, 2)
+    A = rng.integers(-9, 9, size=(5, 1, 3, 2, cond.phi))
+    B = rng.integers(-9, 9, size=(4, 2, 3, cond.phi))
+    whole = K.gr_matmul_batch(A, B, cond.c)
+    assert whole.shape == (5, 4, 3, 3, cond.c)
+    assert np.array_equal(whole[3, 2], K.gr_matmul(A[3, 0], B[2], cond.c))
+    # a tiny chunk bound splits the batch without changing a bit
+    monkeypatch.setattr(K, "_CHUNK_CELLS", 1)
+    assert np.array_equal(K.gr_matmul_batch(A, B, cond.c), whole)
+
+
+def test_int64_bound_still_takes_the_object_path(monkeypatch):
+    calls = []
+    real = exactmat._gr_matmul_obj
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(exactmat, "_gr_matmul_obj", spy)
+    cond = conductor(3, 1)
+    big = 2 ** 40
+    nums = np.array([[[big + 1, 1], [0, big]], [[1, 0], [big, 3]]], dtype=np.int64)
+    A = ExactMatrix(3, 1, nums, 1)
+    want = real(nums.astype(object), nums.astype(object), cond)
+    prod = A @ A
+    assert calls == [1]
+    assert prod.nums.dtype == object
+    assert np.array_equal(prod.nums, want)
+    (batched,) = exactmat.matmul_many([A], [A])
+    assert calls == [1, 1]
+    assert batched == prod
+    # the phase comparison falls back to Python objects past the bound too
+    assert exactmat.equal_up_to_phase(prod, prod.scale_zeta(1))
+    assert not exactmat.equal_up_to_phase(prod, A)
+    assert len(calls) == 6
 
 
 def test_matmul_matches_complex_oracle():

@@ -22,8 +22,8 @@ except ImportError:  # numba is an optional extra
 
 USE_NUMBA = HAS_NUMBA and os.environ.get("HIERARCHON_NO_NUMBA", "") != "1"
 
-# int64 cells one chunk of the batched product may hold in its phi x phi
-# intermediate (2 MB), so a large batch never materialises in one piece
+# int64 cells the circulant operand of one step of the product may hold
+# (2 MB), so neither a long batch nor a large conductor materialises at once
 _CHUNK_CELLS = 1 << 18
 
 
@@ -34,32 +34,49 @@ _CHUNK_CELLS = 1 << 18
 
 
 @lru_cache(maxsize=None)
-def _scatter(phi, c):
-    """0/1 (phi*phi, c) matrix sending exponent pair (u, v) to (u + v) mod c."""
-    u = np.arange(phi)
-    S = np.zeros((phi * phi, c), dtype=np.int64)
-    S[np.arange(phi * phi), ((u[:, None] + u[None, :]) % c).ravel()] = 1
-    return S
+def _circulant_index(phi, c):
+    """(phi, c) table of (w - u) mod c, or the zero pad slot phi past phi - 1."""
+    diff = (np.arange(c)[None, :] - np.arange(phi)[:, None]) % c
+    return np.where(diff < phi, diff, phi)
 
 
 def _contract(A, B, c):
     """(n, r, m, phi) x (n, m, s, phi) -> unreduced (n, r, s, c).
 
-    One integer contraction into all exponent pairs (u, v), then one
-    scatter of the pairs onto u + v mod c.
+    B is spread to its circulant form Bc[j, k, u, w] = B[j, k, (w - u) mod c],
+    so the product is one integer contraction of A over (j, u): phi * c
+    multiply-adds per entry pair.  Batch items, and for large conductors
+    blocks of the exponent u, are cut so one step's Bc stays within
+    _CHUNK_CELLS.
     """
     n, r, m, phi = A.shape
     s = B.shape[2]
-    pairs = A.transpose(0, 1, 3, 2).reshape(n, r * phi, m) @ B.reshape(n, m, s * phi)
-    pairs = pairs.reshape(n, r, phi, s, phi).transpose(0, 1, 3, 2, 4)
-    return (pairs.reshape(n * r * s, phi * phi) @ _scatter(phi, c)).reshape(n, r, s, c)
+    per_u = m * s * c
+    ub = max(1, min(phi, _CHUNK_CELLS // per_u))
+    step = max(1, _CHUNK_CELLS // (per_u * phi)) if ub == phi else 1
+    idx = _circulant_index(phi, c)
+    padded = np.zeros((n, m, s, phi + 1), dtype=np.int64)
+    padded[..., :phi] = B
+
+    def part(lo, hi, u0, u1):
+        Bc = padded[lo:hi][..., idx[u0:u1]].transpose(0, 1, 3, 2, 4)
+        width = m * (u1 - u0)
+        return A[lo:hi, :, :, u0:u1].reshape(hi - lo, r, width) @ Bc.reshape(hi - lo, width, s * c)
+
+    if step >= n and ub == phi:
+        return part(0, n, 0, phi).reshape(n, r, s, c)
+    out = np.zeros((n, r, s * c), dtype=np.int64)
+    for lo in range(0, n, step):
+        for u0 in range(0, phi, ub):
+            out[lo:lo + step] += part(lo, min(n, lo + step), u0, min(phi, u0 + ub))
+    return out.reshape(n, r, s, c)
 
 
 def gr_matmul_batch(A, B, c):
     """(..., r, m, phi) x (..., m, s, phi) -> unreduced (..., r, s, c).
 
-    Leading axes broadcast as in numpy.matmul, and long batches run in
-    chunks of bounded size.  The caller guarantees the sums fit in int64.
+    Leading axes broadcast as in numpy.matmul; _contract bounds the
+    intermediates.  The caller guarantees the sums fit in int64.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -70,15 +87,7 @@ def gr_matmul_batch(A, B, c):
         lead = np.broadcast_shapes(lead, B.shape[:-3])
         A = np.broadcast_to(A, lead + A.shape[-3:])
         B = np.broadcast_to(B, lead + B.shape[-3:])
-    A = A.reshape(-1, r, m, phi)
-    B = B.reshape(-1, m, s, phi)
-    step = max(1, _CHUNK_CELLS // (r * s * phi * phi))
-    if len(A) <= step:
-        out = _contract(A, B, c)
-    else:
-        out = np.concatenate(
-            [_contract(A[lo:lo + step], B[lo:lo + step], c) for lo in range(0, len(A), step)]
-        )
+    out = _contract(A.reshape(-1, r, m, phi), B.reshape(-1, m, s, phi), c)
     return out.reshape(lead + (r, s, c))
 
 

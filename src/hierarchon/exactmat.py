@@ -486,8 +486,20 @@ def conjugate_action(G, M):
 # interchange documents
 
 INTERCHANGE_VERSION = 1
-# conductor tables are dense c x phi(c) arrays, so documents past this are refused
-MAX_CONDUCTOR = 1000
+# conductor tables are dense c x phi(c) arrays, so no conductor passes this
+_DENSE_TABLE_CAP = 1000
+
+
+def max_conductor(d):
+    """The largest conductor d**m a gate of base prime d may carry.
+
+    m stays within the fingerprint headroom of d, the highest conductor
+    the catalogs can key, and d**m within the cap on dense tables.
+    """
+    m = fingerprint_headroom(d)
+    while m and d ** m > _DENSE_TABLE_CAP:
+        m -= 1
+    return d ** m
 
 
 def to_interchange(su, n):
@@ -529,7 +541,7 @@ def from_interchange(doc):
     """The (ScaledUnitary, n) a document describes; ValueError when malformed.
 
     Every field is checked before use: the document type, the field types,
-    an odd prime d, a conductor d**m with m >= 1 up to MAX_CONDUCTOR,
+    an odd prime d, a conductor d**m with m >= 1 up to max_conductor(d),
     d**(2n) entries of phi(c) integer pairs each, nonzero denominators and
     a positive scale2 written p/q.
     """
@@ -542,8 +554,8 @@ def from_interchange(doc):
     c = _field(doc, "conductor", _is_int, "an integer")
     scale2 = _field(doc, "scale2", lambda x: isinstance(x, str), "a string p/q")
     entries = _field(doc, "entries", lambda x: isinstance(x, list), "a list")
-    if c > MAX_CONDUCTOR:
-        raise ValueError("conductor %d is past the supported %d" % (c, MAX_CONDUCTOR))
+    if c > max_conductor(d):
+        raise ValueError("conductor %d is past the supported %d" % (c, max_conductor(d)))
     m = 0
     cc = c
     while cc > 1 and cc % d == 0:
@@ -579,6 +591,14 @@ def from_interchange(doc):
 
 # ---------------------------------------------------------------------------
 # modular fingerprints: sound fast keys for canonical forms
+
+# highest m whose conductor d**m the fingerprint tables serve, per base prime
+_FP_HEADROOM = {3: 5, 5: 3, 7: 3}
+
+
+def fingerprint_headroom(d):
+    return _FP_HEADROOM.get(d, 3)
+
 
 def _is_prime(nn):
     if nn < 2:

@@ -18,14 +18,16 @@ from itertools import product
 import numpy as np
 
 from . import _kernels as K
-from .cyclo import CycloScalar, conductor, root_of_unity_log
+from .cyclo import CycloScalar, conductor, max_abs, root_of_unity_log
 from .exactmat import (
+    INT64_SAFE,
     ExactMatrix,
     FingerprintContext,
     ScaledUnitary,
     _fp_eval_obj,
     conjugate_action,
     equal_up_to_phase,
+    fingerprint_headroom,
     from_interchange,
     matmul_many,
     to_interchange,
@@ -43,13 +45,9 @@ REFERENCE_COUNTS = {
     (7, 1): {1: 49, 2: 16464, 3: 806736, 4: 6338640},
 }
 
-# conductor headroom per base prime: highest m the fingerprint tables serve
-_FP_HEADROOM = {3: 5, 5: 3, 7: 3}
-
-
 @lru_cache(maxsize=None)
 def fingerprint_context(d):
-    return FingerprintContext(d, _FP_HEADROOM.get(d, 3))
+    return FingerprintContext(d, fingerprint_headroom(d))
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +117,10 @@ class PhasedGate:
         return "PhasedGate(%r, phase=%r)" % (self.base, self.phase)
 
 
-def _corrections_reason(M):
+def _corrections_reason(M, power=None):
+    """order_d_corrections(M) and why it is None; power, when given, is M**d."""
     d = M.d
-    lam = M.pow_int(d).scalar_if_scalar()
+    lam = (M.pow_int(d) if power is None else power).scalar_if_scalar()
     if lam is None or lam.is_zero():
         return None, "power_not_scalar"
     lam = lam.demote_min()
@@ -355,8 +354,8 @@ def k_closure_check(T, catalog):
     return True
 
 
-# pairs whose monomials one batched closure pass holds at a time
-_CLOSURE_PAIRS = 128
+# gates or pairs one batched pass of the lift holds at a time
+_BLOCK = 128
 
 
 def _closure_failures(phased, pairs, prev):
@@ -365,15 +364,15 @@ def _closure_failures(phased, pairs, prev):
     The powers of each phased representative are taken once; the d*d
     monomials of a block of pairs form one batched product and one
     fingerprint pass, and each pair's gaps are then read off by
-    _closure_gaps.  Blocks bound the monomials held at once.
+    _closure_gaps.
     """
     d = prev.d
     dd = d * d
     involved = sorted({x for pair in pairs for x in pair})
     pows = dict(zip(involved, _powers_many([phased[x] for x in involved], d)))
     gaps = []
-    for lo in range(0, len(pairs), _CLOSURE_PAIRS):
-        block = pairs[lo:lo + _CLOSURE_PAIRS]
+    for lo in range(0, len(pairs), _BLOCK):
+        block = pairs[lo:lo + _BLOCK]
         monos = _monomials([(pows[a], pows[b]) for a, b in block], d)
         digests = prev.digests_of(monos)
         gaps.extend(
@@ -412,49 +411,52 @@ def _right_pauli_sweep(gates, d, n):
 
     G P permutes the columns of G and multiplies each by a power of omega,
     which keeps both the minimal conductor and the content of G, so the
-    images come out demoted and normalised.
+    images come out demoted and normalised.  A shifted coefficient sums
+    at most phi of G's, so past INT64_SAFE / phi the sweep runs on Python
+    objects, as a product past the bound does.
     """
     src, exps = _right_paulis(d, n)
-    mats = [G.demote_min() for G in gates]
-    out = [None] * (len(mats) * len(src))
-    groups = {}
-    for gi, G in enumerate(mats):
-        groups.setdefault((G.m, G.nums.dtype == object), []).append(gi)
-    for (m, _), idxs in groups.items():
-        nums = np.stack([mats[gi].nums for gi in idxs])
-        # (gate, row, pauli, col, phi) -> (gate, pauli, col, row, phi) @ shifts
-        cols = nums[:, :, src].transpose(0, 2, 3, 1, 4)
-        imgs = (cols @ _omega_shifts(d, m)[exps][None]).transpose(0, 1, 3, 2, 4)
-        for k, gi in enumerate(idxs):
-            for pi in range(len(src)):
-                out[gi * len(src) + pi] = ExactMatrix(d, m, imgs[k, pi], mats[gi].den)
+    out = []
+    for G in gates:
+        G = G.demote_min()
+        nums = G.nums
+        shifts = _omega_shifts(d, G.m)[exps]
+        if nums.dtype == object or max_abs(nums) * G.cond.phi >= INT64_SAFE:
+            nums = nums.astype(object)
+            shifts = shifts.astype(object)
+        # (row, pauli, col, phi) -> (pauli, col, row, phi) @ shifts -> (pauli, row, col, phi)
+        imgs = (nums[:, src].transpose(1, 2, 0, 3) @ shifts).transpose(0, 2, 1, 3)
+        out.extend(ExactMatrix(d, G.m, img, G.den) for img in imgs)
     return out
+
+
+def _rephase_all(mats, d):
+    """(reps, phased, skipped) over a level, with M**d batched per block.
+
+    Every gate goes through _corrections_reason with its precomputed power;
+    reps keeps the gates that rephase, phased their first rephasing, and
+    skipped counts the others by reason.
+    """
+    reps, phased, skipped = [], [], {}
+    for lo in range(0, len(mats), _BLOCK):
+        block = mats[lo:lo + _BLOCK]
+        powers = block
+        for _ in range(d - 1):
+            powers = matmul_many(powers, block)
+        for M, Md in zip(block, powers):
+            corr, why = _corrections_reason(M, Md)
+            if corr is None:
+                skipped[why] = skipped.get(why, 0) + 1
+                continue
+            reps.append(M)
+            phased.append(corr[0].matrix())
+    return reps, phased, skipped
 
 
 def _lift_level(prev):
     d, n, k = prev.d, prev.n, prev.k + 1
     fp = prev.fp
-
-    # most classes fail rephasing because M**d is not scalar; one batched
-    # power of the whole level finds them before the per-gate rephasing
-    mats = [su.mat for su in prev.representatives()]
-    powers = mats
-    for _ in range(d - 1):
-        powers = matmul_many(powers, mats)
-    skipped = {}
-    reps = []
-    phased = []
-    for M, Md in zip(mats, powers):
-        if Md.scalar_if_scalar() is None:
-            corr, why = None, "power_not_scalar"
-        else:
-            corr, why = _corrections_reason(M)
-        if corr is None:
-            skipped[why] = skipped.get(why, 0) + 1
-            continue
-        reps.append(M)
-        phased.append(corr[0].matrix())
-
+    reps, phased, skipped = _rephase_all([su.mat for su in prev.representatives()], d)
     pairs = _omega_pairs(fp, reps, d)
 
     # monomial closure is automatic up to level 3 and a real constraint after
@@ -471,18 +473,19 @@ def _lift_level(prev):
     # the reconstruction start depends on the first member alone, so the
     # memo computes it once per distinct a
     memo = {}
-    gates = [
-        reconstruct(ConjugateTuple(d, n, [(phased[a], phased[b])]), memo=memo)
-        for a, b in pairs
-    ]
-    images = _right_pauli_sweep([G.mat for G in gates], d, n)
     cat = LevelCatalog(d, n, k, fp)
-    for idx, (img, dig) in enumerate(zip(images, cat.digests_of(images))):
-        G = gates[idx // d ** (2 * n)]
-        if not cat.add(ScaledUnitary(img, G.scale2), digest=dig):
-            raise AssertionError(
-                "right-Pauli sweep repeated a class; the pair list is inconsistent"
-            )
+    for lo in range(0, len(pairs), _BLOCK):
+        gates = [
+            reconstruct(ConjugateTuple(d, n, [(phased[a], phased[b])]), memo=memo)
+            for a, b in pairs[lo:lo + _BLOCK]
+        ]
+        images = _right_pauli_sweep([G.mat for G in gates], d, n)
+        for idx, (img, dig) in enumerate(zip(images, cat.digests_of(images))):
+            G = gates[idx // d ** (2 * n)]
+            if not cat.add(ScaledUnitary(img, G.scale2), digest=dig):
+                raise AssertionError(
+                    "right-Pauli sweep repeated a class; the pair list is inconsistent"
+                )
 
     cat.meta = {
         "candidates": len(reps),
@@ -608,21 +611,21 @@ def _check_request(d, n, k):
         )
 
 
-def enumerate_levels(d, n, k, cache_dir=None):
-    """The catalogs of levels 1..k on n wires of dimension d, in order.
-
-    Each level is loaded from the cache when present and otherwise lifted
-    from the level before it, which is already in memory, so no level is
-    built twice.  cache_dir None picks up the HIERARCHON_CACHE environment
-    variable; pass False to force a fresh run.  Lifted levels are written
-    to the cache.
-    """
-    _check_request(d, n, k)
+def _cache_root(cache_dir):
+    """cache_dir, with None resolved through the HIERARCHON_CACHE variable."""
     if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV) or False
+        return os.environ.get(CACHE_ENV) or False
+    return cache_dir
+
+
+def _walk(d, n, first, k, cache_dir):
+    """Levels first..k, each loaded from the cache or lifted from the last.
+
+    Level first must be level 1 or cached.
+    """
     fp = fingerprint_context(d)
     cat = None
-    for level in range(1, k + 1):
+    for level in range(first, k + 1):
         cached = _load_cache(d, n, level, cache_dir, fp) if cache_dir else None
         if cached is not None:
             cat = cached
@@ -633,21 +636,35 @@ def enumerate_levels(d, n, k, cache_dir=None):
         yield cat
 
 
+def enumerate_levels(d, n, k, cache_dir=None):
+    """The catalogs of levels 1..k on n wires of dimension d, in order.
+
+    Each level is loaded from the cache when present and otherwise lifted
+    from the level before it, which is already in memory, so no level is
+    built twice.  cache_dir None picks up the HIERARCHON_CACHE environment
+    variable; pass False to force a fresh run.  Lifted levels are written
+    to the cache.
+    """
+    _check_request(d, n, k)
+    return _walk(d, n, 1, k, _cache_root(cache_dir))
+
+
 def enumerate_level(d, n, k, cache_dir=None):
     """The catalog of level-k phase classes on n wires of dimension d.
 
-    The last catalog of enumerate_levels, which takes the same arguments.
-    A cached level k is loaded on its own; otherwise the run resumes from
-    the levels already on disk.
+    Takes the arguments of enumerate_levels.  The walk starts from the
+    highest cached level at or below k, so a cached level k is the only
+    level read.
     """
     _check_request(d, n, k)
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV) or False
+    cache_dir = _cache_root(cache_dir)
+    first = 1
     if cache_dir:
-        cached = _load_cache(d, n, k, cache_dir, fingerprint_context(d))
-        if cached is not None:
-            return cached
-    for cat in enumerate_levels(d, n, k, cache_dir):
+        first = next(
+            (j for j in range(k, 1, -1) if any(map(os.path.exists, _cache_paths(cache_dir, d, n, j)))),
+            1,
+        )
+    for cat in _walk(d, n, first, k, cache_dir):
         pass
     return cat
 

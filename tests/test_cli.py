@@ -8,6 +8,7 @@ stdout verbatim.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from hierarchon.cli import SIZE_CEILING, _estimate_members, _verdict, main
 from hierarchon.cyclo import CycloScalar
-from hierarchon.exactmat import ExactMatrix, ScaledUnitary, to_interchange
+from hierarchon.exactmat import ExactMatrix, ScaledUnitary, max_conductor, to_interchange
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -35,6 +36,12 @@ def cache_env(tmp_path_factory):
 def _t9_doc():
     z9 = CycloScalar.zeta(3, 2, 1)
     return to_interchange(ScaledUnitary.exact(ExactMatrix.diag(3, [z9 ** 0, z9, z9 ** 2])), 1)
+
+
+def _root_diag_doc(d, m):
+    """diag(1, zeta, ..., zeta**(d-1)) for zeta a primitive d**m-th root."""
+    z = CycloScalar.zeta(d, m, 1)
+    return to_interchange(ScaledUnitary.exact(ExactMatrix.diag(d, [z ** j for j in range(d)])), 1)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +190,11 @@ _MALFORMED = st.one_of(
     .filter(lambda fv: not _keeps_the_document_valid(*fv))
     .map(lambda fv: lambda doc: dict(doc, **{fv[0]: fv[1]})),
     st.sampled_from([1, 4, 9, 15, 2 ** 61 - 1]).map(lambda d: lambda doc: dict(doc, d=d)),
-    st.sampled_from([0, 1, 3 ** 8, 18, 27 * 5]).map(lambda c: lambda doc: dict(doc, conductor=c)),
+    st.sampled_from([0, 1, 3 ** 6, 3 ** 8, 5 ** 4, 18, 27 * 5]).map(
+        lambda c: lambda doc: dict(doc, conductor=c)
+    ),
+    # valid unitaries one conductor past max_conductor(d)
+    st.sampled_from([(3, 6), (5, 4)]).map(lambda dm: lambda doc: _root_diag_doc(*dm)),
     st.sampled_from([2, 3, 10 ** 18]).map(lambda n: lambda doc: dict(doc, n=n)),
     st.sampled_from(["0", "1/0", "-1", "1.5", "1e9", "x", ""]).map(
         lambda v: lambda doc: dict(doc, scale2=v)
@@ -217,6 +228,22 @@ def test_malformed_gate_files_exit_two_with_one_line(edit):
     assert code == 2
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_membership_takes_the_largest_supported_conductor(capsys, tmp_path, d):
+    c = max_conductor(d)
+    m = round(math.log(c, d))
+    assert d ** m == c
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(_root_diag_doc(d, m)))
+    code, out, err = run(capsys, ["membership", str(path), "--max-level", "1"])
+    assert (code, err) == (0, "")
+    assert "not within levels 1..1" in out
+    path.write_text(json.dumps(_root_diag_doc(d, m + 1)))
+    code, _, err = run(capsys, ["membership", str(path), "--max-level", "1"])
+    assert code == 2
+    assert err.startswith("error: conductor %d is past the supported %d" % (c * d, c))
 
 
 def test_membership_rejects_a_missing_file(capsys):

@@ -224,6 +224,14 @@ def test_interchange_rejects_bad_conductor():
         from_interchange(doc)
 
 
+def test_max_conductor_is_the_fingerprint_headroom_within_the_table_cap():
+    from hierarchon.exactmat import fingerprint_headroom, max_conductor
+
+    assert [max_conductor(d) for d in (3, 5, 7, 11, 31, 37)] == [243, 125, 343, 121, 961, 37]
+    for d in (3, 5, 7):
+        assert max_conductor(d) == d ** fingerprint_headroom(d)
+
+
 # ---------------------------------------------------------------------------
 # fingerprints
 

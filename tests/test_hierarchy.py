@@ -19,7 +19,7 @@ from hierarchon.hierarchy import (
     membership,
     order_d_corrections,
 )
-from hierarchon.phasespace import pauli_x, pauli_z, to_matrix, weyl
+from hierarchon.phasespace import PauliElement, pauli_x, pauli_z, to_matrix, weyl
 from hierarchon.svn import ConjugateTuple, reconstruct, tuple_of
 
 
@@ -351,6 +351,28 @@ def test_cache_resume_recomputes_only_the_top(tmp_path):
     assert os.path.exists(top)
 
 
+def test_cache_resume_reads_only_the_highest_cached_level(tmp_path, monkeypatch):
+    from hierarchon import hierarchy
+
+    cache = str(tmp_path)
+    full = enumerate_level(3, 1, 3, cache_dir=cache)
+    os.remove(full.meta["cache_path"])
+    read = []
+    real = hierarchy._load_cache
+
+    def spy(d, n, k, cache_dir, fp):
+        cat = real(d, n, k, cache_dir, fp)
+        if cat is not None:
+            read.append(k)
+        return cat
+
+    monkeypatch.setattr(hierarchy, "_load_cache", spy)
+    assert enumerate_level(3, 1, 3, cache_dir=cache).digests == full.digests
+    assert read == [2]
+    assert enumerate_level(3, 1, 3, cache_dir=cache).digests == full.digests
+    assert read == [2, 3]
+
+
 def _tree_sha256(root):
     """One sha256 over every file under root: relative path, then content hash."""
     h = hashlib.sha256()
@@ -401,6 +423,41 @@ def test_enumerate_levels_lifts_each_level_once(monkeypatch):
     counts = [len(cat) for cat in enumerate_levels(3, 1, 3, cache_dir=False)]
     assert counts == [9, 216, 1944]
     assert lifted == [2, 3]
+
+
+def test_lift_rephases_each_gate_once_from_the_batched_power(d3, monkeypatch):
+    from hierarchon import hierarchy
+
+    seen = []
+    real = hierarchy._corrections_reason
+
+    def spy(M, power=None):
+        seen.append(power is not None)
+        return real(M, power)
+
+    def no_pow(self, k):
+        raise AssertionError("the lift recomputed a power")
+
+    monkeypatch.setattr(hierarchy, "_corrections_reason", spy)
+    monkeypatch.setattr(ExactMatrix, "pow_int", no_pow)
+    cat = hierarchy._lift_level(d3[2])
+    assert cat.digests == d3[3].digests
+    assert seen == [True] * len(d3[2])
+    assert cat.meta["candidates"] + sum(cat.meta["skipped"].values()) == len(d3[2])
+    assert cat.meta["skipped"]
+
+
+def test_right_pauli_sweep_is_exact_near_and_past_int64():
+    from hierarchon.hierarchy import _right_pauli_sweep
+
+    phi = conductor(5, 1).phi
+    paulis = [to_matrix(PauliElement(5, 0, (p,), (q,))) for p in range(5) for q in range(5)]
+    for big in (2 ** 62 - 1, 2 ** 70):
+        nums = np.zeros((5, 5, phi), dtype=object)
+        for i in range(5):
+            nums[i, (2 * i + 1) % 5] = [big, -big + i, 3, -big]
+        G = ExactMatrix(5, 1, nums, 1)
+        assert _right_pauli_sweep([G, G], 5, 1) == [G @ P for P in paulis] * 2
 
 
 def test_batched_keys_match_single_keys(d3):

@@ -56,6 +56,31 @@ def test_matmul_batch_broadcasts_and_chunks(monkeypatch):
     assert np.array_equal(K.gr_matmul_batch(A, B, cond.c), whole)
 
 
+@pytest.mark.parametrize("d,m,dim", [(3, 6, 3), (5, 4, 2)])
+def test_matmul_large_conductor_stays_small(d, m, dim):
+    """Exponent blocks keep a product at c = 729 or 625 within a few MB."""
+    import tracemalloc
+
+    cond = conductor(d, m)
+    A = rng.integers(-9, 9, size=(dim, dim, cond.phi))
+    B = rng.integers(-9, 9, size=(dim, dim, cond.phi))
+    tracemalloc.start()
+    try:
+        got = K.gr_matmul(A, B, cond.c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    # oracle: each entry is a sum of polynomial products folded mod x**c - 1
+    want = np.zeros((dim, dim, cond.c), dtype=np.int64)
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        conv = np.convolve(A[i, j], B[j, k])
+        want[i, k, :len(conv)] += conv[:cond.c]
+        want[i, k, :len(conv) - cond.c] += conv[cond.c:]
+    assert np.array_equal(got, want)
+    assert np.array_equal(cond.reduce(got), cond.reduce(K.gr_matmul_batch(A, B, cond.c)))
+
+
 def test_int64_bound_still_takes_the_object_path(monkeypatch):
     calls = []
     real = exactmat._gr_matmul_obj

@@ -8,7 +8,6 @@ same configuration produces identical bytes.
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -25,7 +24,8 @@ SIZE_CEILING = 1_000_000
 
 
 def _cache_dir(args):
-    return args.cache_dir or os.environ.get("HIERARCHON_CACHE") or None
+    # None lets the hierarchy fall back to the HIERARCHON_CACHE variable
+    return args.cache_dir or None
 
 
 def _estimate_members(d, n, k):

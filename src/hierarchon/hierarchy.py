@@ -354,8 +354,14 @@ def k_closure_check(T, catalog):
     return True
 
 
-# gates or pairs one batched pass of the lift holds at a time
-_BLOCK = 128
+# matrices one batched pass of the lift holds at a time; a pass over a block
+# of gates or pairs holds d, d*d or d**(2n) matrices for each
+_BATCH = 512
+
+
+def _blocks(items, per_item):
+    step = max(1, _BATCH // per_item)
+    return (items[lo:lo + step] for lo in range(0, len(items), step))
 
 
 def _closure_failures(phased, pairs, prev):
@@ -371,8 +377,7 @@ def _closure_failures(phased, pairs, prev):
     involved = sorted({x for pair in pairs for x in pair})
     pows = dict(zip(involved, _powers_many([phased[x] for x in involved], d)))
     gaps = []
-    for lo in range(0, len(pairs), _BLOCK):
-        block = pairs[lo:lo + _BLOCK]
+    for block in _blocks(pairs, dd):
         monos = _monomials([(pows[a], pows[b]) for a, b in block], d)
         digests = prev.digests_of(monos)
         gaps.extend(
@@ -438,8 +443,7 @@ def _rephase_all(mats, d):
     skipped counts the others by reason.
     """
     reps, phased, skipped = [], [], {}
-    for lo in range(0, len(mats), _BLOCK):
-        block = mats[lo:lo + _BLOCK]
+    for block in _blocks(mats, d):
         powers = block
         for _ in range(d - 1):
             powers = matmul_many(powers, block)
@@ -474,10 +478,10 @@ def _lift_level(prev):
     # memo computes it once per distinct a
     memo = {}
     cat = LevelCatalog(d, n, k, fp)
-    for lo in range(0, len(pairs), _BLOCK):
+    for block in _blocks(pairs, d ** (2 * n)):
         gates = [
             reconstruct(ConjugateTuple(d, n, [(phased[a], phased[b])]), memo=memo)
-            for a, b in pairs[lo:lo + _BLOCK]
+            for a, b in block
         ]
         images = _right_pauli_sweep([G.mat for G in gates], d, n)
         for idx, (img, dig) in enumerate(zip(images, cat.digests_of(images))):
@@ -505,6 +509,10 @@ def _lift_level(prev):
 def _cache_paths(cache_dir, d, n, k):
     stem = os.path.join(cache_dir, "d%d_n%d" % (d, n), "level_%d.json" % k)
     return stem, stem + ".zst"
+
+
+def _is_cached(cache_dir, d, n, k):
+    return any(os.path.exists(path) for path in _cache_paths(cache_dir, d, n, k))
 
 
 def _zstd():
@@ -658,12 +666,9 @@ def enumerate_level(d, n, k, cache_dir=None):
     """
     _check_request(d, n, k)
     cache_dir = _cache_root(cache_dir)
-    first = 1
-    if cache_dir:
-        first = next(
-            (j for j in range(k, 1, -1) if any(map(os.path.exists, _cache_paths(cache_dir, d, n, j)))),
-            1,
-        )
+    first = k
+    while first > 1 and not (cache_dir and _is_cached(cache_dir, d, n, first)):
+        first -= 1
     for cat in _walk(d, n, first, k, cache_dir):
         pass
     return cat

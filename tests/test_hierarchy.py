@@ -447,6 +447,16 @@ def test_lift_rephases_each_gate_once_from_the_batched_power(d3, monkeypatch):
     assert cat.meta["skipped"]
 
 
+def test_lift_blocks_change_nothing(d3, monkeypatch):
+    from hierarchon import hierarchy
+
+    # one gate or pair per pass through the screen, the closure and the sweep
+    monkeypatch.setattr(hierarchy, "_BATCH", 1)
+    cat = hierarchy._lift_level(d3[3])
+    assert cat.digests == d3[4].digests
+    assert cat.meta == {k: v for k, v in d3[4].meta.items() if k != "cache_path"}
+
+
 def test_right_pauli_sweep_is_exact_near_and_past_int64():
     from hierarchon.hierarchy import _right_pauli_sweep
 

@@ -1,26 +1,18 @@
-"""Hot integer kernels.
+"""Hot integer kernels, each with one numpy lane.
 
-The group-ring product has one lane: a loop-free numpy contraction over
-leading batch axes.  The remaining kernels exist twice, a ``_nb`` variant
-compiled with numba and a ``_np`` variant written against plain numpy; the
-public names dispatch to the numba lane when numba is installed, unless
-``HIERARCHON_NO_NUMBA=1`` is set.  Both lanes must agree bit-for-bit, which
-tests/test_kernels.py asserts.
+The group-ring product contracts over leading batch axes; fingerprints
+evaluate coefficient tensors mod p; the two-qutrit survey joins the
+conjugate-pair list into a histogram and reads the Lagrangian-semibasis
+table, built from its closed form.  ``isotropic_plane_witness`` finds an
+explicit plane for one matrix and is the oracle the table is tested against.
 """
 
-import os
 from functools import lru_cache
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # numba is an optional extra
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("HIERARCHON_NO_NUMBA", "") != "1"
+# read by the benchmark's environment probe; the kernels have no numba lane
+USE_NUMBA = False
 
 # int64 cells the circulant operand of one step of the product may hold
 # (2 MB), so neither a long batch nor a large conductor materialises at once
@@ -99,59 +91,16 @@ def gr_matmul(A, B, c):
 # ---------------------------------------------------------------------------
 # batched fingerprint evaluation: map coefficient tensors to GF(p) matrices.
 
-def _fp_eval_np(nums, powvec, p):
-    flat = nums % p
-    out = flat @ (powvec % p)
-    return out % p
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _fp_eval_nb(nums, powvec, p):  # pragma: no cover
-        shp = nums.shape
-        n = 1
-        for i in range(len(shp) - 1):
-            n *= shp[i]
-        phi = shp[-1]
-        flat = nums.reshape(n, phi)
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            acc = 0
-            for e in range(phi):
-                v = flat[i, e] % p
-                if v:
-                    acc = (acc + v * powvec[e]) % p
-            out[i] = acc
-        return out.reshape(shp[:-1])
-
-
 def fp_eval(nums, powvec, p):
     """Evaluate zeta -> g mod p over the last axis.  Exact in int64."""
-    if USE_NUMBA:
-        return _fp_eval_nb(np.ascontiguousarray(nums), powvec, p)
-    return _fp_eval_np(nums, powvec, p)
-
-
-# ---------------------------------------------------------------------------
-# vectorised modular exponentiation (for batched inverses mod p).
-
-def modpow_vec(base, exp, p):
-    base = np.asarray(base, dtype=np.int64) % p
-    result = np.ones_like(base)
-    e = exp
-    while e:
-        if e & 1:
-            result = (result * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return result
+    return (nums % p) @ (powvec % p) % p
 
 
 # ---------------------------------------------------------------------------
 # two-qutrit survey: decide whether the kernel of a 3x4 matrix over Z_3
 # contains a Lagrangian semibasis (two independent vectors with vanishing
-# symplectic product).  The LUT indexes all 3^12 matrices by packed trits.
+# symplectic product) for one matrix; semibasis_lut below tabulates the
+# answer for all 3^12 matrices and is tested against this witness.
 
 def _kernel_basis_z3(mat):
     """Kernel basis of a 3x4 matrix over Z_3, rows of the returned array."""
@@ -292,7 +241,8 @@ def _dependent_z3(u, v):
 # every candidate pair q; candidates commuting exactly with both members of
 # row r land in a histogram bucketed by the packed quadratic codes of (r, q).
 
-def _survey_join_np(pairu, pairv, ok0, stkey, start, stop, stride):
+def survey_join(pairu, pairv, ok0, stkey, start, stop, stride):
+    """(729, 729) histogram [prefix, suffix] over rows range(start, stop, stride)."""
     hist = np.zeros((729, 729), dtype=np.int64)
     for r in range(start, stop, stride):
         valid = ok0[pairu[r]] & ok0[pairv[r]]
@@ -301,154 +251,24 @@ def _survey_join_np(pairu, pairv, ok0, stkey, start, stop, stride):
     return hist
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _survey_join_nb(pairu, pairv, ok0, stkey, start, stop, stride):  # pragma: no cover
-        hist = np.zeros((729, 729), dtype=np.int64)
-        npairs = len(pairu)
-        nsep = ok0.shape[0]
-        valid = np.empty(nsep, dtype=np.uint8)
-        for r in range(start, stop, stride):
-            rowu = ok0[pairu[r]]
-            rowv = ok0[pairv[r]]
-            for i in range(nsep):
-                valid[i] = rowu[i] & rowv[i]
-            row = hist[stkey[r]]
-            for q in range(npairs):
-                if valid[pairu[q]] and valid[pairv[q]]:
-                    row[stkey[q]] += 1
-        return hist
-
-
-def survey_join(pairu, pairv, ok0, stkey, start, stop, stride):
-    if USE_NUMBA:
-        return _survey_join_nb(pairu, pairv, ok0, stkey, start, stop, stride)
-    return _survey_join_np(pairu, pairv, ok0, stkey, start, stop, stride)
-
-
-def _semibasis_lut_np():
-    lut = np.zeros(3 ** 12, dtype=np.uint8)
-    digits = np.empty(12, dtype=np.int64)
-    for code in range(3 ** 12):
-        x = code
-        for i in range(12):
-            digits[i] = x % 3
-            x //= 3
-        mat = [
-            [digits[0], digits[3], digits[6], digits[9]],
-            [digits[1], digits[4], digits[7], digits[10]],
-            [digits[2], digits[5], digits[8], digits[11]],
-        ]
-        if isotropic_plane_witness(mat) is not None:
-            lut[code] = 1
-    return lut
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _semibasis_lut_nb():  # pragma: no cover
-        lut = np.zeros(3 ** 12, dtype=np.uint8)
-        mat = np.empty((3, 4), dtype=np.int64)
-        basis = np.empty((4, 4), dtype=np.int64)
-        gram = np.empty((4, 4), dtype=np.int64)
-        gm = np.empty((4, 4), dtype=np.int64)
-        for code in range(3 ** 12):
-            x = code
-            for col in range(4):
-                for row in range(3):
-                    mat[row, col] = x % 3
-                    x //= 3
-            # kernel of mat over Z_3
-            m = mat.copy()
-            pivots = np.full(4, -1, dtype=np.int64)
-            npiv = 0
-            for col in range(4):
-                sel = -1
-                for r in range(npiv, 3):
-                    if m[r, col] % 3 != 0:
-                        sel = r
-                        break
-                if sel < 0:
-                    continue
-                if sel != npiv:
-                    for cc in range(4):
-                        tmp = m[npiv, cc]
-                        m[npiv, cc] = m[sel, cc]
-                        m[sel, cc] = tmp
-                inv = 1 if m[npiv, col] % 3 == 1 else 2
-                for cc in range(4):
-                    m[npiv, cc] = (m[npiv, cc] * inv) % 3
-                for r in range(3):
-                    if r != npiv and m[r, col] % 3 != 0:
-                        f = m[r, col] % 3
-                        for cc in range(4):
-                            m[r, cc] = (m[r, cc] - f * m[npiv, cc]) % 3
-                pivots[npiv] = col
-                npiv += 1
-                if npiv == 3:
-                    break
-            nb = 0
-            for fc in range(4):
-                ispiv = False
-                for i in range(npiv):
-                    if pivots[i] == fc:
-                        ispiv = True
-                        break
-                if ispiv:
-                    continue
-                for i in range(4):
-                    basis[nb, i] = 0
-                basis[nb, fc] = 1
-                for i in range(npiv):
-                    basis[nb, pivots[i]] = (-m[i, fc]) % 3
-                nb += 1
-            if nb < 2:
-                continue
-            # restricted symplectic Gram matrix
-            for i in range(nb):
-                for j in range(nb):
-                    u = basis[i]
-                    v = basis[j]
-                    gram[i, j] = (
-                        u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]
-                    ) % 3
-            # rank of gram (nb x nb)
-            for i in range(nb):
-                for j in range(nb):
-                    gm[i, j] = gram[i, j]
-            rank = 0
-            for col in range(nb):
-                sel = -1
-                for r in range(rank, nb):
-                    if gm[r, col] % 3 != 0:
-                        sel = r
-                        break
-                if sel < 0:
-                    continue
-                if sel != rank:
-                    for cc in range(nb):
-                        tmp = gm[rank, cc]
-                        gm[rank, cc] = gm[sel, cc]
-                        gm[sel, cc] = tmp
-                inv = 1 if gm[rank, col] % 3 == 1 else 2
-                for cc in range(nb):
-                    gm[rank, cc] = (gm[rank, cc] * inv) % 3
-                for r in range(nb):
-                    if r != rank and gm[r, col] % 3 != 0:
-                        f = gm[r, col] % 3
-                        for cc in range(nb):
-                            gm[r, cc] = (gm[r, cc] - f * gm[rank, cc]) % 3
-                rank += 1
-            # max isotropic dim inside the kernel = nb - rank/2
-            if 2 * nb - rank >= 4:
-                lut[code] = 1
-        return lut
-
-
 def semibasis_lut():
-    """uint8 truth table over packed 3x4 matrices (column-major trits)."""
-    if USE_NUMBA:
-        return _semibasis_lut_nb()
-    return _semibasis_lut_np()
+    """uint8 truth table over packed 3x4 matrices (column-major trits).
+
+    The kernel of M holds a Lagrangian plane exactly when the row space of M
+    is isotropic, M J M^T = 0 mod 3, with J pairing columns (0, 1) and
+    (2, 3) as _symp4 does.  At rank 3 the kernel is a line and no 3-space is
+    isotropic; at rank 2 the symplectic complement of the kernel is J times
+    the row space, so the kernel is Lagrangian exactly when the row space is
+    isotropic; at rank <= 1 the kernel always holds a plane and the form
+    vanishes.  The form splits over the column pairs: with
+    code = prefix + 729 * suffix, each half packing the columns (u, v) as
+    u + 27 * v, and F(u, v) the three entries u_i v_j - v_i u_j (i < j),
+    the entry is 1 exactly when F(prefix) + F(suffix) = 0 mod 3.
+    """
+    pair = np.arange(729, dtype=np.int16)[:, None]
+    trits = pair // 3 ** np.arange(6, dtype=np.int16) % 3
+    u, v = trits[:, :3], trits[:, 3:]
+    i, j = [0, 0, 1], [1, 2, 2]
+    form = ((u[:, i] * v[:, j] - v[:, i] * u[:, j]) % 3).astype(np.int8)
+    table = ((form[:, None, :] + form[None, :, :]) % 3 == 0).all(axis=2)  # [suffix, prefix]
+    return table.astype(np.uint8).reshape(-1)

@@ -234,7 +234,7 @@ def cmd_teleport(args):
 
 
 def cmd_qutrit3(args):
-    result = survey(jobs=args.jobs, stride=args.stride)
+    result = survey(stride=args.stride)
     report = {"schema": "hierarchon.qutrit3/1", "library": __version__}
     report.update(result)
     lines = [
@@ -297,7 +297,6 @@ def _build_parser():
     p = subs.add_parser("qutrit3", help="two-qutrit third-level survey")
     p.add_argument("action", choices=("survey",))
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
     _common(p)
     p.set_defaults(func=cmd_qutrit3)
 

@@ -182,41 +182,22 @@ def enumerate_tuples(d=3, stride=1):
             )
 
 
-_LUT = {}
-
-
-def _semibasis_table():
-    if "lut" not in _LUT:
-        _LUT["lut"] = _kernels.semibasis_lut()
-    return _LUT["lut"]
-
-
-def survey(jobs=1, stride=1):
+def survey(stride=1):
     """Tally the kernel-semibasis check over every enumerated tuple.
 
-    stride keeps every stride-th leading pair; jobs splits the row range
-    into chunks whose histograms add, so any jobs value produces the same
-    report.  Failures list up to twenty offending tuples.
+    stride keeps every stride-th leading pair.  One survey_join pass counts
+    the tuples by the packed quadratic codes of their two pairs, and the
+    semibasis table decides each code; failures list up to twenty
+    offending tuples.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
     if stride < 1:
         raise ValueError("stride must be positive")
     pairs, ok0, colcode = _pair_list()
     pu = np.ascontiguousarray(pairs[:, 0])
     pv = np.ascontiguousarray(pairs[:, 1])
     stkey = colcode[pu] + 27 * colcode[pv]
-    nrows = (len(pairs) + stride - 1) // stride
-    hist = np.zeros((729, 729), dtype=np.int64)
-    per = (nrows + jobs - 1) // jobs
-    for chunk in range(jobs):
-        i0, i1 = chunk * per, min((chunk + 1) * per, nrows)
-        if i0 >= i1:
-            continue
-        hist += _kernels.survey_join(
-            pu, pv, ok0, stkey, i0 * stride, (i1 - 1) * stride + 1, stride
-        )
-    lutm = _semibasis_table().reshape(729, 729)  # [suffix, prefix]
+    hist = _kernels.survey_join(pu, pv, ok0, stkey, 0, len(pairs), stride)
+    lutm = _kernels.semibasis_lut().reshape(729, 729)  # [suffix, prefix]
     total = int(hist.sum())
     passed = int((hist * lutm.T).sum())
     failures = []

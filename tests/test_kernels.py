@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 
 import numpy as np
@@ -129,32 +130,21 @@ def test_matmul_identity():
 
 
 # ---------------------------------------------------------------------------
-# fingerprint evaluation and modular powers
+# fingerprint evaluation
 
-def test_fp_eval_lanes_and_direct():
+def test_fp_eval_matches_direct_sum():
     p = 19927
     cond = conductor(3, 2)
-    g = 7  # any value works for lane agreement; real roots are found elsewhere
+    g = 7  # any value works; real roots are found elsewhere
     powvec = np.array([pow(g, e, p) for e in range(cond.phi)], dtype=np.int64)
     nums = rng.integers(-(2 ** 40), 2 ** 40, size=(4, 3, 3, cond.phi))
-    out = K._fp_eval_np(nums, powvec, p)
+    out = K.fp_eval(nums, powvec, p)
+    assert out.shape == (4, 3, 3)
     direct = [
         sum(int(v) * pow(g, e, p) for e, v in enumerate(cell)) % p
         for cell in nums.reshape(-1, cond.phi)
     ]
     assert list(out.reshape(-1)) == direct
-    if K.HAS_NUMBA:
-        assert np.array_equal(K._fp_eval_nb(nums, powvec, p), out)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=10 ** 9), min_size=1, max_size=8),
-    st.integers(min_value=0, max_value=10 ** 6),
-)
-def test_modpow_vec(bases, e):
-    p = 8380417
-    got = K.modpow_vec(np.array(bases, dtype=np.int64), e, p)
-    assert list(got) == [pow(b, e, p) for b in bases]
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +218,19 @@ def test_lagrangian_kernel_has_plane():
     assert wit is not None
 
 
-lut_cache = {}
-
-
-def get_lut():
-    if "lut" not in lut_cache:
-        lut_cache["lut"] = K.semibasis_lut()
-    return lut_cache["lut"]
+def test_lut_is_pinned():
+    """Shape, count and digest of the table the parent's Python loop built."""
+    lut = K.semibasis_lut()
+    assert lut.shape == (3 ** 12,)
+    assert lut.dtype == np.uint8
+    assert int(lut.sum()) == 26001
+    assert hashlib.sha256(lut.tobytes()).hexdigest() == (
+        "7b055fa047155c87dabf59dc2075a73962b5bf16d902a0264134bb09ad38c586"
+    )
 
 
 def test_lut_spot_checks_against_witness():
-    lut = get_lut()
+    lut = K.semibasis_lut()
     assert lut.shape == (3 ** 12,)
     for code in rng.integers(0, 3 ** 12, size=300):
         mat = unpack(int(code))
@@ -246,7 +238,8 @@ def test_lut_spot_checks_against_witness():
 
 
 @pytest.mark.extended
-def test_lut_lanes_agree_everywhere():
-    if not K.HAS_NUMBA:
-        pytest.skip("needs both lanes")
-    assert np.array_equal(K._semibasis_lut_nb(), K._semibasis_lut_np())
+def test_lut_matches_witness_everywhere():
+    lut = K.semibasis_lut()
+    for code in range(3 ** 12):
+        want = K.isotropic_plane_witness(unpack(code)) is not None
+        assert bool(lut[code]) == want, code

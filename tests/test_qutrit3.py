@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hierarchon import _kernels
+from hierarchon.cli import main
 from hierarchon.qutrit3 import (
     Septuple,
     TupleQuadruple,
@@ -107,8 +109,6 @@ def test_enumerate_rejects_bad_arguments():
         next(enumerate_tuples(d=5))
     with pytest.raises(ValueError, match="stride"):
         next(enumerate_tuples(stride=0))
-    with pytest.raises(ValueError, match="jobs"):
-        survey(jobs=0)
 
 
 def test_enumerated_sample_passes_everything():
@@ -133,11 +133,43 @@ def test_quick_survey_tier():
     ]
 
 
-def test_survey_is_deterministic_and_jobs_invariant():
-    a = survey(stride=300)
-    b = survey(stride=300)
-    c = survey(stride=300, jobs=5)
-    assert a == b == c
+def test_survey_is_deterministic():
+    assert survey(stride=300) == survey(stride=300)
+
+
+def _table_code(q):
+    """Index of the tuple's quadratic matrix in the semibasis table."""
+    def col(s):
+        return s.d1 + 3 * s.d2 + 9 * s.d3
+
+    return col(q.u) + 27 * col(q.v) + 729 * (col(q.s) + 27 * col(q.t))
+
+
+def test_survey_lists_the_tuples_of_a_failing_entry(monkeypatch, capsys):
+    tuples = list(enumerate_tuples(stride=1000))
+    codes = [_table_code(q) for q in tuples]
+    cleared = max(set(codes), key=codes.count)
+    real = _kernels.semibasis_lut
+
+    def table():
+        lut = real()
+        lut[cleared] = 0
+        return lut
+
+    monkeypatch.setattr(_kernels, "semibasis_lut", table)
+    report = survey(stride=1000)
+    assert report["total"] == len(tuples)
+    assert report["failed"] == codes.count(cleared) > 20
+    assert report["passed"] == report["total"] - report["failed"]
+    failing = [q for q, code in zip(tuples, codes) if code == cleared]
+    assert report["failures"] == [
+        {key: list(s) for key, s in zip("uvst", q)} for q in failing[:20]
+    ]
+    for f in report["failures"]:
+        q = TupleQuadruple(*(Septuple(*f[key]) for key in "uvst"))
+        assert _table_code(q) == cleared
+    assert main(["qutrit3", "survey", "--stride", "1000"]) == 1
+    assert "; %d fail" % report["failed"] in capsys.readouterr().out
 
 
 @pytest.mark.extended

@@ -190,11 +190,11 @@ def cmd_semiclifford(args):
     for su in catalog.representatives():
         witness = find_witness(su)
         if witness is None:
-            counterexamples.append(gate_report(su))
+            counterexamples.append(gate_report(su, witness))
             continue
         found += 1
         if args.certificates:
-            certificates.append(gate_report(su))
+            certificates.append(gate_report(su, witness))
     report = {
         "schema": "hierarchon.semiclifford/1",
         "library": __version__,
@@ -216,6 +216,9 @@ def cmd_semiclifford(args):
 
 
 def cmd_teleport(args):
+    if args.samples < 1:
+        print("error: --samples must be at least 1", file=sys.stderr)
+        return 2
     cache = _cache_dir(args)
     catalog = enumerate_level(args.d, 1, 3, cache_dir=cache)
     result = verify_gadget(args.d, samples=args.samples, seed=args.seed, catalog=catalog)

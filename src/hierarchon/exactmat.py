@@ -297,6 +297,12 @@ class ExactMatrix:
         )
 
 
+def frozen(mat):
+    """mat with a read-only coefficient array, for a matrix a memo shares."""
+    mat.nums.setflags(write=False)
+    return mat
+
+
 def equal_up_to_phase(A, B):
     """A == z*B for some nonzero scalar z, decided by cross-multiplication.
 
@@ -505,14 +511,13 @@ def max_conductor(d):
 def to_interchange(su, n):
     mat = su.mat
     cond = mat.cond
-    entries = []
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            cell = []
-            for e in range(cond.phi):
-                f = Fraction(int(mat.nums[i, j, e]), mat.den)
-                cell.append([f.numerator, f.denominator])
-            entries.append(cell)
+    nums, den = mat.nums, mat.den
+    if nums.dtype != object and den >= INT64_SAFE:
+        nums = nums.astype(object)
+    # each coefficient as the reduced fraction num/den, denominator positive
+    g = np.gcd(nums, den)
+    pairs = np.stack([nums // g, den // g], axis=-1)
+    entries = pairs.reshape(-1, cond.phi, 2).tolist()
     return {
         "version": INTERCHANGE_VERSION,
         "d": mat.d,

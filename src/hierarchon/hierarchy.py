@@ -32,7 +32,15 @@ from .exactmat import (
     matmul_many,
     to_interchange,
 )
-from .phasespace import PauliElement, pauli_x, pauli_z, recognize_pauli, to_matrix
+from .phasespace import (
+    PauliElement,
+    _omega_shifts,
+    _right_paulis,
+    pauli_x,
+    pauli_z,
+    recognize_pauli,
+    to_matrix,
+)
 from .svn import ConjugateTuple, _omega_commutes, reconstruct
 
 CACHE_ENV = "HIERARCHON_CACHE"
@@ -385,30 +393,6 @@ def _closure_failures(phased, pairs, prev):
             for t in range(len(block))
         )
     return gaps
-
-
-@lru_cache(maxsize=None)
-def _right_paulis(d, n):
-    """Each right Pauli P of the sweep as a column map: (G P)[:, j] = G[:, src[j]] omega**e[j]."""
-    dim = d ** n
-    cond = conductor(d, 1)
-    src = np.empty((d ** (2 * n), dim), dtype=np.intp)
-    exps = np.empty((d ** (2 * n), dim), dtype=np.intp)
-    for pi, pq in enumerate(product(range(d), repeat=2 * n)):
-        P = to_matrix(PauliElement(d, 0, pq[:n], pq[n:]))
-        for j in range(dim):
-            (row,) = np.flatnonzero(np.any(P.nums[:, j] != 0, axis=-1))
-            src[pi, j] = row
-            exps[pi, j] = root_of_unity_log(P.nums[row, j], P.den, cond)
-    return src, exps
-
-
-@lru_cache(maxsize=None)
-def _omega_shifts(d, m):
-    """(d, phi, phi) integer maps x -> x * omega**e on reduced coefficient rows."""
-    cond = conductor(d, m)
-    f = cond.c // d
-    return np.array([[cond.zeta_vec(u + e * f) for u in range(cond.phi)] for e in range(d)])
 
 
 def _right_pauli_sweep(gates, d, n):

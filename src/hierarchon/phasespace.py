@@ -7,11 +7,17 @@ W(p,q) = omega^(-2^-1 p.q) Z^p X^q.
 """
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloScalar, conductor, root_of_unity_log
-from .exactmat import ExactMatrix, ScaledUnitary, conjugate_action
+from .cyclo import CycloScalar, conductor, max_abs, root_of_unity_log
+from .exactmat import INT64_SAFE, ExactMatrix, ScaledUnitary, conjugate_action, frozen
+
+# Pauli matrices and synthesised Cliffords are memoised and shared between
+# callers, so they come back read-only; the bound keeps two-wire d=7 work
+# from holding thousands of 49x49 matrices
+_MEMO_SIZE = 512
 
 
 class PauliElement:
@@ -131,8 +137,9 @@ def symplectic_form(u, v, d):
     ) % d
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def to_matrix(P):
-    """Exact dim x dim matrix of omega^c Z^p X^q, at conductor d."""
+    """Exact dim x dim matrix of omega^c Z^p X^q, at conductor d; read-only, shared."""
     d, n = P.d, P.n
     dim = d ** n
     cond = conductor(d, 1)
@@ -143,7 +150,52 @@ def to_matrix(P):
         row = _index(zq, d)
         t = (P.c + sum(a * b for a, b in zip(P.p, zq))) % d
         nums[row, col] = cond.zeta_vec(t)
-    return ExactMatrix(d, 1, nums, 1)
+    return frozen(ExactMatrix(d, 1, nums, 1))
+
+
+@lru_cache(maxsize=None)
+def _right_paulis(d, n):
+    """Each right Pauli P of the sweep as a column map: (G P)[:, j] = G[:, src[j]] omega**e[j]."""
+    dim = d ** n
+    cond = conductor(d, 1)
+    src = np.empty((d ** (2 * n), dim), dtype=np.intp)
+    exps = np.empty((d ** (2 * n), dim), dtype=np.intp)
+    for pi, pq in enumerate(itertools.product(range(d), repeat=2 * n)):
+        P = to_matrix(PauliElement(d, 0, pq[:n], pq[n:]))
+        for j in range(dim):
+            (row,) = np.flatnonzero(np.any(P.nums[:, j] != 0, axis=-1))
+            src[pi, j] = row
+            exps[pi, j] = root_of_unity_log(P.nums[row, j], P.den, cond)
+    return src, exps
+
+
+@lru_cache(maxsize=None)
+def _omega_shifts(d, m):
+    """(d, phi, phi) integer maps x -> x * omega**e on reduced coefficient rows."""
+    cond = conductor(d, m)
+    f = cond.c // d
+    return np.array([[cond.zeta_vec(u + e * f) for u in range(cond.phi)] for e in range(d)])
+
+
+def times_pauli(M, P):
+    """M @ to_matrix(P), exactly, without a product.
+
+    M P permutes the columns of M and multiplies each by a power of omega,
+    through the same column maps as the level lift's right-Pauli sweep.  A
+    shifted coefficient sums at most phi of M's, so past INT64_SAFE / phi
+    the shift runs on Python objects.
+    """
+    d = P.d
+    src, exps = _right_paulis(d, P.n)
+    pi = _index(P.p + P.q, d)
+    nums = M.nums
+    shifts = _omega_shifts(d, M.m)[(exps[pi] + P.c) % d]
+    if nums.dtype == object or max_abs(nums) * M.cond.phi >= INT64_SAFE:
+        nums = nums.astype(object)
+        shifts = shifts.astype(object)
+    # (row, col, phi) -> (col, row, phi) @ (col, phi, phi) -> (row, col, phi)
+    img = (nums[:, src[pi]].transpose(1, 0, 2) @ shifts).transpose(1, 0, 2)
+    return ExactMatrix(d, M.m, img, M.den)
 
 
 def _index(z, d):
@@ -389,8 +441,14 @@ def synthesize_clifford(targets):
 
     Targets must be independent commuting Paulis; built by extending their
     phase points to a symplectic basis, reconstructing from the phaseless
-    Weyl tuple, then fixing phases with right X powers.
+    Weyl tuple, then fixing phases with right X powers.  The result is
+    memoised on the target tuple and shared, so its matrix is read-only.
     """
+    return _synthesize(tuple(targets))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _synthesize(targets):
     from .svn import ConjugateTuple, reconstruct
 
     d = targets[0].d
@@ -417,4 +475,4 @@ def synthesize_clifford(targets):
         pq = sum(a * b for a, b in zip(t.p, t.q))
         xs.append((-(t.c + half(d) * pq)) % d)
     corr = to_matrix(PauliElement(d, 0, [0] * n, xs))
-    return ScaledUnitary(G0.mat @ corr, G0.scale2)
+    return ScaledUnitary(frozen(G0.mat @ corr), G0.scale2)

@@ -8,13 +8,13 @@ re-multiplied exactly, so a returned decomposition is a certificate.
 
 import hashlib
 
-from .exactmat import ScaledUnitary, conjugate_action, equal_up_to_phase, to_interchange
+from .exactmat import ScaledUnitary, equal_up_to_phase, to_interchange
 from .phasespace import (
     PauliElement,
     enumerate_semibases,
     recognize_pauli,
     synthesize_clifford,
-    to_matrix,
+    times_pauli,
 )
 
 
@@ -52,29 +52,35 @@ def _wires(G):
     return n
 
 
-def _monomial_image(G, point):
-    # U^p V^q for the gate's conjugate tuple collapses to G (Z^p X^q) G*
-    p, q = point
-    word = to_matrix(PauliElement(G.d, 0, p, q))
-    return conjugate_action(G, word)
-
-
 def find_witness(G):
     """First semibasis whose monomials are all Pauli, or None.
 
     Semibases arrive Z-first from enumerate_semibases, so diagonal gates
-    always witness at the plain Z semibasis.
+    always witness at the plain Z semibasis.  The walk stays lazy: G* is
+    formed once, and each monomial image at most once, when a semibasis
+    first needs it.
     """
     n = _wires(G)
+    Gd = G.mat.dagger()
+    inv_scale = 1 / G.scale2
+    images = {}
+
+    def image(point):
+        # U^p V^q for the gate's conjugate tuple collapses to G (Z^p X^q) G*
+        if point not in images:
+            word = PauliElement(G.d, 0, *point)
+            images[point] = recognize_pauli((times_pauli(G.mat, word) @ Gd).scale_q(inv_scale))
+        return images[point]
+
     for basis in enumerate_semibases(G.d, n):
-        images = []
+        paulis = []
         for point in basis:
-            P = recognize_pauli(_monomial_image(G, point))
+            P = image(point)
             if P is None:
                 break
-            images.append(P)
+            paulis.append(P)
         else:
-            return SemiCliffordWitness(basis, images)
+            return SemiCliffordWitness(basis, paulis)
     return None
 
 
@@ -91,7 +97,8 @@ def diagonalize(G, witness):
     )
     c2 = ScaledUnitary(s2.mat.dagger(), s2.scale2)
     c1 = synthesize_clifford(witness.pauli_images)
-    middle = c1.mat.dagger() @ G.mat @ c2.mat.dagger()
+    # c2.mat.dagger() is s2.mat
+    middle = c1.mat.dagger() @ G.mat @ s2.mat
     diag = middle.canonical_rep().demote_min()
     if not diag.is_diagonal():
         raise ValueError("witness does not diagonalise the gate")
@@ -104,10 +111,19 @@ def gate_hash(G):
     return hashlib.sha256(G.mat.canonical_rep().to_key()).hexdigest()
 
 
-def gate_report(G):
-    """Witness search plus decomposition for one gate, as a JSON-able dict."""
+# gate_report's default: no witness search has been made yet
+_SEARCH = object()
+
+
+def gate_report(G, witness=_SEARCH):
+    """Witness search plus decomposition for one gate, as a JSON-able dict.
+
+    A caller that has already searched passes its result, witness or None,
+    and the search is not repeated.
+    """
     n = _wires(G)
-    witness = find_witness(G)
+    if witness is _SEARCH:
+        witness = find_witness(G)
     report = {"gate_hash": gate_hash(G), "semi_clifford": witness is not None}
     if witness is None:
         report.update({"witness": None, "C1": None, "C2": None, "D": None})

@@ -8,11 +8,12 @@ nonzero scalar, tested through vanishing 2x2 minors.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .cyclo import CycloScalar, conductor
-from .exactmat import ExactMatrix, ScaledUnitary
+from .exactmat import ExactMatrix, ScaledUnitary, frozen
 from .hierarchy import enumerate_level
 from .semiclifford import diagonalize, find_witness
 
@@ -52,20 +53,9 @@ def _zero(d):
 
 
 def _apply(M, amps, d):
-    dim = len(amps)
-    out = []
-    for i in range(dim):
-        acc = None
-        for j in range(dim):
-            if amps[j].is_zero():
-                continue
-            e = M.entry(i, j)
-            if e.is_zero():
-                continue
-            term = e * amps[j]
-            acc = term if acc is None else acc + term
-        out.append(_zero(d) if acc is None else acc)
-    return out
+    # one exact product of M against the amplitudes as a column
+    out = M @ ExactMatrix.from_scalars(d, [[a] for a in amps])
+    return [out.entry(i, 0) for i in range(len(amps))]
 
 
 def apply(M, psi):
@@ -86,11 +76,21 @@ def proportional(u, v):
     return True
 
 
+@lru_cache(maxsize=None)
 def hadamard(d):
-    """The scaled discrete Fourier transform; the unitary is this over sqrt d."""
+    """The scaled discrete Fourier transform; the unitary is this over sqrt d.
+
+    Built once per d and shared, so the matrix is read-only.
+    """
     w = CycloScalar.omega(d)
     grid = [[w ** (z * y) for y in range(d)] for z in range(d)]
-    return ExactMatrix.from_scalars(d, grid)
+    return frozen(ExactMatrix.from_scalars(d, grid))
+
+
+def _plus(d):
+    # H|0> is the first column of H
+    H = hadamard(d)
+    return [H.entry(z, 0) for z in range(d)]
 
 
 def controlled_x(d):
@@ -131,9 +131,8 @@ def x_teleport(psi):
     if len(psi) != d:
         raise ValueError("x_teleport takes a single-wire state")
     H = hadamard(d)
-    plus = _apply(H, StateVec.basis(d, 0).amplitudes, d)
     data = _apply(H, _apply(H, psi.amplitudes, d), d)
-    pair = _cx_permute(_pair_state(plus, data, d), d)
+    pair = _cx_permute(_pair_state(_plus(d), data, d), d)
     branches = []
     for J in range(d):
         raw = _project_second(pair, d, J)
@@ -169,9 +168,7 @@ class GadgetSpec:
         return cls(split.c1, split.diag, split.c2)
 
     def magic_state(self):
-        d = self.d
-        plus = _apply(hadamard(d), StateVec.basis(d, 0).amplitudes, d)
-        return StateVec(d, _apply(self.core, plus, d))
+        return StateVec(self.d, _apply(self.core, _plus(self.d), self.d))
 
     def correction(self):
         """The outcome-1 correction; outcome J takes its J-th power."""
@@ -217,7 +214,8 @@ def gadget_run(spec, psi):
             branches.append(None)
             continue
         out = _apply(spec.c1.mat, raw, d)
-        out = _apply(fix.pow_int(J), out, d)
+        for _ in range(J):
+            out = _apply(fix, out, d)
         branches.append(StateVec(d, out))
     return branches
 

@@ -6,6 +6,7 @@ stdout verbatim.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,6 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hierarchon.cli
+import hierarchon.semiclifford
 from hierarchon.cli import SIZE_CEILING, _estimate_members, _verdict, main
 from hierarchon.cyclo import CycloScalar
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, max_conductor, to_interchange
@@ -312,6 +315,55 @@ def test_teleport_verify(capsys):
     assert doc["seed"] == 9
     assert doc["branches_checked"] == 12
     assert doc["failures"] == []
+
+
+@pytest.mark.parametrize("samples", ["-3", "0"])
+def test_teleport_refuses_an_empty_sample(capsys, samples):
+    # a report of zero checked branches must not pass as a verification
+    code, out, err = run(capsys, ["teleport", "verify", "--samples", samples])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: --samples must be at least 1"]
+
+
+# sha256 of stdout, recorded before the certificate path was made to do
+# each piece of exact work once; the reports must not move by a byte
+PINNED_REPORTS = [
+    (
+        ["semiclifford", "--catalog", "2", "--d", "3", "--certificates", "--format", "json"],
+        "b5a8fd29d4ff75f5bc2d51388622c84a59adb76e2ea96b0d30cef265a57e9f24",
+    ),
+    (
+        ["teleport", "verify", "--samples", "20", "--seed", "3", "--format", "json"],
+        "713a00cddac6aab99c045cf726b4931b9df330ef79d27df87a15ba2ad80c0944",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_REPORTS, ids=["certificates", "gadget"])
+def test_certificate_and_gadget_reports_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_catalog_certificates_search_each_gate_once(capsys, monkeypatch):
+    calls = []
+    original = hierarchon.semiclifford.find_witness
+
+    def counted(G):
+        calls.append(G)
+        return original(G)
+
+    # both bindings, so a search from either module is counted
+    monkeypatch.setattr(hierarchon.cli, "find_witness", counted)
+    monkeypatch.setattr(hierarchon.semiclifford, "find_witness", counted)
+    code, out, _ = run(
+        capsys,
+        ["semiclifford", "--catalog", "2", "--d", "3", "--certificates", "--format", "json"],
+    )
+    assert code == 0
+    assert len(json.loads(out)["certificates"]) == 216
+    assert len(calls) == 216
 
 
 def test_qutrit3_survey_quick(capsys):

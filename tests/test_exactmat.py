@@ -217,6 +217,45 @@ def test_interchange_carries_fractions():
     assert back.mat == mat
 
 
+def _fraction_entries(mat):
+    """The entries as one Fraction per coefficient, reduced, den positive."""
+    out = []
+    r, s = mat.shape
+    for i in range(r):
+        for j in range(s):
+            cell = []
+            for e in range(mat.cond.phi):
+                f = Fraction(int(mat.nums[i, j, e]), mat.den)
+                cell.append([f.numerator, f.denominator])
+            out.append(cell)
+    return out
+
+
+def _interchange_cases():
+    small = rng.integers(-6, 7, size=(3, 3, 2))
+    small[0, 0] = 0
+    small[1, 2] = [-4, 6]
+    big = np.array(rng.integers(-9, 9, size=(3, 3, 6)), dtype=object) * (2 ** 63 + 1)
+    big[2, 1, 3] = -(2 ** 70)
+    return [
+        ExactMatrix(3, 1, small, 12),  # negative and zero coefficients, den > 1
+        ExactMatrix(3, 2, rng.integers(-50, 50, size=(3, 3, 6)), 1),
+        ExactMatrix(3, 2, big, 2 ** 5 * 3),  # Python-object tensor past 2**62
+        ExactMatrix(5, 1, rng.integers(-9, 9, size=(5, 5, 4)), 2 ** 64 + 7),  # den past int64
+    ]
+
+
+@pytest.mark.parametrize("mat", _interchange_cases(), ids=["small", "m2", "object", "huge-den"])
+def test_interchange_entries_match_the_fraction_formula(mat):
+    doc = to_interchange(ScaledUnitary(mat, Fraction(7, 3)), 1)
+    assert doc["entries"] == _fraction_entries(mat)
+    assert all(type(x) is int for cell in doc["entries"] for pq in cell for x in pq)
+    back, n = from_interchange(json.loads(json.dumps(doc)))
+    assert n == 1 and back.scale2 == Fraction(7, 3)
+    assert back.mat == mat
+    assert back.mat.to_key() == mat.to_key()
+
+
 def test_interchange_rejects_bad_conductor():
     doc = to_interchange(fmat(3), 1)
     doc["conductor"] = 6

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hierarchon.cyclo import CycloScalar
+from hierarchon.cyclo import CycloScalar, conductor
 from hierarchon.exactmat import (
     ExactMatrix,
     ScaledUnitary,
@@ -20,6 +20,7 @@ from hierarchon.phasespace import (
     recognize_pauli,
     symplectic_form,
     synthesize_clifford,
+    times_pauli,
     to_matrix,
     weyl,
     weyl_mul,
@@ -210,6 +211,19 @@ def test_extend_to_symplectic_basis():
                 assert symplectic_form(es[i], es[j], 3) == 0
                 assert symplectic_form(fs[i], fs[j], 3) == 0
                 assert symplectic_form(es[i], fs[j], 3) == (1 if i == j else 0)
+
+
+def test_times_pauli_is_the_product():
+    rng = np.random.default_rng(5)
+    for d, n, m in ((3, 1, 1), (3, 1, 3), (3, 2, 2), (5, 1, 2), (7, 1, 1)):
+        phi = conductor(d, m).phi
+        dim = d ** n
+        for _ in range(10):
+            P = PauliElement(d, rng.integers(d), rng.integers(0, d, n), rng.integers(0, d, n))
+            nums = rng.integers(-40, 40, size=(dim, dim, phi))
+            for arr in (nums, nums.astype(object) * 2 ** 70):
+                M = ExactMatrix(d, m, arr, int(rng.integers(1, 6)))
+                assert times_pauli(M, P) == M @ to_matrix(P)
 
 
 # ---------------------------------------------------------------------------

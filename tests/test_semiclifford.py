@@ -10,7 +10,7 @@ from hierarchon.cyclo import CycloScalar, conductor
 from hierarchon.diagonal import gen_delta_k
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase
 from hierarchon.hierarchy import enumerate_level, membership
-from hierarchon.phasespace import PauliElement
+from hierarchon.phasespace import PauliElement, pauli_x, synthesize_clifford, to_matrix
 from hierarchon.semiclifford import (
     SemiCliffordWitness,
     diagonalize,
@@ -19,6 +19,7 @@ from hierarchon.semiclifford import (
     gate_report,
     sp_order,
 )
+from hierarchon.teleport import hadamard
 
 
 def dft(d):
@@ -170,3 +171,23 @@ def test_gate_hash_ignores_global_phase():
     rescaled = ScaledUnitary(T.mat.scale_zeta(1), 1)
     assert gate_hash(rescaled) == gate_hash(T)
     assert gate_hash(T) != gate_hash(dft(3))
+
+
+def test_shared_matrices_refuse_in_place_writes():
+    F, T = dft(3), t_gate()
+    G = ScaledUnitary(F.mat @ T.mat, F.scale2)
+    before = gate_report(G)
+    wit = find_witness(G)
+    shared = [
+        to_matrix(pauli_x(3, 1, 1)),
+        synthesize_clifford(wit.pauli_images).mat,
+        diagonalize(G, wit).c1.mat,
+        hadamard(3),
+    ]
+    for M in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            M.nums[0, 0, 0] += 1
+    # the memo hands out the same untouched matrices to the next certificate
+    assert to_matrix(pauli_x(3, 1, 1)) is shared[0]
+    assert synthesize_clifford(wit.pauli_images).mat is shared[1]
+    assert gate_report(G) == before

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclo import CycloScalar, conductor, max_abs, root_of_unity_log
-from .exactmat import INT64_SAFE, ExactMatrix, ScaledUnitary, conjugate_action, frozen
+from .exactmat import INT64_SAFE, ExactMatrix, ScaledUnitary, frozen
 
 # Pauli matrices and synthesised Cliffords are memoised and shared between
 # callers, so they come back read-only; the bound keeps two-wire d=7 work

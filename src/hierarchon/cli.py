@@ -171,7 +171,7 @@ def cmd_semiclifford(args):
         except (OSError, ValueError, KeyError) as e:
             print("error: %s" % e, file=sys.stderr)
             return 2
-        rep = gate_report(su)
+        rep = gate_report(su, find_witness(su))
         report = {
             "schema": "hierarchon.semiclifford/1",
             "library": __version__,

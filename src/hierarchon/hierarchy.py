@@ -18,9 +18,8 @@ from itertools import product
 import numpy as np
 
 from . import _kernels as K
-from .cyclo import CycloScalar, conductor, max_abs, root_of_unity_log
+from .cyclo import CycloScalar, conductor, root_of_unity_log
 from .exactmat import (
-    INT64_SAFE,
     ExactMatrix,
     FingerprintContext,
     ScaledUnitary,
@@ -34,11 +33,11 @@ from .exactmat import (
 )
 from .phasespace import (
     PauliElement,
-    _omega_shifts,
     _right_paulis,
     pauli_x,
     pauli_z,
     recognize_pauli,
+    shift_columns,
     to_matrix,
 )
 from .svn import ConjugateTuple, _omega_commutes, reconstruct
@@ -400,22 +399,13 @@ def _right_pauli_sweep(gates, d, n):
 
     G P permutes the columns of G and multiplies each by a power of omega,
     which keeps both the minimal conductor and the content of G, so the
-    images come out demoted and normalised.  A shifted coefficient sums
-    at most phi of G's, so past INT64_SAFE / phi the sweep runs on Python
-    objects, as a product past the bound does.
+    images come out demoted and normalised.
     """
     src, exps = _right_paulis(d, n)
     out = []
     for G in gates:
         G = G.demote_min()
-        nums = G.nums
-        shifts = _omega_shifts(d, G.m)[exps]
-        if nums.dtype == object or max_abs(nums) * G.cond.phi >= INT64_SAFE:
-            nums = nums.astype(object)
-            shifts = shifts.astype(object)
-        # (row, pauli, col, phi) -> (pauli, col, row, phi) @ shifts -> (pauli, row, col, phi)
-        imgs = (nums[:, src].transpose(1, 2, 0, 3) @ shifts).transpose(0, 2, 1, 3)
-        out.extend(ExactMatrix(d, G.m, img, G.den) for img in imgs)
+        out.extend(ExactMatrix(d, G.m, img, G.den) for img in shift_columns(G, src, exps))
     return out
 
 

@@ -14,11 +14,6 @@ import numpy as np
 from .cyclo import CycloScalar, conductor, max_abs, root_of_unity_log
 from .exactmat import INT64_SAFE, ExactMatrix, ScaledUnitary, frozen
 
-# Pauli matrices and synthesised Cliffords are memoised and shared between
-# callers, so they come back read-only; the bound keeps two-wire d=7 work
-# from holding thousands of 49x49 matrices
-_MEMO_SIZE = 512
-
 
 class PauliElement:
     """omega^c Z^p X^q on n qudits."""
@@ -137,9 +132,8 @@ def symplectic_form(u, v, d):
     ) % d
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def to_matrix(P):
-    """Exact dim x dim matrix of omega^c Z^p X^q, at conductor d; read-only, shared."""
+    """Exact dim x dim matrix of omega^c Z^p X^q, at conductor d."""
     d, n = P.d, P.n
     dim = d ** n
     cond = conductor(d, 1)
@@ -150,7 +144,7 @@ def to_matrix(P):
         row = _index(zq, d)
         t = (P.c + sum(a * b for a, b in zip(P.p, zq))) % d
         nums[row, col] = cond.zeta_vec(t)
-    return frozen(ExactMatrix(d, 1, nums, 1))
+    return ExactMatrix(d, 1, nums, 1)
 
 
 @lru_cache(maxsize=None)
@@ -177,25 +171,34 @@ def _omega_shifts(d, m):
     return np.array([[cond.zeta_vec(u + e * f) for u in range(cond.phi)] for e in range(d)])
 
 
+def shift_columns(M, src, exps):
+    """M's columns permuted and rephased, for a stack of column maps.
+
+    Each map (src, e) along the last axis of src and exps sends M to the
+    matrix whose column j is M[:, src[j]] omega**e[j]; the result stacks
+    the images as (..., row, col, phi).  A shifted coefficient sums at most
+    phi of M's, so past INT64_SAFE / phi the shift runs on Python objects,
+    as a product past the bound does.
+    """
+    nums = M.nums
+    shifts = _omega_shifts(M.d, M.m)[exps % M.d]
+    if nums.dtype == object or max_abs(nums) * M.cond.phi >= INT64_SAFE:
+        nums = nums.astype(object)
+        shifts = shifts.astype(object)
+    # (row, ..., col, phi) -> (..., col, row, phi) @ (..., col, phi, phi) -> (..., row, col, phi)
+    cols = np.moveaxis(nums[:, src], 0, -2)
+    return np.swapaxes(cols @ shifts, -3, -2)
+
+
 def times_pauli(M, P):
     """M @ to_matrix(P), exactly, without a product.
 
     M P permutes the columns of M and multiplies each by a power of omega,
-    through the same column maps as the level lift's right-Pauli sweep.  A
-    shifted coefficient sums at most phi of M's, so past INT64_SAFE / phi
-    the shift runs on Python objects.
+    through the same column maps as the level lift's right-Pauli sweep.
     """
-    d = P.d
-    src, exps = _right_paulis(d, P.n)
-    pi = _index(P.p + P.q, d)
-    nums = M.nums
-    shifts = _omega_shifts(d, M.m)[(exps[pi] + P.c) % d]
-    if nums.dtype == object or max_abs(nums) * M.cond.phi >= INT64_SAFE:
-        nums = nums.astype(object)
-        shifts = shifts.astype(object)
-    # (row, col, phi) -> (col, row, phi) @ (col, phi, phi) -> (row, col, phi)
-    img = (nums[:, src[pi]].transpose(1, 0, 2) @ shifts).transpose(1, 0, 2)
-    return ExactMatrix(d, M.m, img, M.den)
+    src, exps = _right_paulis(P.d, P.n)
+    pi = _index(P.p + P.q, P.d)
+    return ExactMatrix(M.d, M.m, shift_columns(M, src[pi], exps[pi] + P.c), M.den)
 
 
 def _index(z, d):
@@ -447,7 +450,8 @@ def synthesize_clifford(targets):
     return _synthesize(tuple(targets))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+# the bound keeps two-wire d=7 work from holding thousands of 49x49 Cliffords
+@lru_cache(maxsize=512)
 def _synthesize(targets):
     from .svn import ConjugateTuple, reconstruct
 

@@ -56,31 +56,22 @@ def find_witness(G):
     """First semibasis whose monomials are all Pauli, or None.
 
     Semibases arrive Z-first from enumerate_semibases, so diagonal gates
-    always witness at the plain Z semibasis.  The walk stays lazy: G* is
-    formed once, and each monomial image at most once, when a semibasis
-    first needs it.
+    always witness at the plain Z semibasis.
     """
     n = _wires(G)
     Gd = G.mat.dagger()
     inv_scale = 1 / G.scale2
-    images = {}
-
-    def image(point):
-        # U^p V^q for the gate's conjugate tuple collapses to G (Z^p X^q) G*
-        if point not in images:
-            word = PauliElement(G.d, 0, *point)
-            images[point] = recognize_pauli((times_pauli(G.mat, word) @ Gd).scale_q(inv_scale))
-        return images[point]
-
     for basis in enumerate_semibases(G.d, n):
-        paulis = []
-        for point in basis:
-            P = image(point)
+        images = []
+        for p, q in basis:
+            # U^p V^q for the gate's conjugate tuple collapses to G (Z^p X^q) G*
+            word = times_pauli(G.mat, PauliElement(G.d, 0, p, q))
+            P = recognize_pauli((word @ Gd).scale_q(inv_scale))
             if P is None:
                 break
-            paulis.append(P)
+            images.append(P)
         else:
-            return SemiCliffordWitness(basis, paulis)
+            return SemiCliffordWitness(basis, images)
     return None
 
 
@@ -111,19 +102,9 @@ def gate_hash(G):
     return hashlib.sha256(G.mat.canonical_rep().to_key()).hexdigest()
 
 
-# gate_report's default: no witness search has been made yet
-_SEARCH = object()
-
-
-def gate_report(G, witness=_SEARCH):
-    """Witness search plus decomposition for one gate, as a JSON-able dict.
-
-    A caller that has already searched passes its result, witness or None,
-    and the search is not repeated.
-    """
+def gate_report(G, witness):
+    """G's witness, as find_witness returned it, and its decomposition as a JSON-able dict."""
     n = _wires(G)
-    if witness is _SEARCH:
-        witness = find_witness(G)
     report = {"gate_hash": gate_hash(G), "semi_clifford": witness is not None}
     if witness is None:
         report.update({"witness": None, "C1": None, "C2": None, "D": None})

@@ -10,7 +10,7 @@ from hierarchon.cyclo import CycloScalar, conductor
 from hierarchon.diagonal import gen_delta_k
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase
 from hierarchon.hierarchy import enumerate_level, membership
-from hierarchon.phasespace import PauliElement, pauli_x, synthesize_clifford, to_matrix
+from hierarchon.phasespace import PauliElement, synthesize_clifford
 from hierarchon.semiclifford import (
     SemiCliffordWitness,
     diagonalize,
@@ -100,7 +100,7 @@ def test_rotation_is_not_semi_clifford():
     # two stacked 3-4-5 rotations: exactly unitary, no Pauli images anywhere
     G = rational_matrix(3, [[15, 12, 16], [-20, 9, 12], [0, -20, 15]], 25)
     assert find_witness(G) is None
-    report = gate_report(G)
+    report = gate_report(G, None)
     assert report["semi_clifford"] is False
     assert report["witness"] is None
     assert report["C1"] is None and report["C2"] is None and report["D"] is None
@@ -158,7 +158,8 @@ def test_every_level3_gate_is_semi_clifford(cat3):
 
 def test_gate_report_shape():
     F, T = dft(3), t_gate()
-    report = gate_report(ScaledUnitary(F.mat @ T.mat, F.scale2))
+    G = ScaledUnitary(F.mat @ T.mat, F.scale2)
+    report = gate_report(G, find_witness(G))
     assert sorted(report) == ["C1", "C2", "D", "gate_hash", "semi_clifford", "witness"]
     assert report["semi_clifford"] is True
     assert report["witness"]["semibasis"] == [[[1], [0]]]
@@ -176,10 +177,9 @@ def test_gate_hash_ignores_global_phase():
 def test_shared_matrices_refuse_in_place_writes():
     F, T = dft(3), t_gate()
     G = ScaledUnitary(F.mat @ T.mat, F.scale2)
-    before = gate_report(G)
     wit = find_witness(G)
+    before = gate_report(G, wit)
     shared = [
-        to_matrix(pauli_x(3, 1, 1)),
         synthesize_clifford(wit.pauli_images).mat,
         diagonalize(G, wit).c1.mat,
         hadamard(3),
@@ -188,6 +188,5 @@ def test_shared_matrices_refuse_in_place_writes():
         with pytest.raises(ValueError, match="read-only"):
             M.nums[0, 0, 0] += 1
     # the memo hands out the same untouched matrices to the next certificate
-    assert to_matrix(pauli_x(3, 1, 1)) is shared[0]
-    assert synthesize_clifford(wit.pauli_images).mat is shared[1]
-    assert gate_report(G) == before
+    assert synthesize_clifford(wit.pauli_images).mat is shared[0]
+    assert gate_report(G, wit) == before

@@ -186,8 +186,9 @@ def shift_columns(M, src, exps):
         nums = nums.astype(object)
         shifts = shifts.astype(object)
     # (row, ..., col, phi) -> (..., col, row, phi) @ (..., col, phi, phi) -> (..., row, col, phi)
-    cols = np.moveaxis(nums[:, src], 0, -2)
-    return np.swapaxes(cols @ shifts, -3, -2)
+    k = src.ndim
+    cols = nums[:, src].transpose(*range(1, k + 1), 0, k + 1)
+    return (cols @ shifts).transpose(*range(k - 1), k, k - 1, k + 1)
 
 
 def times_pauli(M, P):

@@ -1,9 +1,10 @@
 """Hot integer kernels, each with one numpy lane.
 
 The group-ring product contracts over leading batch axes; fingerprints
-evaluate coefficient tensors mod p; the two-qutrit survey joins the
-conjugate-pair list into a histogram and reads the Lagrangian-semibasis
-table, built from its closed form.  ``isotropic_plane_witness`` finds an
+evaluate coefficient tensors mod p; the two-qutrit survey walks the
+conjugate-pair list as a sparse (CSR) join, bins the matches into a
+histogram and reads the Lagrangian-semibasis table, built from its closed
+form.  ``isotropic_plane_witness`` finds an
 explicit plane for one matrix and is the oracle the table is tested against.
 """
 
@@ -238,17 +239,52 @@ def _dependent_z3(u, v):
 
 # ---------------------------------------------------------------------------
 # two-qutrit survey join: row r of the conjugate-pair list is matched against
-# every candidate pair q; candidates commuting exactly with both members of
-# row r land in a histogram bucketed by the packed quadratic codes of (r, q).
+# the candidate pairs q whose members both commute exactly with both members
+# of row r; the matches land in a histogram bucketed by the packed quadratic
+# codes of (r, q).
+
+# rows of the pair list one step of the survey walk expands: the qutrit pair
+# list has at most 2,916 candidates a row, so each of a step's index arrays
+# stays within 6 MB
+_WALK_ROWS = 256
+
+
+def survey_walk(pairu, pairv, ok0, start, stop, stride):
+    """Yield (rows, q) index arrays: the pairs q matching each row r.
+
+    Rows are range(start, stop, stride).  A candidate q matches row r when
+    both of its members commute exactly with both members of r, i.e. lie in
+    r's valid set ok0[pairu[r]] & ok0[pairv[r]].  The pairs are walked as a
+    CSR list by first member (pairu must be non-decreasing), so only the
+    neighbours of a row's valid septuples are tested.  Across the yielded
+    blocks the matches come out by row, then by q, both ascending.
+    """
+    ok0 = np.asarray(ok0, dtype=bool)
+    if np.any(pairu[1:] < pairu[:-1]):
+        raise ValueError("pairu must be non-decreasing")
+    n = len(ok0)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairu, minlength=n), out=offsets[1:])
+    rows = np.arange(start, stop, stride)
+    for lo in range(0, len(rows), _WALK_ROWS):
+        block = rows[lo:lo + _WALK_ROWS]
+        valid = (ok0[pairu[block]] & ok0[pairv[block]]).reshape(-1)
+        cell = np.flatnonzero(valid)  # b * n + s for each valid septuple s of row b
+        s = cell % n
+        first, deg = offsets[s], offsets[s + 1] - offsets[s]
+        # candidate q runs over first .. first + deg - 1 for each valid cell
+        q = np.arange(deg.sum()) + np.repeat(first - (np.cumsum(deg) - deg), deg)
+        base = np.repeat(cell - s, deg)
+        hit = np.flatnonzero(valid[base + pairv[q]])
+        yield block[base[hit] // n], q[hit]
+
 
 def survey_join(pairu, pairv, ok0, stkey, start, stop, stride):
     """(729, 729) histogram [prefix, suffix] over rows range(start, stop, stride)."""
-    hist = np.zeros((729, 729), dtype=np.int64)
-    for r in range(start, stop, stride):
-        valid = ok0[pairu[r]] & ok0[pairv[r]]
-        good = (valid[pairu] & valid[pairv]).astype(bool)
-        hist[stkey[r]] += np.bincount(stkey[good], minlength=729)
-    return hist
+    hist = np.zeros(729 * 729, dtype=np.int64)
+    for rows, q in survey_walk(pairu, pairv, ok0, start, stop, stride):
+        hist += np.bincount(stkey[rows] * 729 + stkey[q], minlength=729 * 729)
+    return hist.reshape(729, 729)
 
 
 def semibasis_lut():

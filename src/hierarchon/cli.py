@@ -40,6 +40,15 @@ def _estimate_members(d, n, k):
     return ref[last] * (d ** (2 * n)) ** (k - last)
 
 
+def _check_size(d, n, k):
+    """Refuse, before any lift starts, a walk to a level past the ceiling."""
+    est = _estimate_members(d, n, k)
+    if est > SIZE_CEILING:
+        raise ValueError(
+            "estimated %d gates at level %d is past the ceiling of %d" % (est, k, SIZE_CEILING)
+        )
+
+
 def _verdict(count, reference):
     if reference is None:
         return "NEW"
@@ -62,14 +71,7 @@ def cmd_enumerate(args):
     if args.max_level < 1:
         print("error: --max-level must be at least 1", file=sys.stderr)
         return 2
-    est = _estimate_members(args.d, args.n, args.max_level)
-    if est > SIZE_CEILING:
-        print(
-            "error: estimated %d gates at level %d is past the ceiling of %d"
-            % (est, args.max_level, SIZE_CEILING),
-            file=sys.stderr,
-        )
-        return 2
+    _check_size(args.d, args.n, args.max_level)
     cache = _cache_dir(args)
     refs = REFERENCE_COUNTS.get((args.d, args.n), {})
     levels = []
@@ -113,6 +115,7 @@ def cmd_membership(args):
     except (OSError, ValueError, KeyError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    _check_size(su.d, n, args.max_level)
     cache = _cache_dir(args)
     catalogs = dict(enumerate(enumerate_levels(su.d, n, args.max_level, cache), 1))
     level = None
@@ -139,6 +142,7 @@ def cmd_membership(args):
 
 
 def cmd_diagonal(args):
+    _check_size(args.d, 1, args.k)
     cache = _cache_dir(args)
     catalog = enumerate_level(args.d, 1, args.k, cache_dir=cache)
     result = verify_cgk(args.d, args.k, catalog)
@@ -181,6 +185,7 @@ def cmd_semiclifford(args):
         line = "semi-Clifford" if rep["semi_clifford"] else "not semi-Clifford"
         _emit(args, report, [line])
         return 0
+    _check_size(args.d, 1, args.catalog)
     cache = _cache_dir(args)
     catalog = enumerate_level(args.d, 1, args.catalog, cache_dir=cache)
     total = len(catalog)

@@ -11,6 +11,8 @@ only ever discards pairs, never accepts them.
 import hashlib
 import json
 import os
+import shutil
+import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -502,38 +504,47 @@ def _doc_bytes(su, n):
 
 
 def _save_cache(cat, cache_dir):
+    """Write cat to the cache and return the path.
+
+    The content hash heads the file, so each gate is serialised once into a
+    spool file beside the cache while it is hashed, and the spool is copied
+    in behind the header.
+    """
     plain, compressed = _cache_paths(cache_dir, cat.d, cat.n, cat.k)
     os.makedirs(os.path.dirname(plain), exist_ok=True)
-    h = hashlib.sha256()
-    for idx in range(len(cat)):
-        h.update(_doc_bytes(cat._rep(idx), cat.n))
     from . import __version__
 
-    head = {
-        "version": 1,
-        "library": __version__,
-        "conductor": cat.fp.d ** cat.fp.m_max,
-        "d": cat.d,
-        "n": cat.n,
-        "k": cat.k,
-        "count": len(cat),
-        "content_hash": h.hexdigest(),
-        "meta": cat.meta,
-    }
     z = _zstd()
     path = compressed if z else plain
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        out = z.ZstdCompressor().stream_writer(fh, closefd=False) if z else fh
-        out.write(json.dumps(head, sort_keys=True)[:-1].encode())
-        out.write(b',"gates":[')
+    h = hashlib.sha256()
+    with tempfile.TemporaryFile(dir=os.path.dirname(plain)) as spool:
         for idx in range(len(cat)):
+            doc = _doc_bytes(cat._rep(idx), cat.n)
+            h.update(doc)
             if idx:
-                out.write(b",")
-            out.write(_doc_bytes(cat._rep(idx), cat.n))
-        out.write(b"]}")
-        if z:
-            out.close()
+                spool.write(b",")
+            spool.write(doc)
+        spool.seek(0)
+        head = {
+            "version": 1,
+            "library": __version__,
+            "conductor": cat.fp.d ** cat.fp.m_max,
+            "d": cat.d,
+            "n": cat.n,
+            "k": cat.k,
+            "count": len(cat),
+            "content_hash": h.hexdigest(),
+            "meta": cat.meta,
+        }
+        with open(tmp, "wb") as fh:
+            out = z.ZstdCompressor().stream_writer(fh, closefd=False) if z else fh
+            out.write(json.dumps(head, sort_keys=True)[:-1].encode())
+            out.write(b',"gates":[')
+            shutil.copyfileobj(spool, out)
+            out.write(b"]}")
+            if z:
+                out.close()
     os.replace(tmp, path)
     return path
 

@@ -168,18 +168,10 @@ def enumerate_tuples(d=3, stride=1):
         raise ValueError("stride must be positive")
     pairs, ok0, _ = _pair_list(d)
     pu, pv = pairs[:, 0], pairs[:, 1]
-    ok0 = ok0.astype(bool)
-    for r in range(0, len(pairs), stride):
-        valid = ok0[pu[r]] & ok0[pv[r]]
-        good = np.nonzero(valid[pu] & valid[pv])[0]
-        u = septuple_from_index(int(pu[r]))
-        v = septuple_from_index(int(pv[r]))
-        for q in good:
-            yield TupleQuadruple(
-                u, v,
-                septuple_from_index(int(pu[q])),
-                septuple_from_index(int(pv[q])),
-            )
+    septs = [septuple_from_index(i, d) for i in range(d ** 7)]
+    for rows, qs in _kernels.survey_walk(pu, pv, ok0, 0, len(pairs), stride):
+        for r, q in zip(rows.tolist(), qs.tolist()):
+            yield TupleQuadruple(septs[pu[r]], septs[pv[r]], septs[pu[q]], septs[pv[q]])
 
 
 def survey(stride=1):
@@ -187,8 +179,9 @@ def survey(stride=1):
 
     stride keeps every stride-th leading pair.  One survey_join pass counts
     the tuples by the packed quadratic codes of their two pairs, and the
-    semibasis table decides each code; failures list up to twenty
-    offending tuples.
+    semibasis table decides each code; when a code fails, a second walk
+    over the same rows lists up to twenty offending tuples in enumeration
+    order.
     """
     if stride < 1:
         raise ValueError("stride must be positive")
@@ -202,23 +195,18 @@ def survey(stride=1):
     passed = int((hist * lutm.T).sum())
     failures = []
     if passed != total:
-        bad = {(int(p), int(sfx)) for p, sfx in np.argwhere(hist * (1 - lutm.T) > 0)}
-        ok0b = ok0.astype(bool)
-        for r in range(0, len(pairs), stride):
-            valid = ok0b[pu[r]] & ok0b[pv[r]]
-            good = np.nonzero(valid[pu] & valid[pv])[0]
-            for q in good:
-                if (int(stkey[r]), int(stkey[q])) in bad:
-                    failures.append(
-                        {
-                            "u": list(septuple_from_index(int(pu[r]))),
-                            "v": list(septuple_from_index(int(pv[r]))),
-                            "s": list(septuple_from_index(int(pu[q]))),
-                            "t": list(septuple_from_index(int(pv[q]))),
-                        }
-                    )
-                    if len(failures) == 20:
-                        break
+        bad = (hist * (1 - lutm.T) > 0).reshape(-1)
+        for rows, qs in _kernels.survey_walk(pu, pv, ok0, 0, len(pairs), stride):
+            hit = np.flatnonzero(bad[stkey[rows] * 729 + stkey[qs]])[:20 - len(failures)]
+            failures.extend(
+                {
+                    "u": list(septuple_from_index(int(pu[r]))),
+                    "v": list(septuple_from_index(int(pv[r]))),
+                    "s": list(septuple_from_index(int(pu[q]))),
+                    "t": list(septuple_from_index(int(pv[q]))),
+                }
+                for r, q in zip(rows[hit], qs[hit])
+            )
             if len(failures) == 20:
                 break
     return {

@@ -169,7 +169,6 @@ def test_two_qutrit_survey_quick_tier():
     assert report["failed"] == 0 and report["failures"] == []
 
 
-@pytest.mark.extended
 def test_two_qutrit_survey_full_extended():
     report = survey()
     assert report["total"] == report["passed"] == 4199040

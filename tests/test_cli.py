@@ -106,6 +106,32 @@ def test_enumerate_refuses_runaway_sizes(capsys):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--d", "3", "--max-level", "8"],
+        ["semiclifford", "--catalog", "9", "--d", "7"],
+        ["diagonal", "verify", "--d", "7", "--k", "40"],
+        ["membership", "{d7_gate}"],
+    ],
+    ids=["enumerate", "semiclifford", "diagonal", "membership"],
+)
+def test_every_catalog_walk_refuses_runaway_sizes(capsys, monkeypatch, tmp_path, argv):
+    gate = tmp_path / "d7.json"
+    gate.write_text(json.dumps(_root_diag_doc(7, 1)))
+    argv = [a.replace("{d7_gate}", str(gate)) for a in argv]
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("a lift started")
+
+    monkeypatch.setattr(hierarchon.cli, "enumerate_level", no_lift)
+    monkeypatch.setattr(hierarchon.cli, "enumerate_levels", no_lift)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ceiling of %d" % SIZE_CEILING in err
+
+
 def test_size_estimates_track_the_reference_table():
     assert _estimate_members(3, 1, 4) == 7128
     assert _estimate_members(3, 1, 7) == 69336 * 9

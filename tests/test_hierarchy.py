@@ -509,3 +509,20 @@ def test_level_three_d5():
     assert cat.meta["pairs"] == 3000
     assert len(cat) == 75000
     assert len(cat) == 25 * cat.meta["pairs"]
+
+
+def test_cache_save_serialises_each_gate_once(tmp_path, monkeypatch):
+    from hierarchon import hierarchy
+
+    calls = []
+    real = hierarchy.to_interchange
+
+    def spy(su, n):
+        calls.append(1)
+        return real(su, n)
+
+    cat = enumerate_level(3, 1, 2, cache_dir=False)
+    monkeypatch.setattr(hierarchy, "to_interchange", spy)
+    path = hierarchy._save_cache(cat, str(tmp_path))
+    assert len(calls) == len(cat) == 216
+    assert os.listdir(os.path.dirname(path)) == [os.path.basename(path)]

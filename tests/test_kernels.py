@@ -243,3 +243,73 @@ def test_lut_matches_witness_everywhere():
     for code in range(3 ** 12):
         want = K.isotropic_plane_witness(unpack(code)) is not None
         assert bool(lut[code]) == want, code
+
+
+# ---------------------------------------------------------------------------
+# two-qutrit survey join
+
+def dense_survey_join(pairu, pairv, ok0, stkey, start, stop, stride):
+    """The per-row join: every row tests every pair against its valid set."""
+    hist = np.zeros((729, 729), dtype=np.int64)
+    for r in range(start, stop, stride):
+        valid = ok0[pairu[r]] & ok0[pairv[r]]
+        good = (valid[pairu] & valid[pairv]).astype(bool)
+        hist[stkey[r]] += np.bincount(stkey[good], minlength=729)
+    return hist
+
+
+@st.composite
+def pair_lists(draw):
+    n = draw(st.integers(1, 9), label="septuples")
+    size = draw(st.integers(0, 60), label="pairs")
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    pairu = np.sort(gen.integers(0, n, size=size))
+    pairv = gen.integers(0, n, size=size)
+    ok0 = (gen.random((n, n)) < draw(st.floats(0, 1), label="density")).astype(np.uint8)
+    stkey = gen.integers(0, 729, size=size)
+    start = draw(st.integers(0, size), label="start")
+    stop = draw(st.integers(0, size), label="stop")
+    stride = draw(st.integers(1, 7), label="stride")
+    return pairu, pairv, ok0, stkey, start, stop, stride
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=pair_lists())
+def test_survey_join_matches_the_dense_join(args):
+    assert np.array_equal(K.survey_join(*args), dense_survey_join(*args))
+
+
+def test_survey_walk_crosses_block_boundaries(monkeypatch):
+    gen = np.random.default_rng(3)
+    pairu = np.sort(gen.integers(0, 6, size=50))
+    pairv = gen.integers(0, 6, size=50)
+    ok0 = (gen.random((6, 6)) < 0.7).astype(np.uint8)
+    stkey = gen.integers(0, 729, size=50)
+    want = dense_survey_join(pairu, pairv, ok0, stkey, 1, 50, 2)
+    monkeypatch.setattr(K, "_WALK_ROWS", 3)
+    assert np.array_equal(K.survey_join(pairu, pairv, ok0, stkey, 1, 50, 2), want)
+
+
+@pytest.fixture(scope="module")
+def qutrit_pairs():
+    from hierarchon.qutrit3 import _pair_list
+
+    pairs, ok0, colcode = _pair_list()
+    pu, pv = pairs[:, 0], pairs[:, 1]
+    return pu, pv, ok0, colcode[pu] + 27 * colcode[pv]
+
+
+@pytest.mark.parametrize("stride,total", [(1000, 3912), (50, 84120)])
+def test_survey_join_on_the_qutrit_pairs(qutrit_pairs, stride, total):
+    pu, pv, ok0, stkey = qutrit_pairs
+    got = K.survey_join(pu, pv, ok0, stkey, 0, len(pu), stride)
+    assert int(got.sum()) == total
+    assert np.array_equal(got, dense_survey_join(pu, pv, ok0, stkey, 0, len(pu), stride))
+
+
+def test_survey_walk_needs_sorted_first_members():
+    pairu = np.array([0, 2, 1])
+    pairv = np.array([1, 0, 2])
+    ok0 = np.ones((3, 3), dtype=np.uint8)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        K.survey_join(pairu, pairv, ok0, np.zeros(3, dtype=np.int64), 0, 3, 1)

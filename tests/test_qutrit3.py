@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hierarchon.cli import main
 from hierarchon.qutrit3 import (
     Septuple,
     TupleQuadruple,
+    _pair_list,
     commutation_check,
     enumerate_tuples,
     kernel_semibasis_check,
@@ -120,6 +122,23 @@ def test_enumerated_sample_passes_everything():
     assert n == survey(stride=5000)["total"] == 984
 
 
+def dense_tuples(stride):
+    """The per-row enumeration: every row tests every pair against its valid set."""
+    pairs, ok0, _ = _pair_list()
+    pu, pv = pairs[:, 0], pairs[:, 1]
+    ok0 = ok0.astype(bool)
+    for r in range(0, len(pairs), stride):
+        valid = ok0[pu[r]] & ok0[pv[r]]
+        for q in np.nonzero(valid[pu] & valid[pv])[0]:
+            yield TupleQuadruple(*(septuple_from_index(int(i)) for i in (pu[r], pv[r], pu[q], pv[q])))
+
+
+def test_enumeration_matches_the_dense_loop():
+    got = list(enumerate_tuples(stride=997))
+    assert len(got) > 0
+    assert got == list(dense_tuples(997))
+
+
 def test_quick_survey_tier():
     report = survey(stride=100)
     assert report["pairs"] == 174960
@@ -172,7 +191,6 @@ def test_survey_lists_the_tuples_of_a_failing_entry(monkeypatch, capsys):
     assert "; %d fail" % report["failed"] in capsys.readouterr().out
 
 
-@pytest.mark.extended
 def test_full_survey():
     report = survey()
     assert report["total"] == 4199040

@@ -56,11 +56,15 @@ def _verdict(count, reference):
 
 
 def _emit(args, report, table_lines):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    as_json = getattr(args, "format", "table") == "json"
+    # the indented document of a large catalog takes a second to build, so
+    # a table run without --out does not build it
+    if as_json or args.out:
+        text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    if getattr(args, "format", "table") == "json":
+    if as_json:
         print(text)
     else:
         for line in table_lines:
@@ -315,7 +319,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -342,27 +342,6 @@ def _closure_gaps(monos, digests, catalog):
     ]
 
 
-def k_closure_check(T, catalog):
-    """Whether every monomial in the tuple members lands inside the catalog.
-
-    For a tuple (U_i, V_i) the products prod_i U_i**a_i V_i**b_i range over
-    d**2n gates; they must all sit in the level the catalog describes for
-    the tuple to reconstruct a gate one level up.
-    """
-    d = T.d
-    pows = _powers_many(T.members(), d)
-    if T.n == 1:
-        monos = _monomials([(pows[0], pows[1])], d)
-        return not _closure_gaps(monos, catalog.digests_of(monos), catalog)
-    for exps in product(range(d), repeat=2 * T.n):
-        M = pows[0][exps[0]]
-        for i in range(1, 2 * T.n):
-            M = M @ pows[i][exps[i]]
-        if not catalog.contains(M):
-            return False
-    return True
-
-
 # matrices one batched pass of the lift holds at a time; a pass over a block
 # of gates or pairs holds d, d*d or d**(2n) matrices for each
 _BATCH = 512
@@ -564,6 +543,13 @@ def _load_cache(d, n, k, cache_dir, fp):
         with open(path, "rb") as fh:
             raw = fh.read()
     doc = json.loads(raw)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("gates"), list)
+        and "count" in doc
+        and "content_hash" in doc
+    ):
+        raise ValueError("cache file %s is malformed" % path)
     for field, want in (("version", 1), ("d", d), ("n", n), ("k", k)):
         if doc.get(field) != want:
             raise ValueError("cache file %s does not describe level (%d,%d,%d)" % (path, d, n, k))

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloScalar, conductor, max_abs, root_of_unity_log
+from .cyclo import conductor, max_abs
 from .exactmat import INT64_SAFE, ExactMatrix, ScaledUnitary, frozen
 
 
@@ -134,32 +134,28 @@ def symplectic_form(u, v, d):
 
 def to_matrix(P):
     """Exact dim x dim matrix of omega^c Z^p X^q, at conductor d."""
-    d, n = P.d, P.n
-    dim = d ** n
+    d, dim = P.d, P.d ** P.n
+    src, exps = _right_paulis(d, P.n)
+    pi = _index(P.p + P.q, d)
     cond = conductor(d, 1)
     nums = np.zeros((dim, dim, cond.phi), dtype=np.int64)
-    for col in range(dim):
-        z = _unindex(col, d, n)
-        zq = [(a + b) % d for a, b in zip(z, P.q)]
-        row = _index(zq, d)
-        t = (P.c + sum(a * b for a, b in zip(P.p, zq))) % d
-        nums[row, col] = cond.zeta_vec(t)
+    nums[src[pi], np.arange(dim)] = cond.zeta_vec(P.c + exps[pi])
     return ExactMatrix(d, 1, nums, 1)
 
 
 @lru_cache(maxsize=None)
 def _right_paulis(d, n):
-    """Each right Pauli P of the sweep as a column map: (G P)[:, j] = G[:, src[j]] omega**e[j]."""
-    dim = d ** n
-    cond = conductor(d, 1)
-    src = np.empty((d ** (2 * n), dim), dtype=np.intp)
-    exps = np.empty((d ** (2 * n), dim), dtype=np.intp)
-    for pi, pq in enumerate(itertools.product(range(d), repeat=2 * n)):
-        P = to_matrix(PauliElement(d, 0, pq[:n], pq[n:]))
-        for j in range(dim):
-            (row,) = np.flatnonzero(np.any(P.nums[:, j] != 0, axis=-1))
-            src[pi, j] = row
-            exps[pi, j] = root_of_unity_log(P.nums[row, j], P.den, cond)
+    """Every Z^p X^q on n wires as a column map, one row per p + q in index order.
+
+    Column j of Z^p X^q holds omega**e[j] at row src[j]: with z the digits
+    of j, src = index(z + q) and e = p.(z + q) mod d.  So a right Pauli
+    factor permutes and rephases columns, (G P)[:, j] = G[:, src[j]] omega**e[j].
+    """
+    pq = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
+    z = np.indices((d,) * n).reshape(n, -1).T
+    zq = (z + pq[:, None, n:]) % d
+    src = zq @ d ** np.arange(n - 1, -1, -1)
+    exps = (pq[:, None, :n] * zq).sum(axis=-1) % d
     return src, exps
 
 
@@ -209,94 +205,37 @@ def _index(z, d):
     return idx
 
 
-def _unindex(idx, d, n):
-    out = []
-    for _ in range(n):
-        out.append(idx % d)
-        idx //= d
-    return tuple(reversed(out))
-
-
 def recognize_pauli(M, up_to_phase=False):
     """Invert to_matrix; None when M is not of Pauli shape.
 
     With up_to_phase, any nonzero scalar multiple is accepted and the
-    returned phase is the c = 0 convention.
+    returned phase is the c = 0 convention.  M is a Pauli when each column
+    holds one power of omega and no other nonzero entry, at the rows and
+    exponents of one column map of _right_paulis up to a constant c.
     """
     if up_to_phase:
         M = M.canonical_rep()
-    d = M.d
-    dim = M.dim
-    n = 0
-    t = dim
-    while t > 1 and t % d == 0:
-        t //= d
-        n += 1
-    if t != 1 or n == 0:
+    d, dim = M.d, M.dim
+    n = len(np.base_repr(dim, d)) - 1
+    if M.den != 1 or n == 0 or dim != d ** n:
         return None
+    support = np.any(M.nums != 0, axis=-1)
+    if np.any(support.sum(axis=0) != 1):
+        return None
+    rows = support.argmax(axis=0)
     cond = M.cond
-    wstep = cond.c // d
-    # column 0 fixes q
-    q = None
-    values = [None] * dim
-    for col in range(dim):
-        rows = [i for i in range(dim) if np.any(M.nums[i, col] != 0)]
-        if len(rows) != 1:
-            return None
-        z = _unindex(col, d, n)
-        if q is None:
-            q = tuple((a - b) % d for a, b in zip(_unindex(rows[0], d, n), z))
-        zq = [(a + b) % d for a, b in zip(z, q)]
-        if rows[0] != _index(zq, d):
-            return None
-        values[col] = M.nums[rows[0], col]
-    # ratios a(e_i)/a(0) give p through pure omega powers
-    inv0 = _vec_inverse(values[0], cond)
-    p = []
-    for i in range(1, n + 1):
-        col = _index([1 if j == i else 0 for j in range(1, n + 1)], d)
-        t = _ratio_log(values[col], inv0, cond)
-        if t is None or t % wstep:
-            return None
-        p.append((t // wstep) % d)
-    p = tuple(p)
-    # confirm every column, then extract the global phase
-    for col in range(dim):
-        z = _unindex(col, d, n)
-        t = _ratio_log(values[col], inv0, cond)
-        want = sum(a * b for a, b in zip(p, z)) % d
-        if t is None or t % wstep or (t // wstep) % d != want:
-            return None
-    pq = sum(a * b for a, b in zip(p, q))
-    lam = CycloScalar(
-        d, M.m, np.asarray(values[0], dtype=object), M.den
-    ) * CycloScalar.zeta(d, M.m, (-wstep * pq) % cond.c)
-    tl = root_of_unity_log(
-        np.array(lam.nums, dtype=object), lam.den, conductor(d, lam.m)
-    )
-    if tl is None:
+    omegas = cond.zeta_vec(np.arange(d) * (cond.c // d))
+    hits = np.all(M.nums[rows, np.arange(dim), None] == omegas, axis=-1)
+    if not np.all(hits.any(axis=1)):
         return None
-    wstep_l = conductor(d, lam.m).c // d
-    if tl % wstep_l:
+    src, exps = _right_paulis(d, n)
+    c = (hits.argmax(axis=1) - exps) % d
+    match = np.flatnonzero(np.all(src == rows, axis=1) & np.all(c == c[:, :1], axis=1))
+    if not match.size:
         return None
-    c = (tl // wstep_l) % d
-    return PauliElement(d, c, p, q)
-
-
-def _vec_inverse(vec, cond):
-    from .exactmat import _entry_inverse
-
-    return _entry_inverse(vec, cond)
-
-
-def _ratio_log(vec, inv0, cond):
-    """log_zeta of (vec * inv0vec / inv0den), or None if not a root of unity."""
-    ivec, iden = inv0
-    from .cyclo import conv_reduce_int, normalize
-
-    prod = conv_reduce_int([int(x) for x in vec], [int(x) for x in ivec], cond)
-    arr, den = normalize(np.array(prod, dtype=object), iden)
-    return root_of_unity_log(arr, den, cond)
+    pi = int(match[0])
+    pq = np.unravel_index(pi, (d,) * (2 * n))
+    return PauliElement(d, c[pi, 0], pq[:n], pq[n:])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from .cyclo import CycloScalar, conductor
 from .exactmat import ExactMatrix, ScaledUnitary, frozen
 from .hierarchy import enumerate_level
+from .phasespace import pauli_x, to_matrix
 from .semiclifford import diagonalize, find_witness
 
 
@@ -172,7 +173,7 @@ class GadgetSpec:
 
     def correction(self):
         """The outcome-1 correction; outcome J takes its J-th power."""
-        xinv = _shift_matrix(self.d, -1)
+        xinv = to_matrix(pauli_x(self.d, 1, 1).inverse())
         c1 = self.c1.mat
         raw = c1 @ self.core @ xinv @ self.core.dagger() @ c1.dagger()
         return ScaledUnitary(raw, self.c1.scale2 * self.c1.scale2)
@@ -180,14 +181,6 @@ class GadgetSpec:
     def gate(self):
         """The implemented gate, up to the scale of the Clifford factors."""
         return self.c1.mat @ self.core @ self.c2.mat
-
-
-def _shift_matrix(d, step):
-    phi = conductor(d, 1).phi
-    nums = np.zeros((d, d, phi), dtype=object)
-    for z in range(d):
-        nums[(z + step) % d, z, 0] = 1
-    return ExactMatrix(d, 1, nums)
 
 
 def gadget_run(spec, psi):

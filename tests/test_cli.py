@@ -431,3 +431,27 @@ def test_usage_errors_exit_two(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_os_errors_exit_two_with_one_line(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run(capsys, ["enumerate", "--d", "3", "--max-level", "1", "--out", str(missing)])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    code, out, err = run(
+        capsys, ["enumerate", "--d", "3", "--max-level", "1", "--cache-dir", str(not_a_dir)]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_table_mode_without_out_builds_no_document(capsys, monkeypatch):
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("a report document was serialised")
+
+    monkeypatch.setattr(hierarchon.cli.json, "dumps", no_dumps)
+    code, out, _ = run(capsys, ["qutrit3", "survey", "--stride", "5000"])
+    assert code == 0
+    assert "tuples contain a Lagrangian semibasis" in out

@@ -13,9 +13,11 @@ from hierarchon.cyclo import CycloScalar, conductor
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase
 from hierarchon.hierarchy import (
     REFERENCE_COUNTS,
+    _closure_gaps,
+    _monomials,
+    _powers_many,
     enumerate_level,
     enumerate_levels,
-    k_closure_check,
     membership,
     order_d_corrections,
 )
@@ -268,18 +270,21 @@ def test_rephasing_a_tuple_member_is_a_right_pauli():
         assert equal_up_to_phase(G2.mat, G.mat @ Z)
 
 
-def test_k_closure_check(d3):
+def closure_gaps(T, catalog):
+    """The lift's closure gaps (i, j) of a one-wire tuple (U, V) against a catalog."""
+    pows = _powers_many(T.members(), T.d)
+    monos = _monomials([(pows[0], pows[1])], T.d)
+    return _closure_gaps(monos, catalog.digests_of(monos), catalog)
+
+
+def test_closure_gaps_of_single_wire_tuples(d3):
     Z, X = zx(3)
-    assert k_closure_check(ConjugateTuple(3, 1, [(Z, X)]), d3[1])
-    assert k_closure_check(tuple_of(dft(3), 1), d3[1])
+    assert closure_gaps(ConjugateTuple(3, 1, [(Z, X)]), d3[1]) == []
+    assert closure_gaps(tuple_of(dft(3), 1), d3[1]) == []
     T9 = ScaledUnitary.exact(diag9(0, 1, 2))
-    assert not k_closure_check(tuple_of(T9, 1), d3[1])
-    assert k_closure_check(tuple_of(T9, 1), d3[2])
-
-
-def test_k_closure_check_two_wires():
-    cat1 = enumerate_level(3, 2, 1)
-    assert k_closure_check(tuple_of(ScaledUnitary.exact(cnot(3)), 2), cat1)
+    # U = T9 Z T9* is Z, while every V**j with j > 0 sits at level 2
+    assert closure_gaps(tuple_of(T9, 1), d3[1]) == [(i, j) for i in range(3) for j in (1, 2)]
+    assert closure_gaps(tuple_of(T9, 1), d3[2]) == []
 
 
 def test_enumerate_rejects_bad_requests():
@@ -337,6 +342,11 @@ def test_cache_detects_tampering(tmp_path):
     rewrite(bad)
     with pytest.raises(ValueError, match="does not describe"):
         enumerate_level(3, 1, 2, cache_dir=cache)
+
+    for bad in (doc["gates"], {k: v for k, v in doc.items() if k != "gates"}):
+        rewrite(bad)
+        with pytest.raises(ValueError, match="malformed"):
+            enumerate_level(3, 1, 2, cache_dir=cache)
 
 
 def test_cache_resume_recomputes_only_the_top(tmp_path):

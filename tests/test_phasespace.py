@@ -1,4 +1,7 @@
 import itertools
+import random
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -150,6 +153,94 @@ def test_recognize_rejects_junk():
     assert recognize_pauli(ExactMatrix.from_scalars(3, [[1, 1, 0], [0, 0, 0], [0, 0, 1]])) is None
     # wrong dim for a qutrit register
     assert recognize_pauli(ExactMatrix.identity(3, 4)) is None
+
+
+@lru_cache(maxsize=None)
+def _hand_zx(d):
+    w = CycloScalar.omega(d)
+    Z = ExactMatrix.diag(d, [w ** z for z in range(d)])
+    X = ExactMatrix.from_scalars(d, [[int(r == (z + 1) % d) for z in range(d)] for r in range(d)])
+    return Z, X
+
+
+def hand_pauli(d, c, p, q):
+    """omega^c Z^p X^q from Z = diag(omega^z) and the cyclic shift X, one kron per wire."""
+    Z, X = _hand_zx(d)
+    out = None
+    for a, b in zip(p, q):
+        wire = Z.pow_int(a) @ X.pow_int(b)
+        out = wire if out is None else kron(out, wire)
+    return out.scale(CycloScalar.omega(d) ** c)
+
+
+def _labels(d, n):
+    return [(c, tuple(pq[:n]), tuple(pq[n:])) for c, *pq in itertools.product(range(d), repeat=1 + 2 * n)]
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_to_matrix_matches_hand_built_paulis(d, n):
+    labels = _labels(d, n)
+    if (d, n) != (3, 1):
+        labels = random.Random(d * 10 + n).sample(labels, 12)
+    for c, p, q in labels:
+        assert to_matrix(PauliElement(d, c, p, q)) == hand_pauli(d, c, p, q)
+
+
+@lru_cache(maxsize=None)
+def _all_hand_paulis(d, n):
+    return [(PauliElement(d, c, p, q), hand_pauli(d, c, p, q)) for c, p, q in _labels(d, n)]
+
+
+def brute_force_pauli(M, up_to_phase):
+    """The Pauli equal to M (to its canonical form, up to phase), by exact comparison with all."""
+    if up_to_phase:
+        M = M.canonical_rep()
+    n = {M.d: 1, M.d ** 2: 2}.get(M.dim)
+    if n is None:
+        return None
+    return next((P for P, H in _all_hand_paulis(M.d, n) if M == H), None)
+
+
+def _variants(M, rng):
+    """Pauli-shaped inputs and near misses: each kind of matrix recognize_pauli must sort."""
+    d = M.d
+    yield "plain", M
+    yield "promoted", M.promote(2)
+    # a zeta_(d*d) power that is no power of omega
+    yield "zeta", M.promote(2).scale_zeta(d * rng.randrange(d) + rng.randrange(1, d))
+    yield "omega", M.scale(CycloScalar.omega(d) ** rng.randrange(1, d))
+    yield "rational", M.scale_q(Fraction(rng.choice([-3, 1, 5]), rng.choice([2, 7])))
+    nums = M.nums.copy()
+    i, j, k = (rng.randrange(s) for s in nums.shape)
+    nums[i, j, k] += rng.choice([-1, 1, d])
+    yield "perturbed", ExactMatrix(d, M.m, nums, M.den)
+    i, j = rng.sample(range(M.dim), 2)
+    nums = M.nums.copy()
+    nums[:, [i, j]] = nums[:, [j, i]]
+    yield "swapped", ExactMatrix(d, M.m, nums, M.den)
+    yield "big", M.scale_q(2 ** 70)
+    obj = ExactMatrix(d, M.m, M.nums, M.den)
+    obj.nums = M.nums.astype(object)
+    yield "object", obj
+
+
+def test_recognize_matches_a_brute_force_oracle():
+    rng = random.Random(11)
+    found = {}
+    for d, n, samples in ((3, 1, 27), (5, 1, 8), (7, 1, 6), (3, 2, 6)):
+        for P, H in rng.sample(_all_hand_paulis(d, n), samples):
+            for kind, M in _variants(H, rng):
+                for up in (False, True):
+                    got = recognize_pauli(M, up_to_phase=up)
+                    assert got == brute_force_pauli(M, up), (kind, up, P)
+                    found.setdefault((kind, up), set()).add(got is not None)
+    # every kind landed on the side its construction puts it
+    assert found[("plain", False)] == found[("promoted", False)] == {True}
+    assert found[("object", False)] == {True}
+    assert found[("zeta", False)] == found[("big", False)] == {False}
+    assert found[("zeta", True)] == found[("big", True)] == found[("rational", True)] == {True}
+    assert found[("rational", False)] == {False}
+    assert found[("perturbed", True)] == found[("swapped", True)] == {False}
 
 
 def test_pauli_mul_matches_matrices():

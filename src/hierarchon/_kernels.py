@@ -1,11 +1,12 @@
-"""Hot integer kernels, each with one numpy lane.
+"""Hot integer kernels, each with one numpy body.
 
-The group-ring product contracts over leading batch axes; fingerprints
-evaluate coefficient tensors mod p; the two-qutrit survey walks the
-conjugate-pair list as a sparse (CSR) join, bins the matches into a
-histogram and reads the Lagrangian-semibasis table, built from its closed
-form.  ``isotropic_plane_witness`` finds an
-explicit plane for one matrix and is the oracle the table is tested against.
+The group-ring product contracts over leading batch axes, on int64 or on
+Python-object tensors alike; fingerprints evaluate coefficient tensors of
+either dtype mod p; the two-qutrit survey walks the conjugate-pair list as
+a sparse (CSR) join, bins the matches into a histogram and reads the
+Lagrangian-semibasis table, built from its closed form.
+``isotropic_plane_witness`` finds an explicit plane for one matrix and is
+the oracle the table is tested against.
 """
 
 from functools import lru_cache
@@ -15,8 +16,8 @@ import numpy as np
 # read by the benchmark's environment probe; the kernels have no numba lane
 USE_NUMBA = False
 
-# int64 cells the circulant operand of one step of the product may hold
-# (2 MB), so neither a long batch nor a large conductor materialises at once
+# cells the circulant operand of one step of the product may hold (2 MB at
+# int64), so neither a long batch nor a large conductor materialises at once
 _CHUNK_CELLS = 1 << 18
 
 
@@ -40,7 +41,8 @@ def _contract(A, B, c):
     so the product is one integer contraction of A over (j, u): phi * c
     multiply-adds per entry pair.  Batch items, and for large conductors
     blocks of the exponent u, are cut so one step's Bc stays within
-    _CHUNK_CELLS.
+    _CHUNK_CELLS.  The arrays are allocated in the inputs' common dtype, so
+    Python-object tensors run through the same contraction as int64 ones.
     """
     n, r, m, phi = A.shape
     s = B.shape[2]
@@ -48,7 +50,8 @@ def _contract(A, B, c):
     ub = max(1, min(phi, _CHUNK_CELLS // per_u))
     step = max(1, _CHUNK_CELLS // (per_u * phi)) if ub == phi else 1
     idx = _circulant_index(phi, c)
-    padded = np.zeros((n, m, s, phi + 1), dtype=np.int64)
+    dtype = np.result_type(A, B)
+    padded = np.zeros((n, m, s, phi + 1), dtype=dtype)
     padded[..., :phi] = B
 
     def part(lo, hi, u0, u1):
@@ -58,7 +61,7 @@ def _contract(A, B, c):
 
     if step >= n and ub == phi:
         return part(0, n, 0, phi).reshape(n, r, s, c)
-    out = np.zeros((n, r, s * c), dtype=np.int64)
+    out = np.zeros((n, r, s * c), dtype=dtype)
     for lo in range(0, n, step):
         for u0 in range(0, phi, ub):
             out[lo:lo + step] += part(lo, min(n, lo + step), u0, min(phi, u0 + ub))
@@ -69,7 +72,8 @@ def gr_matmul_batch(A, B, c):
     """(..., r, m, phi) x (..., m, s, phi) -> unreduced (..., r, s, c).
 
     Leading axes broadcast as in numpy.matmul; _contract bounds the
-    intermediates.  The caller guarantees the sums fit in int64.
+    intermediates.  For int64 inputs the caller guarantees the sums fit in
+    int64 (cyclo.wide makes that choice); object inputs are exact.
     """
     A = np.asarray(A)
     B = np.asarray(B)
@@ -93,8 +97,12 @@ def gr_matmul(A, B, c):
 # batched fingerprint evaluation: map coefficient tensors to GF(p) matrices.
 
 def fp_eval(nums, powvec, p):
-    """Evaluate zeta -> g mod p over the last axis.  Exact in int64."""
-    return (nums % p) @ (powvec % p) % p
+    """Evaluate zeta -> g mod p over the last axis, as int64 for any input dtype.
+
+    The residues are below p, so the sum runs exactly in int64 even when
+    nums holds Python objects.
+    """
+    return (nums % p).astype(np.int64, copy=False) @ (powvec % p) % p
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,7 @@ def _load_gate(path):
 
 
 def cmd_membership(args):
-    try:
-        su, n = _load_gate(args.gate)
-    except (OSError, ValueError, KeyError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    su, n = _load_gate(args.gate)
     _check_size(su.d, n, args.max_level)
     cache = _cache_dir(args)
     catalogs = dict(enumerate(enumerate_levels(su.d, n, args.max_level, cache), 1))
@@ -174,11 +170,7 @@ def cmd_semiclifford(args):
         print("error: pass a gate file or --catalog K, not both", file=sys.stderr)
         return 2
     if args.gate is not None:
-        try:
-            su, _ = _load_gate(args.gate)
-        except (OSError, ValueError, KeyError) as e:
-            print("error: %s" % e, file=sys.stderr)
-            return 2
+        su, _ = _load_gate(args.gate)
         rep = gate_report(su, find_witness(su))
         report = {
             "schema": "hierarchon.semiclifford/1",

@@ -8,7 +8,7 @@ any exponent e >= phi into d-1 basis terms with coefficient -1.
 """
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -113,10 +113,7 @@ def normalize(nums, den):
     arr = np.asarray(nums)
     if den == 1:
         return arr, den
-    if arr.dtype == object:
-        g = reduce(math.gcd, (abs(int(x)) for x in arr.flat), 0)
-    else:
-        g = int(np.gcd.reduce(np.abs(arr), axis=None)) if arr.size else 0
+    g = int(np.gcd.reduce(np.abs(arr), axis=None)) if arr.size else 0
     g = math.gcd(g, abs(den))
     if den < 0:
         g = -g
@@ -207,6 +204,24 @@ def galois_int(vec, u, cond):
             for i in np.flatnonzero(row):
                 out[int(i)] += int(x) * int(row[i])
     return out
+
+
+# an int64 intermediate whose bound stays below this cannot overflow
+INT64_SAFE = 2 ** 61
+
+
+def wide(bound, *arrays):
+    """The arrays in one coefficient dtype, chosen once for an operation.
+
+    bound is an upper bound on every intermediate the operation forms.  The
+    integer arrays come back as they are when none holds Python objects and
+    the bound is below INT64_SAFE, and as Python objects otherwise; the
+    kernels run the same body on either.  Every int64-or-object decision is
+    made here.
+    """
+    if bound < INT64_SAFE and all(a.dtype != object for a in arrays):
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
 
 
 def as_int64_if_safe(arr):

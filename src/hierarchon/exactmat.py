@@ -21,9 +21,8 @@ from .cyclo import (
     max_abs,
     norm_inverse,
     normalize,
+    wide,
 )
-
-INT64_SAFE = 2 ** 61
 
 
 class ExactMatrix:
@@ -130,17 +129,8 @@ class ExactMatrix:
 
     def __add__(self, other):
         a, b = self._common(other)
-        if (
-            a.nums.dtype == object
-            or b.nums.dtype == object
-            or max_abs(a.nums) * b.den + max_abs(b.nums) * a.den >= INT64_SAFE
-        ):
-            an = a.nums.astype(object) * b.den
-            bn = b.nums.astype(object) * a.den
-        else:
-            an = a.nums * b.den
-            bn = b.nums * a.den
-        return ExactMatrix(a.d, a.m, an + bn, a.den * b.den)
+        an, bn = wide(max_abs(a.nums) * b.den + max_abs(b.nums) * a.den, a.nums, b.nums)
+        return ExactMatrix(a.d, a.m, an * b.den + bn * a.den, a.den * b.den)
 
     def __neg__(self):
         return ExactMatrix(self.d, self.m, -self.nums, self.den)
@@ -153,37 +143,24 @@ class ExactMatrix:
         if a.shape[1] != b.shape[0]:
             raise ValueError("dim mismatch")
         cond = a.cond
-        bound = (
-            max_abs(a.nums) * max_abs(b.nums) * a.shape[1] * cond.phi * cond.c
-        )
-        if a.nums.dtype == object or b.nums.dtype == object or bound >= INT64_SAFE:
-            raw = _gr_matmul_obj(
-                a.nums.astype(object), b.nums.astype(object), cond
-            )
+        A, B = wide(_product_bound(a.nums, b.nums, cond), a.nums, b.nums)
+        if A.dtype == object:
+            raw = _gr_matmul_obj(A, B, cond)
         else:
-            raw = cond.reduce(K.gr_matmul(a.nums, b.nums, cond.c))
+            raw = cond.reduce(K.gr_matmul(A, B, cond.c))
         return ExactMatrix(a.d, a.m, raw, a.den * b.den)
 
     def scale_q(self, q):
         q = Fraction(q)
-        arr = self.nums
-        if arr.dtype != object and (
-            max_abs(arr) * abs(q.numerator) >= INT64_SAFE
-        ):
-            arr = arr.astype(object)
+        (arr,) = wide(max_abs(self.nums) * abs(q.numerator), self.nums)
         return ExactMatrix(self.d, self.m, arr * q.numerator, self.den * q.denominator)
 
     def scale_vec(self, vec, vden=1):
         """Multiply every entry by the field element vec/vden (reduced coeffs)."""
         cond = self.cond
         vec = np.asarray(vec)
-        bound = max_abs(self.nums) * max_abs(vec) * cond.phi * cond.c
-        if self.nums.dtype == object or vec.dtype == object or bound >= INT64_SAFE:
-            nums = self.nums.astype(object)
-            raw = np.zeros(nums.shape[:2] + (cond.c,), dtype=object)
-        else:
-            nums = self.nums
-            raw = np.zeros(nums.shape[:2] + (cond.c,), dtype=np.int64)
+        nums, vec = wide(max_abs(self.nums) * max_abs(vec) * cond.phi * cond.c, self.nums, vec)
+        raw = np.zeros(nums.shape[:2] + (cond.c,), dtype=nums.dtype)
         for e in np.flatnonzero(vec):
             idx = (int(e) + np.arange(cond.phi)) % cond.c
             raw[..., idx] += nums * vec[e]
@@ -200,7 +177,7 @@ class ExactMatrix:
             m = max(s.m, self.m)
             a = self.promote(m)
             sv = s.promote(m)
-            return a.scale_vec(np.array(sv.nums, dtype=object), sv.den)
+            return a.scale_vec(as_int64_if_safe(np.array(sv.nums, dtype=object)), sv.den)
         return self.scale_q(s)
 
     def dagger(self):
@@ -322,13 +299,10 @@ def equal_up_to_phase(A, B):
     slot = int(nonzero[0].argmax())
     if not nonzero[1, slot]:
         return False
+    (both,) = wide(max_abs(both) ** 2 * cond.phi * cond.c, both)
     entries = both.reshape(2, r * s, 1, cond.phi)
     # row 0 is every entry of A times B[slot], row 1 every entry of B times A[slot]
-    slots = entries[::-1, slot][:, None]
-    if both.dtype == object or max_abs(both) ** 2 * cond.phi * cond.c >= INT64_SAFE:
-        raw = [_gr_matmul_obj(entries[k].astype(object), slots[k].astype(object), cond) for k in (0, 1)]
-    else:
-        raw = cond.reduce(K.gr_matmul_batch(entries, slots, cond.c))
+    raw = _batch_product(entries, entries[::-1, slot][:, None], cond)
     return np.array_equal(raw[0], raw[1])
 
 
@@ -342,31 +316,19 @@ def kron(a, b):
     cond = a.cond
     r1, s1 = a.shape
     r2, s2 = b.shape
-    bound = max_abs(a.nums) * max_abs(b.nums) * cond.phi * cond.c
-    if a.nums.dtype == object or b.nums.dtype == object or bound >= INT64_SAFE:
-        raw = np.zeros((r1, s1, r2, s2, cond.c), dtype=object)
-        an = a.nums.astype(object)
-        bn = b.nums.astype(object)
-    else:
-        raw = np.zeros((r1, s1, r2, s2, cond.c), dtype=np.int64)
-        an = a.nums
-        bn = b.nums
-    for e in range(cond.phi):
-        seg = an[:, :, e]
-        if not np.any(seg != 0):
-            continue
-        idx = (e + np.arange(cond.phi)) % cond.c
-        raw[:, :, :, :, idx] += seg[:, :, None, None, None] * bn[None, None, :, :, :]
-    out = cond.reduce(raw)
-    out = out.transpose(0, 2, 1, 3, 4).reshape(r1 * r2, s1 * s2, cond.phi)
-    return ExactMatrix(a.d, m, out, a.den * b.den)
+    # every entry of a, as a 1x1 batch item, times b as one row of entries
+    A = a.nums.reshape(r1 * s1, 1, 1, cond.phi)
+    B = b.nums.reshape(1, 1, r2 * s2, cond.phi)
+    raw = _batch_product(*wide(_product_bound(A, B, cond), A, B), cond)
+    out = raw.reshape(r1, s1, r2, s2, cond.phi).transpose(0, 2, 1, 3, 4)
+    return ExactMatrix(a.d, m, out.reshape(r1 * r2, s1 * s2, cond.phi), a.den * b.den)
 
 
 def matmul_many(As, Bs):
-    """[a @ b for a, b in zip(As, Bs)], one batched kernel call per conductor.
+    """[a @ b for a, b in zip(As, Bs)], one batched kernel call per group.
 
-    Pairs holding Python-object coefficients, and groups whose int64 bound
-    fails, take ExactMatrix.__matmul__ one pair at a time.
+    Pairs group by conductor and shapes; each group runs in the one dtype
+    its stacked bound allows.
     """
     out = [None] * len(As)
     groups = {}
@@ -375,44 +337,32 @@ def matmul_many(As, Bs):
             raise ValueError("mixed base primes")
         if a.shape[1] != b.shape[0]:
             raise ValueError("dim mismatch")
-        if a.nums.dtype == object or b.nums.dtype == object:
-            out[idx] = a @ b
-        else:
-            groups.setdefault((max(a.m, b.m), a.shape, b.shape), []).append(idx)
-    for (m, ashape, _), idxs in groups.items():
+        groups.setdefault((max(a.m, b.m), a.shape, b.shape), []).append(idx)
+    for (m, _, _), idxs in groups.items():
         A = np.stack([As[i].promote(m).nums for i in idxs])
         B = np.stack([Bs[i].promote(m).nums for i in idxs])
         cond = conductor(As[idxs[0]].d, m)
-        if max_abs(A) * max_abs(B) * ashape[1] * cond.phi * cond.c >= INT64_SAFE:
-            for i in idxs:
-                out[i] = As[i] @ Bs[i]
-            continue
-        raw = cond.reduce(K.gr_matmul_batch(A, B, cond.c))
+        raw = _batch_product(*wide(_product_bound(A, B, cond), A, B), cond)
         for row, i in zip(raw, idxs):
             out[i] = ExactMatrix(cond.d, m, row, As[i].den * Bs[i].den)
     return out
 
 
+def _product_bound(A, B, cond):
+    """Bound on the sums a group-ring product of A and B forms."""
+    return max_abs(A) * max_abs(B) * A.shape[-2] * cond.phi * cond.c
+
+
+def _batch_product(A, B, cond):
+    """Reduced product over leading batch axes, of arrays wide() has typed."""
+    if A.dtype == object:
+        return _gr_matmul_obj(A, B, cond)
+    return cond.reduce(K.gr_matmul_batch(A, B, cond.c))
+
+
 def _gr_matmul_obj(A, B, cond):
-    r, mm, phi = A.shape
-    s = B.shape[1]
-    raw = np.zeros((r, s, cond.c), dtype=object)
-    for i in range(r):
-        for j in range(mm):
-            a_ij = A[i, j]
-            sup = [u for u in range(phi) if a_ij[u]]
-            if not sup:
-                continue
-            for k in range(s):
-                b_jk = B[j, k]
-                acc = raw[i, k]
-                for u in sup:
-                    av = a_ij[u]
-                    for v in range(phi):
-                        bv = b_jk[v]
-                        if bv:
-                            acc[(u + v) % cond.c] += av * bv
-    return cond.reduce(raw)
+    """The object lane's entry: the int64 kernel's body on Python ints."""
+    return cond.reduce(K.gr_matmul_batch(A, B, cond.c))
 
 
 def _entry_inverse(vec, cond):
@@ -511,9 +461,8 @@ def max_conductor(d):
 def to_interchange(su, n):
     mat = su.mat
     cond = mat.cond
-    nums, den = mat.nums, mat.den
-    if nums.dtype != object and den >= INT64_SAFE:
-        nums = nums.astype(object)
+    den = mat.den
+    (nums,) = wide(den, mat.nums)
     # each coefficient as the reduced fraction num/den, denominator positive
     g = np.gcd(nums, den)
     pairs = np.stack([nums // g, den // g], axis=-1)
@@ -690,8 +639,8 @@ class FingerprintContext:
         out = [None] * len(mats)
         groups = {}
         for idx, mat in enumerate(mats):
-            groups.setdefault((mat.m, mat.shape, mat.nums.dtype == object), []).append(idx)
-        for (m, (r, s), obj), idxs in groups.items():
+            groups.setdefault((mat.m, mat.shape), []).append(idx)
+        for (m, (r, s)), idxs in groups.items():
             nums = np.stack([mats[i].nums for i in idxs])
             N = len(idxs)
             rows = np.arange(N)
@@ -703,7 +652,7 @@ class FingerprintContext:
             parts = [[b"%d,%d,%d;" % (r, s, self.d)] for _ in idxs]
             for pi, p in enumerate(self.primes):
                 powvec = self.powvec(pi, m)
-                ev = (_fp_eval_obj if obj else K.fp_eval)(nums, powvec, p).reshape(N, r * s)
+                ev = K.fp_eval(nums, powvec, p).reshape(N, r * s)
                 slot = ev[rows, slots]
                 inv = np.array([pow(int(x), p - 2, p) for x in slot], dtype=np.int64)
                 norm = (ev * inv[:, None] % p).astype(np.int32)
@@ -720,23 +669,6 @@ class FingerprintContext:
         """The key part of prime pi when the slot entry vanishes mod p."""
         p = self.primes[pi]
         canon = mat.canonical_rep()
-        cp = self.powvec(pi, canon.m)
-        if canon.nums.dtype == object:
-            cev = _fp_eval_obj(canon.nums, cp, p)
-        else:
-            cev = K.fp_eval(canon.nums, cp, p)
+        cev = K.fp_eval(canon.nums, self.powvec(pi, canon.m), p)
         norm = cev * pow(canon.den % p, p - 2, p) % p
         return norm.astype(np.int32).tobytes()
-
-
-def _fp_eval_obj(nums, powvec, p):
-    shp = nums.shape
-    flat = nums.reshape(-1, shp[-1])
-    out = np.empty(flat.shape[0], dtype=np.int64)
-    for idx in range(flat.shape[0]):
-        acc = 0
-        for e, v in enumerate(flat[idx]):
-            if v:
-                acc = (acc + int(v) * int(powvec[e])) % p
-        out[idx] = acc
-    return out.reshape(shp[:-1])

@@ -25,7 +25,6 @@ from .exactmat import (
     ExactMatrix,
     FingerprintContext,
     ScaledUnitary,
-    _fp_eval_obj,
     conjugate_action,
     equal_up_to_phase,
     fingerprint_headroom,
@@ -274,10 +273,7 @@ def _pauli_catalog(d, n, fp):
 
 def _mod_eval(fp, mat, pi):
     pv = fp.powvec(pi, mat.m)
-    p = fp.primes[pi]
-    if mat.nums.dtype == object:
-        return _fp_eval_obj(mat.nums, pv, p)
-    return K.fp_eval(mat.nums, pv, p)
+    return K.fp_eval(mat.nums, pv, fp.primes[pi])
 
 
 def _omega_pairs(fp, mats, d):
@@ -461,21 +457,8 @@ def _lift_level(prev):
 # cache
 
 
-def _cache_paths(cache_dir, d, n, k):
-    stem = os.path.join(cache_dir, "d%d_n%d" % (d, n), "level_%d.json" % k)
-    return stem, stem + ".zst"
-
-
-def _is_cached(cache_dir, d, n, k):
-    return any(os.path.exists(path) for path in _cache_paths(cache_dir, d, n, k))
-
-
-def _zstd():
-    try:
-        import zstandard
-    except ImportError:
-        return None
-    return zstandard
+def _cache_path(cache_dir, d, n, k):
+    return os.path.join(cache_dir, "d%d_n%d" % (d, n), "level_%d.json" % k)
 
 
 def _doc_bytes(su, n):
@@ -489,15 +472,13 @@ def _save_cache(cat, cache_dir):
     spool file beside the cache while it is hashed, and the spool is copied
     in behind the header.
     """
-    plain, compressed = _cache_paths(cache_dir, cat.d, cat.n, cat.k)
-    os.makedirs(os.path.dirname(plain), exist_ok=True)
+    path = _cache_path(cache_dir, cat.d, cat.n, cat.k)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     from . import __version__
 
-    z = _zstd()
-    path = compressed if z else plain
     tmp = path + ".tmp"
     h = hashlib.sha256()
-    with tempfile.TemporaryFile(dir=os.path.dirname(plain)) as spool:
+    with tempfile.TemporaryFile(dir=os.path.dirname(path)) as spool:
         for idx in range(len(cat)):
             doc = _doc_bytes(cat._rep(idx), cat.n)
             h.update(doc)
@@ -517,32 +498,20 @@ def _save_cache(cat, cache_dir):
             "meta": cat.meta,
         }
         with open(tmp, "wb") as fh:
-            out = z.ZstdCompressor().stream_writer(fh, closefd=False) if z else fh
-            out.write(json.dumps(head, sort_keys=True)[:-1].encode())
-            out.write(b',"gates":[')
-            shutil.copyfileobj(spool, out)
-            out.write(b"]}")
-            if z:
-                out.close()
+            fh.write(json.dumps(head, sort_keys=True)[:-1].encode())
+            fh.write(b',"gates":[')
+            shutil.copyfileobj(spool, fh)
+            fh.write(b"]}")
     os.replace(tmp, path)
     return path
 
 
 def _load_cache(d, n, k, cache_dir, fp):
-    plain, compressed = _cache_paths(cache_dir, d, n, k)
-    path = compressed if os.path.exists(compressed) else plain
+    path = _cache_path(cache_dir, d, n, k)
     if not os.path.exists(path):
         return None
-    if path.endswith(".zst"):
-        z = _zstd()
-        if z is None:
-            raise ValueError("cache file %s needs the zstandard package" % path)
-        with open(path, "rb") as fh:
-            raw = z.ZstdDecompressor().stream_reader(fh).read()
-    else:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
+    with open(path, "rb") as fh:
+        doc = json.load(fh)
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("gates"), list)
@@ -638,7 +607,7 @@ def enumerate_level(d, n, k, cache_dir=None):
     _check_request(d, n, k)
     cache_dir = _cache_root(cache_dir)
     first = k
-    while first > 1 and not (cache_dir and _is_cached(cache_dir, d, n, first)):
+    while first > 1 and not (cache_dir and os.path.exists(_cache_path(cache_dir, d, n, first))):
         first -= 1
     for cat in _walk(d, n, first, k, cache_dir):
         pass

@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import conductor, max_abs
-from .exactmat import INT64_SAFE, ExactMatrix, ScaledUnitary, frozen
+from .cyclo import conductor, max_abs, wide
+from .exactmat import ExactMatrix, ScaledUnitary, frozen
 
 
 class PauliElement:
@@ -173,14 +173,11 @@ def shift_columns(M, src, exps):
     Each map (src, e) along the last axis of src and exps sends M to the
     matrix whose column j is M[:, src[j]] omega**e[j]; the result stacks
     the images as (..., row, col, phi).  A shifted coefficient sums at most
-    phi of M's, so past INT64_SAFE / phi the shift runs on Python objects,
-    as a product past the bound does.
+    phi of M's, so cyclo.wide picks the dtype on that bound, as it does for
+    a product.
     """
-    nums = M.nums
     shifts = _omega_shifts(M.d, M.m)[exps % M.d]
-    if nums.dtype == object or max_abs(nums) * M.cond.phi >= INT64_SAFE:
-        nums = nums.astype(object)
-        shifts = shifts.astype(object)
+    nums, shifts = wide(max_abs(M.nums) * M.cond.phi, M.nums, shifts)
     # (row, ..., col, phi) -> (..., col, row, phi) @ (..., col, phi, phi) -> (..., row, col, phi)
     k = src.ndim
     cols = nums[:, src].transpose(*range(1, k + 1), 0, k + 1)

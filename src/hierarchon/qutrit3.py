@@ -47,36 +47,34 @@ def septuple_index(s, d=3):
     return out
 
 
-def commutation_check(s1, s2, d=3):
-    """c with U V = w^c V U, or None when no such phase exists.
+def _commutator(s1, s2, d):
+    """(lin, c) for U V = w^c V U, over septuple digits that broadcast.
 
     The two linear congruences come from pushing the X part of each gate
-    through the other's quadratic; once they hold the leftover commutator
-    is the plain phase c = psi(alpha) + a.beta - phi(beta) - b.alpha.
+    through the other's quadratic; lin marks where both hold, and there the
+    leftover commutator is the plain phase c = psi(alpha) + a.beta -
+    phi(beta) - b.alpha.  s1 and s2 are sequences of the seven digits,
+    plain ints or numpy arrays alike.
     """
-    eq1 = (
-        2 * s1.d1 * s2.alpha1 + s1.d3 * s2.alpha2
-        - 2 * s2.d1 * s1.alpha1 - s2.d3 * s1.alpha2
-    ) % d
-    eq2 = (
-        s1.d3 * s2.alpha1 + 2 * s1.d2 * s2.alpha2
-        - s2.d3 * s1.alpha1 - 2 * s2.d2 * s1.alpha2
-    ) % d
-    if eq1 or eq2:
-        return None
-    psi_a = (
-        s2.d1 * s1.alpha1 * s1.alpha1
-        + s2.d2 * s1.alpha2 * s1.alpha2
-        + s2.d3 * s1.alpha1 * s1.alpha2
+    d1, d2, d3, a1, a2, x1, x2 = s1
+    e1, e2, e3, b1, b2, y1, y2 = s2
+    # one expression each, so no full-size intermediate outlives its sum
+    lin = ((2 * d1 * y1 + d3 * y2 - 2 * e1 * x1 - e3 * x2) % d == 0) & (
+        (d3 * y1 + 2 * d2 * y2 - e3 * x1 - 2 * e2 * x2) % d == 0
     )
-    phi_b = (
-        s1.d1 * s2.alpha1 * s2.alpha1
-        + s1.d2 * s2.alpha2 * s2.alpha2
-        + s1.d3 * s2.alpha1 * s2.alpha2
-    )
-    a_dot = s1.a1 * s2.alpha1 + s1.a2 * s2.alpha2
-    b_dot = s2.a1 * s1.alpha1 + s2.a2 * s1.alpha2
-    return (psi_a + a_dot - phi_b - b_dot) % d
+    c = (
+        (x1 * x1) * e1 + (x2 * x2) * e2 + (x1 * x2) * e3  # psi(alpha)
+        + a1 * y1 + a2 * y2
+        - d1 * (y1 * y1) - d2 * (y2 * y2) - d3 * (y1 * y2)  # phi(beta)
+        - x1 * b1 - x2 * b2
+    ) % d
+    return lin, c
+
+
+def commutation_check(s1, s2, d=3):
+    """c with U V = w^c V U, or None when no such phase exists."""
+    lin, c = _commutator(s1, s2, d)
+    return c if lin else None
 
 
 def quadruple_relations(q, d=3):
@@ -134,17 +132,9 @@ def _tables(d=3):
     for pw in range(6, -1, -1):
         digs.append((rem // d ** pw).astype(np.int16))
         rem = rem % d ** pw
-    d1, d2, d3, a1, a2, x1, x2 = digs
-    o = np.multiply.outer
-    eq1 = (2 * o(d1, x1) + o(d3, x2) - 2 * o(x1, d1) - o(x2, d3)) % d
-    eq2 = (o(d3, x1) + 2 * o(d2, x2) - o(x1, d3) - 2 * o(x2, d2)) % d
-    lin = (eq1 == 0) & (eq2 == 0)
-    c = (
-        o(x1 * x1, d1) + o(x2 * x2, d2) + o(x1 * x2, d3)
-        + o(a1, x1) + o(a2, x2)
-        - o(d1, x1 * x1) - o(d2, x2 * x2) - o(d3, x1 * x2)
-        - o(x1, a1) - o(x2, a2)
-    ) % d
+    # septuple i of the rows against septuple j of the columns
+    lin, c = _commutator([x[:, None] for x in digs], [x[None, :] for x in digs], d)
+    d1, d2, d3 = digs[:3]
     colcode = (d1 + 3 * d2 + 9 * d3).astype(np.int64)
     return lin, c, colcode
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloScalar, max_abs
+from .cyclo import CycloScalar, max_abs, wide
 from .exactmat import ExactMatrix, ScaledUnitary, conjugate_action
 
 
@@ -67,20 +67,10 @@ def _omega_commutes(A, B, e, d):
 def _hstack(mats):
     m = max(x.m for x in mats)
     mats = [x.promote(m) for x in mats]
-    den = 1
-    for x in mats:
-        den = den * x.den // math.gcd(den, x.den)
-    arrs = []
-    for x in mats:
-        f = den // x.den
-        arr = x.nums
-        if f != 1:
-            if arr.dtype != object and max_abs(arr) * f >= 2 ** 61:
-                arr = arr.astype(object)
-            arr = arr * f
-        arrs.append(arr)
-    if any(a.dtype == object for a in arrs):
-        arrs = [a.astype(object) for a in arrs]
+    den = math.lcm(*(x.den for x in mats))
+    scales = [den // x.den for x in mats]
+    bound = max((max_abs(x.nums) * f for x, f in zip(mats, scales) if f != 1), default=0)
+    arrs = [a * f for a, f in zip(wide(bound, *(x.nums for x in mats)), scales)]
     return ExactMatrix(mats[0].d, m, np.concatenate(arrs, axis=1), den)
 
 

@@ -11,9 +11,13 @@ from hierarchon.exactmat import (
     FingerprintContext,
     ScaledUnitary,
     conjugate_action,
+    equal_up_to_phase,
     from_interchange,
+    kron,
+    matmul_many,
     to_interchange,
 )
+from hierarchon.phasespace import PauliElement, times_pauli
 
 
 def zmat(d):
@@ -89,6 +93,38 @@ def test_object_dtype_path_kicks_in():
     # and back to int64 once values shrink
     shrunk = prod.scale_q(Fraction(1, big * big))
     assert shrunk.nums.dtype == np.int64
+
+
+@pytest.mark.parametrize("d,m", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_int64_and_object_lanes_agree(d, m):
+    """M on int64 and 2^70 M on Python objects agree once scaled back."""
+    big = 2 ** 70
+    gen = np.random.default_rng(100 * d + m)
+    M, N = rand_mat(gen, d, m, d), rand_mat(gen, d, m, d)
+    W = M.scale_q(big)
+    assert M.nums.dtype == np.int64 and W.nums.dtype == object
+
+    def back(x):
+        assert x.nums.dtype == object
+        return x.scale_q(Fraction(1, big))
+
+    assert back(W @ N) == M @ N
+    assert back(N @ W) == N @ M
+    (prod,) = matmul_many([W], [N])
+    assert back(prod) == M @ N
+    assert back(kron(W, N)) == kron(M, N)
+    assert back(kron(N, W)) == kron(N, M)
+    assert back(W + N.scale_q(big)) == M + N
+    vec = gen.integers(-5, 5, size=conductor(d, m).phi)
+    assert back(W.scale_vec(vec, 3)) == M.scale_vec(vec, 3)
+    P = PauliElement(d, 1, (1,), (2,))
+    assert back(times_pauli(W, P)) == times_pauli(M, P)
+    assert equal_up_to_phase(W, M)
+    assert equal_up_to_phase(W, M.scale_zeta(1))
+    assert not equal_up_to_phase(W, N)
+    assert equal_up_to_phase(W.scale_zeta(2), W)
+    ctx = FingerprintContext(d, 3)
+    assert ctx.keys([M, W]) == [ctx.key(M)] * 2
 
 
 def test_pauli_relation_zx():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hierarchon import _kernels as K
 from hierarchon import exactmat
 from hierarchon.cyclo import conductor
-from hierarchon.exactmat import ExactMatrix, _gr_matmul_obj
+from hierarchon.exactmat import ExactMatrix
 
 
 rng = np.random.default_rng(11)
@@ -24,13 +24,25 @@ def embed_tensor(arr, c):
 # ---------------------------------------------------------------------------
 # group-ring matmul
 
+def loop_product(A, B, cond):
+    """Reduced (r, m, phi) x (m, s, phi) product, one Python-int term at a time."""
+    r, mm, phi = A.shape
+    s = B.shape[1]
+    raw = np.zeros((r, s, cond.c), dtype=object)
+    for i, j, k in itertools.product(range(r), range(mm), range(s)):
+        for u in range(phi):
+            for v in range(phi):
+                raw[i, k, (u + v) % cond.c] += int(A[i, j, u]) * int(B[j, k, v])
+    return cond.reduce(raw)
+
+
 @pytest.mark.parametrize(
     "d,m,dim", [(3, 1, 3), (3, 2, 4), (5, 1, 5), (7, 1, 2), (5, 2, 3), (7, 2, 2)]
 )
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_matmul_lanes_agree(d, m, dim, data):
-    """Batched and 3-D gr_matmul against the Python-object product."""
+    """Batched and 3-D gr_matmul, on int64 and object, against the loop product."""
     cond = conductor(d, m)
     batch = data.draw(st.integers(1, 64), label="batch")
     r, k, s = (data.draw(st.integers(1, dim)) for _ in range(3))
@@ -39,8 +51,12 @@ def test_matmul_lanes_agree(d, m, dim, data):
     B = gen.integers(-20, 20, size=(batch, k, s, cond.phi))
     got = cond.reduce(K.gr_matmul_batch(A, B, cond.c))
     assert got.shape == (batch, r, s, cond.phi)
+    big = 2 ** 70
+    got_obj = cond.reduce(K.gr_matmul_batch(A.astype(object) * big, B.astype(object), cond.c))
+    assert got_obj.dtype == object
+    assert np.array_equal(got_obj, got.astype(object) * big)
     for i in range(batch):
-        want = _gr_matmul_obj(A[i].astype(object), B[i].astype(object), cond)
+        want = loop_product(A[i], B[i], cond)
         assert np.array_equal(got[i], want)
         assert np.array_equal(cond.reduce(K.gr_matmul(A[i], B[i], cond.c)), want)
 
@@ -95,7 +111,7 @@ def test_int64_bound_still_takes_the_object_path(monkeypatch):
     big = 2 ** 40
     nums = np.array([[[big + 1, 1], [0, big]], [[1, 0], [big, 3]]], dtype=np.int64)
     A = ExactMatrix(3, 1, nums, 1)
-    want = real(nums.astype(object), nums.astype(object), cond)
+    want = loop_product(nums, nums, cond)
     prod = A @ A
     assert calls == [1]
     assert prod.nums.dtype == object
@@ -106,7 +122,8 @@ def test_int64_bound_still_takes_the_object_path(monkeypatch):
     # the phase comparison falls back to Python objects past the bound too
     assert exactmat.equal_up_to_phase(prod, prod.scale_zeta(1))
     assert not exactmat.equal_up_to_phase(prod, A)
-    assert len(calls) == 6
+    # one batched object call per comparison
+    assert len(calls) == 4
 
 
 def test_matmul_matches_complex_oracle():
@@ -138,13 +155,15 @@ def test_fp_eval_matches_direct_sum():
     g = 7  # any value works; real roots are found elsewhere
     powvec = np.array([pow(g, e, p) for e in range(cond.phi)], dtype=np.int64)
     nums = rng.integers(-(2 ** 40), 2 ** 40, size=(4, 3, 3, cond.phi))
-    out = K.fp_eval(nums, powvec, p)
-    assert out.shape == (4, 3, 3)
-    direct = [
-        sum(int(v) * pow(g, e, p) for e, v in enumerate(cell)) % p
-        for cell in nums.reshape(-1, cond.phi)
-    ]
-    assert list(out.reshape(-1)) == direct
+    for arr in (nums, nums.astype(object) * 2 ** 70 + 1):
+        out = K.fp_eval(arr, powvec, p)
+        assert out.shape == (4, 3, 3)
+        assert out.dtype == np.int64
+        direct = [
+            sum(int(v) * pow(g, e, p) for e, v in enumerate(cell)) % p
+            for cell in arr.reshape(-1, cond.phi)
+        ]
+        assert list(out.reshape(-1)) == direct
 
 
 # ---------------------------------------------------------------------------

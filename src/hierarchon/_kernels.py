@@ -5,8 +5,10 @@ Python-object tensors alike; fingerprints evaluate coefficient tensors of
 either dtype mod p; the two-qutrit survey walks the conjugate-pair list as
 a sparse (CSR) join, bins the matches into a histogram and reads the
 Lagrangian-semibasis table, built from its closed form.
-``isotropic_plane_witness`` finds an explicit plane for one matrix and is
-the oracle the table is tested against.
+``isotropic_plane_witness`` reads the 40 Lagrangian planes that
+``phasespace.enumerate_semibases`` lists and returns the first one a matrix
+annihilates; taken straight from the definition, it is the oracle the
+table is tested against.
 """
 
 from functools import lru_cache
@@ -107,142 +109,36 @@ def fp_eval(nums, powvec, p):
 
 # ---------------------------------------------------------------------------
 # two-qutrit survey: decide whether the kernel of a 3x4 matrix over Z_3
-# contains a Lagrangian semibasis (two independent vectors with vanishing
+# contains a Lagrangian plane (two independent vectors with vanishing
 # symplectic product) for one matrix; semibasis_lut below tabulates the
 # answer for all 3^12 matrices and is tested against this witness.
 
-def _kernel_basis_z3(mat):
-    """Kernel basis of a 3x4 matrix over Z_3, rows of the returned array."""
-    m = [list(row) for row in mat]
-    ncols = 4
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        sel = -1
-        for r in range(prow, 3):
-            if m[r][col] % 3:
-                sel = r
-                break
-        if sel < 0:
-            continue
-        m[prow], m[sel] = m[sel], m[prow]
-        inv = 1 if m[prow][col] % 3 == 1 else 2
-        m[prow] = [(x * inv) % 3 for x in m[prow]]
-        for r in range(3):
-            if r != prow and m[r][col] % 3:
-                f = m[r][col] % 3
-                m[r] = [(a - f * b) % 3 for a, b in zip(m[r], m[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == 3:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-m[i][fc]) % 3
-        basis.append(v)
-    return basis
+@lru_cache(maxsize=None)
+def _lagrangian_planes():
+    """(80, 4) array: the 40 two-qutrit Lagrangian planes, two rows each.
 
+    Rows are (p1, q1, p2, q2), in the order of
+    phasespace.enumerate_semibases(3, 2), each plane's Z-first pair reversed
+    so the all-Z plane reads Z1, Z2.
+    """
+    from .phasespace import enumerate_semibases  # phasespace imports this module
 
-def _symp4(u, v):
-    return (u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]) % 3
+    planes = [
+        [(p[0], q[0], p[1], q[1]) for p, q in basis[::-1]]
+        for basis in enumerate_semibases(3, 2)
+    ]
+    return np.array(planes, dtype=np.int64).reshape(-1, 4)
 
 
 def isotropic_plane_witness(mat):
-    """Two independent kernel vectors with zero symplectic product, or None."""
-    basis = _kernel_basis_z3(mat)
-    r = len(basis)
-    if r < 2:
+    """The first Lagrangian plane mat annihilates mod 3, as two vectors, or None."""
+    planes = _lagrangian_planes()
+    killed = ~((np.asarray(mat, dtype=np.int64) @ planes.T) % 3).any(axis=0)
+    hit = np.flatnonzero(killed.reshape(-1, 2).all(axis=1))
+    if not hit.size:
         return None
-    # Gram matrix of the symplectic form restricted to the kernel.
-    gram = [[_symp4(u, v) for v in basis] for u in basis]
-    rad = _radical(gram)
-    if len(rad) >= 1:
-        v0 = _comb(rad[0], basis)
-        # any kernel vector independent of v0 pairs to zero with a radical vector
-        for cand in basis:
-            if not _dependent_z3(v0, cand):
-                return (tuple(v0), tuple(cand))
-        return None
-    # nondegenerate restricted form: isotropic plane exists iff rank >= 4
-    if r < 4:
-        return None
-    # split two hyperbolic planes: e1, and a vector orthogonal to span(e1, f1)
-    e1 = basis[0]
-    f1 = None
-    for cand in basis[1:]:
-        if _symp4(e1, cand) % 3:
-            f1 = cand
-            break
-    a = _symp4(e1, f1)
-    ainv = 1 if a % 3 == 1 else 2
-    for cand in basis:
-        s = _symp4(e1, cand)
-        t = _symp4(f1, cand)
-        # project cand off the hyperbolic plane (e1, f1)
-        w = [(cand[i] - s * ainv * f1[i] + t * ainv * e1[i]) % 3 for i in range(4)]
-        if any(w) and not _dependent_z3(e1, w):
-            return (tuple(e1), tuple(w))
-    return None
-
-
-def _radical(gram):
-    r = len(gram)
-    padded = [list(row) + [0] * (4 - r) for row in gram]
-    while len(padded) < 3:
-        padded.append([0, 0, 0, 0])
-    if r <= 3:
-        basis = _kernel_basis_z3(padded[:3])
-        return [v[:r] for v in basis if not any(v[r:])]
-    # r == 4: eliminate with a 4-row pass
-    m = [list(row) for row in gram]
-    pivots = []
-    prow = 0
-    for col in range(4):
-        sel = -1
-        for rr in range(prow, 4):
-            if m[rr][col] % 3:
-                sel = rr
-                break
-        if sel < 0:
-            continue
-        m[prow], m[sel] = m[sel], m[prow]
-        inv = 1 if m[prow][col] % 3 == 1 else 2
-        m[prow] = [(x * inv) % 3 for x in m[prow]]
-        for rr in range(4):
-            if rr != prow and m[rr][col] % 3:
-                f = m[rr][col] % 3
-                m[rr] = [(a - f * b) % 3 for a, b in zip(m[rr], m[prow])]
-        pivots.append(col)
-        prow += 1
-    free = [c for c in range(4) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * 4
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-m[i][fc]) % 3
-        out.append(v)
-    return out
-
-
-def _comb(coeffs, basis):
-    n = len(basis[0])
-    out = [0] * n
-    for cf, vec in zip(coeffs, basis):
-        for i in range(n):
-            out[i] = (out[i] + cf * vec[i]) % 3
-    return out
-
-
-def _dependent_z3(u, v):
-    for lam in range(3):
-        if all((lam * a - b) % 3 == 0 for a, b in zip(u, v)):
-            return True
-    return False
+    u, v = planes[2 * hit[0]:2 * hit[0] + 2].tolist()
+    return tuple(u), tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +196,7 @@ def semibasis_lut():
 
     The kernel of M holds a Lagrangian plane exactly when the row space of M
     is isotropic, M J M^T = 0 mod 3, with J pairing columns (0, 1) and
-    (2, 3) as _symp4 does.  At rank 3 the kernel is a line and no 3-space is
+    (2, 3), the (p1, q1) and (p2, q2) of the witness's vectors.  At rank 3 the kernel is a line and no 3-space is
     isotropic; at rank 2 the symplectic complement of the kernel is J times
     the row space, so the kernel is Lagrangian exactly when the row space is
     isotropic; at rank <= 1 the kernel always holds a plane and the form

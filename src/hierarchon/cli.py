@@ -107,7 +107,10 @@ def cmd_enumerate(args):
 
 def _load_gate(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("gate file %s is nested too deeply" % path) from None
     su, n = from_interchange(doc)
     su.verify()
     return su, n

@@ -423,9 +423,6 @@ class ScaledUnitary:
     def pow_int(self, k):
         return ScaledUnitary(self.mat.pow_int(k), self.scale2 ** k)
 
-    def canonical_key(self):
-        return self.mat.canonical_rep().to_key()
-
     def __repr__(self):
         return "ScaledUnitary(%r, scale2=%s)" % (self.mat, self.scale2)
 

@@ -40,6 +40,7 @@ from .phasespace import (
     recognize_pauli,
     shift_columns,
     to_matrix,
+    wire_count,
 )
 from .svn import ConjugateTuple, _omega_commutes, reconstruct
 
@@ -511,7 +512,10 @@ def _load_cache(d, n, k, cache_dir, fp):
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("cache file %s is nested too deeply" % path) from None
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("gates"), list)
@@ -624,13 +628,7 @@ def membership(G, k, catalogs=None):
     if k < 1:
         raise ValueError("levels start at 1")
     d = G.d
-    dim = G.dim
-    n, dimk = 0, 1
-    while dimk < dim:
-        dimk *= d
-        n += 1
-    if dimk != dim or n == 0:
-        raise ValueError("gate dimension is not a power of d")
+    n = wire_count(d, G.dim)
     if catalogs and k in catalogs:
         return catalogs[k].contains(G.mat)
     if k == 1:

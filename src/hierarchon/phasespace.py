@@ -50,14 +50,8 @@ class PauliElement:
         return PauliElement(d, -self.c - cross, [-a for a in self.p],
                             [-a for a in self.q])
 
-    def scale_omega(self, e):
-        return PauliElement(self.d, self.c + e, self.p, self.q)
-
     def phase_point(self):
         return (self.p, self.q)
-
-    def is_identity_point(self):
-        return not any(self.p) and not any(self.q)
 
     def __eq__(self, other):
         return (
@@ -195,6 +189,17 @@ def times_pauli(M, P):
     return ExactMatrix(M.d, M.m, shift_columns(M, src[pi], exps[pi] + P.c), M.den)
 
 
+def wire_count(d, dim):
+    """n with dim = d**n and n >= 1; ValueError when there is none."""
+    n, power = 0, 1
+    while power < dim:
+        power *= d
+        n += 1
+    if power != dim or n == 0:
+        raise ValueError("gate dimension is not a power of d")
+    return n
+
+
 def _index(z, d):
     idx = 0
     for digit in z:
@@ -213,8 +218,11 @@ def recognize_pauli(M, up_to_phase=False):
     if up_to_phase:
         M = M.canonical_rep()
     d, dim = M.d, M.dim
-    n = len(np.base_repr(dim, d)) - 1
-    if M.den != 1 or n == 0 or dim != d ** n:
+    try:
+        n = wire_count(d, dim)
+    except ValueError:
+        return None
+    if M.den != 1:
         return None
     support = np.any(M.nums != 0, axis=-1)
     if np.any(support.sum(axis=0) != 1):
@@ -225,14 +233,18 @@ def recognize_pauli(M, up_to_phase=False):
     hits = np.all(M.nums[rows, np.arange(dim), None] == omegas, axis=-1)
     if not np.all(hits.any(axis=1)):
         return None
+    # row p + q of the table sends column 0 to row index(q), so only the
+    # d**n rows with q read off M's first column can match
+    cand = rows[0] + dim * np.arange(dim)
     src, exps = _right_paulis(d, n)
+    src, exps = src[cand], exps[cand]
     c = (hits.argmax(axis=1) - exps) % d
     match = np.flatnonzero(np.all(src == rows, axis=1) & np.all(c == c[:, :1], axis=1))
     if not match.size:
         return None
-    pi = int(match[0])
-    pq = np.unravel_index(pi, (d,) * (2 * n))
-    return PauliElement(d, c[pi, 0], pq[:n], pq[n:])
+    hit = int(match[0])
+    pq = np.unravel_index(int(cand[hit]), (d,) * (2 * n))
+    return PauliElement(d, c[hit, 0], pq[:n], pq[n:])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .phasespace import (
     recognize_pauli,
     synthesize_clifford,
     times_pauli,
+    wire_count,
 )
 
 
@@ -41,24 +42,13 @@ def sp_order(d):
     return d * (d * d - 1)
 
 
-def _wires(G):
-    d = G.d
-    n, dimk = 0, 1
-    while dimk < G.dim:
-        dimk *= d
-        n += 1
-    if dimk != G.dim or n == 0:
-        raise ValueError("gate dimension is not a power of d")
-    return n
-
-
 def find_witness(G):
     """First semibasis whose monomials are all Pauli, or None.
 
     Semibases arrive Z-first from enumerate_semibases, so diagonal gates
     always witness at the plain Z semibasis.
     """
-    n = _wires(G)
+    n = wire_count(G.d, G.dim)
     Gd = G.mat.dagger()
     inv_scale = 1 / G.scale2
     for basis in enumerate_semibases(G.d, n):
@@ -104,7 +94,7 @@ def gate_hash(G):
 
 def gate_report(G, witness):
     """G's witness, as find_witness returned it, and its decomposition as a JSON-able dict."""
-    n = _wires(G)
+    n = wire_count(G.d, G.dim)
     report = {"gate_hash": gate_hash(G), "semi_clifford": witness is not None}
     if witness is None:
         report.update({"witness": None, "C1": None, "C2": None, "D": None})

@@ -2,79 +2,68 @@
 
 Measurement is exhaustive branch projection: the post-measurement state is
 computed for every outcome J, so one run covers all d branches and nothing is
-sampled.  States stay unnormalised; two branches agree when they differ by a
-nonzero scalar, tested through vanishing 2x2 minors.
+sampled.  States are exact columns, kept unnormalised; two branches agree
+when they differ by a nonzero scalar, tested by exactmat.equal_up_to_phase.
 """
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .cyclo import CycloScalar, conductor
-from .exactmat import ExactMatrix, ScaledUnitary, frozen
+from .exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, frozen, matmul_many
 from .hierarchy import enumerate_level
 from .phasespace import pauli_x, to_matrix
 from .semiclifford import diagonalize, find_witness
 
 
 class StateVec:
-    """Unnormalised state over one or two wires: a tuple of exact amplitudes."""
+    """Unnormalised state over one or two wires: one nonzero exact column.
+
+    amplitudes is either that (dim, 1) ExactMatrix or a sequence of scalars.
+    """
 
     def __init__(self, d, amplitudes):
-        amps = tuple(amplitudes)
-        if not amps:
-            raise ValueError("empty state")
-        if all(a.is_zero() for a in amps):
+        if isinstance(amplitudes, ExactMatrix):
+            col = amplitudes
+        else:
+            amps = list(amplitudes)
+            if not amps:
+                raise ValueError("empty state")
+            col = ExactMatrix.from_scalars(d, [[a] for a in amps])
+        if col.is_zero():
             raise ValueError("state is identically zero")
         self.d = d
-        self.amplitudes = amps
+        self.col = col
+
+    @property
+    def amplitudes(self):
+        return tuple(self.col.entry(i, 0) for i in range(len(self)))
 
     def __len__(self):
-        return len(self.amplitudes)
+        return self.col.shape[0]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, StateVec)
-            and self.d == other.d
-            and self.amplitudes == other.amplitudes
-        )
+        return isinstance(other, StateVec) and self.d == other.d and self.col == other.col
 
     @classmethod
     def basis(cls, d, z, wires=1):
-        dim = d ** wires
-        amps = [_zero(d)] * dim
-        amps[z] = CycloScalar.from_rational(d, Fraction(1))
-        return cls(d, amps)
+        return cls(d, _column(ExactMatrix.identity(d, d ** wires), z))
 
 
-def _zero(d):
-    return CycloScalar.from_rational(d, Fraction(0))
-
-
-def _apply(M, amps, d):
-    # one exact product of M against the amplitudes as a column
-    out = M @ ExactMatrix.from_scalars(d, [[a] for a in amps])
-    return [out.entry(i, 0) for i in range(len(amps))]
+def _column(M, j):
+    return ExactMatrix(M.d, M.m, M.nums[:, j:j + 1], M.den)
 
 
 def apply(M, psi):
     """M applied to psi with exact scalars; scale factors are kept as-is."""
-    return StateVec(psi.d, _apply(M, psi.amplitudes, psi.d))
+    return StateVec(psi.d, M @ psi.col)
 
 
 def proportional(u, v):
-    """Whether two states differ by a nonzero scalar: all 2x2 minors vanish."""
-    a, b = u.amplitudes, v.amplitudes
-    if len(a) != len(b):
-        return False
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if not a[i] * b[j] == a[j] * b[i]:
-                return False
-    # states are never all-zero, so rank one really means a nonzero ratio
-    return True
+    """Whether two states differ by a nonzero scalar."""
+    return equal_up_to_phase(u.col, v.col)
 
 
 @lru_cache(maxsize=None)
@@ -88,12 +77,6 @@ def hadamard(d):
     return frozen(ExactMatrix.from_scalars(d, grid))
 
 
-def _plus(d):
-    # H|0> is the first column of H
-    H = hadamard(d)
-    return [H.entry(z, 0) for z in range(d)]
-
-
 def controlled_x(d):
     """|z1, z2> -> |z1, z1 + z2> with wire 1 the control and most significant."""
     phi = conductor(d, 1).phi
@@ -104,45 +87,17 @@ def controlled_x(d):
     return ExactMatrix(d, 1, nums)
 
 
-def _pair_state(w1, w2, d):
-    return [w1[z1] * w2[z2] for z1 in range(d) for z2 in range(d)]
-
-
-def _cx_permute(amps, d):
-    out = [None] * (d * d)
-    for z1 in range(d):
-        for z2 in range(d):
-            out[z1 * d + (z1 + z2) % d] = amps[z1 * d + z2]
-    return out
-
-
-def _project_second(amps, d, J):
-    return [amps[z1 * d + J] for z1 in range(d)]
-
-
 def x_teleport(psi):
     """Teleport one qudit through a fresh ancilla, one output per outcome.
 
-    The ancilla on wire 1 becomes the output; the input wire is measured.
-    Outcome J calls for the correction X**-J, folded in here, so every
-    returned branch is proportional to the input.  A branch with no
-    amplitude comes back as None.
+    This is the magic-state gadget with identity factors: the ancilla on
+    wire 1 becomes the output, the input wire is measured, and outcome J's
+    correction X**-J is folded in, so every returned branch is proportional
+    to the input.  A branch with no amplitude comes back as None.
     """
-    d = psi.d
-    if len(psi) != d:
+    if len(psi) != psi.d:
         raise ValueError("x_teleport takes a single-wire state")
-    H = hadamard(d)
-    data = _apply(H, _apply(H, psi.amplitudes, d), d)
-    pair = _cx_permute(_pair_state(_plus(d), data, d), d)
-    branches = []
-    for J in range(d):
-        raw = _project_second(pair, d, J)
-        if all(a.is_zero() for a in raw):
-            branches.append(None)
-            continue
-        # X**-J sends |z+J| amplitudes down to |z|
-        branches.append(StateVec(d, [raw[(z + J) % d] for z in range(d)]))
-    return branches
+    return gadget_run(GadgetSpec.identity(psi.d), psi)
 
 
 class GadgetSpec:
@@ -169,7 +124,8 @@ class GadgetSpec:
         return cls(split.c1, split.diag, split.c2)
 
     def magic_state(self):
-        return StateVec(self.d, _apply(self.core, _plus(self.d), self.d))
+        # the core on |+>, the first column of the Fourier matrix
+        return StateVec(self.d, self.core @ _column(hadamard(self.d), 0))
 
     def correction(self):
         """The outcome-1 correction; outcome J takes its J-th power."""
@@ -186,9 +142,13 @@ class GadgetSpec:
 def gadget_run(spec, psi):
     """Run the magic-state circuit for every outcome J.
 
-    Wire 1 carries the magic state; the input enters on wire 2 through C2
-    and two Fourier layers.  Outcome J is followed by C1 and the J-th power
-    of the correction, landing every branch on the implemented gate's output.
+    Wire 1 carries the magic state w1; the input enters on wire 2 as w2,
+    through C2 and two Fourier layers.  After the controlled X, outcome J
+    leaves wire 1 in w1[z] w2[J - z]: column J of diag(w1) times the
+    circulant of w2.  As w1 is the diagonal core on the all-ones |+>,
+    diag(w1) is the core itself.  Every branch is then
+    followed by C1 and the J-th power of the correction, landing it on the
+    implemented gate's output.
     """
     d = spec.d
     if len(psi) != d:
@@ -196,28 +156,22 @@ def gadget_run(spec, psi):
     if not spec.core.is_diagonal():
         raise ValueError("gadget requires diagonal core")
     H = hadamard(d)
-    w1 = spec.magic_state().amplitudes
-    w2 = _apply(H, _apply(H, _apply(spec.c2.mat, psi.amplitudes, d), d), d)
-    pair = _cx_permute(_pair_state(w1, w2, d), d)
+    w2 = H @ (H @ (spec.c2.mat @ psi.col))
+    shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
+    circulant = ExactMatrix(d, w2.m, w2.nums[shift, 0], w2.den)
+    out = spec.c1.mat @ (spec.core @ circulant)
     fix = spec.correction().mat
-    branches = []
-    for J in range(d):
-        raw = _project_second(pair, d, J)
-        if all(a.is_zero() for a in raw):
-            branches.append(None)
-            continue
-        out = _apply(spec.c1.mat, raw, d)
-        for _ in range(J):
-            out = _apply(fix, out, d)
-        branches.append(StateVec(d, out))
-    return branches
+    powers = [ExactMatrix.identity(d, d, fix.m)]
+    for _ in range(1, d):
+        powers.append(powers[-1] @ fix)
+    branches = matmul_many(powers, [_column(out, J) for J in range(d)])
+    return [None if b.is_zero() else StateVec(d, b) for b in branches]
 
 
 def _random_state(d, m, rng):
-    dim = d
     while True:
         amps = []
-        for _ in range(dim):
+        for _ in range(d):
             c = rng.randrange(-2, 3)
             e = rng.randrange(d ** m)
             amps.append(CycloScalar.zeta(d, m, e) * c)

@@ -11,6 +11,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -445,6 +447,43 @@ def test_os_errors_exit_two_with_one_line(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _deep_json(path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("[" * 100000 + "]" * 100000)
+
+
+def test_deep_gate_file_exits_two_with_one_line(capsys, tmp_path):
+    gate = tmp_path / "deep.json"
+    _deep_json(gate)
+    code, out, err = run(capsys, ["membership", str(gate), "--max-level", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_store_level_file_exits_two_with_one_line(capsys, tmp_path):
+    store = tmp_path / "store"
+    _deep_json(store / "d3_n1" / "level_1.json")
+    code, out, err = run(
+        capsys, ["enumerate", "--d", "3", "--max-level", "1", "--cache-dir", str(store)]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_benchmark_tracer_wraps_every_boundary(tmp_path):
+    """The traced benchmark's install() finds every name it wraps, and the CLI runs."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "clibench", "tracer.py"), str(trace),
+         "enumerate", "--d", "3", "--max-level", "1", "--cache-dir", str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(trace.read_text())
 
 
 def test_table_mode_without_out_builds_no_document(capsys, monkeypatch):

@@ -169,22 +169,27 @@ def test_fp_eval_matches_direct_sum():
 # ---------------------------------------------------------------------------
 # two-qutrit semibasis table
 
+def symp(u, v):
+    """Symplectic product of (p1, q1, p2, q2) vectors mod 3."""
+    return (u[0] * v[1] - u[1] * v[0] + u[2] * v[3] - u[3] * v[2]) % 3
+
+
+def dependent(u, v):
+    """Whether u and v span at most a line over Z_3."""
+    return not any(u) or any(
+        all((lam * a - b) % 3 == 0 for a, b in zip(u, v)) for lam in range(3)
+    )
+
+
 def brute_force_plane(mat):
-    basis = K._kernel_basis_z3(mat)
-    vecs = set()
-    for coeffs in itertools.product(range(3), repeat=len(basis)):
-        v = [0, 0, 0, 0]
-        for cf, b in zip(coeffs, basis):
-            for i in range(4):
-                v[i] = (v[i] + cf * b[i]) % 3
-        if any(v):
-            vecs.add(tuple(v))
-    for u, v in itertools.combinations(vecs, 2):
-        if K._dependent_z3(u, v):
-            continue
-        if K._symp4(u, v) == 0:
-            return True
-    return False
+    """Whether two independent kernel vectors pair to zero, over all 81 vectors."""
+    kernel = [
+        v for v in itertools.product(range(3), repeat=4)
+        if any(v) and all(sum(a * b for a, b in zip(row, v)) % 3 == 0 for row in mat)
+    ]
+    return any(
+        not dependent(u, v) and symp(u, v) == 0 for u, v in itertools.combinations(kernel, 2)
+    )
 
 
 def unpack(code):
@@ -207,8 +212,8 @@ def test_witness_agrees_with_brute_force():
         assert (wit is not None) == brute_force_plane(mat)
         if wit is not None:
             u, v = wit
-            assert not K._dependent_z3(u, v)
-            assert K._symp4(u, v) == 0
+            assert not dependent(u, v)
+            assert symp(u, v) == 0
             for row in mat:
                 assert sum(a * b for a, b in zip(row, u)) % 3 == 0
                 assert sum(a * b for a, b in zip(row, v)) % 3 == 0

@@ -135,6 +135,21 @@ def test_pauli_roundtrip_two_wires():
     assert recognize_pauli(to_matrix(Q)) == Q
 
 
+@pytest.mark.parametrize("d", [5, 7])
+def test_pauli_roundtrip_two_wires_larger_d(d):
+    gen = random.Random(d)
+    for _ in range(20):
+        P = PauliElement(d, gen.randrange(d), [gen.randrange(d) for _ in range(2)],
+                         [gen.randrange(d) for _ in range(2)])
+        M = to_matrix(P)
+        assert recognize_pauli(M) == P
+        assert recognize_pauli(M.scale_zeta(3), up_to_phase=True) == PauliElement(d, 0, P.p, P.q)
+        # swapping two columns leaves a monomial matrix that no column map gives
+        swapped = ExactMatrix(d, M.m, M.nums[:, [1, 0] + list(range(2, d * d))], M.den)
+        assert recognize_pauli(swapped) is None
+        assert recognize_pauli(swapped, up_to_phase=True) is None
+
+
 def test_recognize_rejects_dft():
     assert recognize_pauli(dft(3).mat) is None
     assert recognize_pauli(dft(3).mat, up_to_phase=True) is None

@@ -55,12 +55,58 @@ def _verdict(count, reference):
     return "MATCH" if count == reference else "MISMATCH"
 
 
+_INDENT = "  "
+
+
+def _dumps(value):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    The walk goes through dicts with str keys and through arrays (lists and
+    tuples) that hold a dict.  Any other array or dict is encoded once per
+    distinct compact form and depth: json.dumps encodes it standalone, and
+    its line breaks are shifted by the depth's indent.  A report that
+    repeats a subtree, as the certificates of a catalog repeat their
+    factors, holds each encoding once rather than as thousands of fresh
+    string chunks.
+    """
+    parts = []
+    leaves = {}
+
+    def walk(v, depth):
+        if isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v):
+            brackets, items = "[]", [("", x) for x in v]
+        elif isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
+            brackets, items = "{}", [(json.dumps(k) + ": ", v[k]) for k in sorted(v)]
+        elif isinstance(v, (list, tuple, dict)):
+            # sorted like the indented form, so the compact form fixes it:
+            # {10: 0, 2: 1} and {"10": 0, "2": 1} sort their keys differently
+            key = (json.dumps(v, sort_keys=True), depth)
+            if key not in leaves:
+                indented = json.dumps(v, indent=2, sort_keys=True)
+                leaves[key] = indented.replace("\n", "\n" + _INDENT * depth)
+            parts.append(leaves[key])
+            return
+        else:
+            # a scalar's encoding has no line break to shift
+            parts.append(json.dumps(v))
+            return
+        inner = "\n" + _INDENT * (depth + 1)
+        parts.append(brackets[0])
+        for i, (head, x) in enumerate(items):
+            parts.append(("" if i == 0 else ",") + inner + head)
+            walk(x, depth + 1)
+        parts.append("\n" + _INDENT * depth + brackets[1])
+
+    walk(value, 0)
+    return "".join(parts)
+
+
 def _emit(args, report, table_lines):
     as_json = getattr(args, "format", "table") == "json"
     # the indented document of a large catalog takes a second to build, so
     # a table run without --out does not build it
     if as_json or args.out:
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = _dumps(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -191,6 +237,8 @@ def cmd_semiclifford(args):
     found = 0
     counterexamples = []
     certificates = []
+    # one interchange document per distinct factor, for this report only
+    documents = {}
     for su in catalog.representatives():
         witness = find_witness(su)
         if witness is None:
@@ -198,7 +246,7 @@ def cmd_semiclifford(args):
             continue
         found += 1
         if args.certificates:
-            certificates.append(gate_report(su, witness))
+            certificates.append(gate_report(su, witness, documents))
     report = {
         "schema": "hierarchon.semiclifford/1",
         "library": __version__,

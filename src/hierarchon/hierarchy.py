@@ -526,6 +526,11 @@ def _load_cache(d, n, k, cache_dir, fp):
     for field, want in (("version", 1), ("d", d), ("n", n), ("k", k)):
         if doc.get(field) != want:
             raise ValueError("cache file %s does not describe level (%d,%d,%d)" % (path, d, n, k))
+    # the header's meta is outside the content hash, so its shape is checked here
+    meta = doc.get("meta", {})
+    failures = meta.get("closure_failure_count", 0) if isinstance(meta, dict) else None
+    if not (type(failures) is int and failures >= 0):
+        raise ValueError("cache file %s is malformed" % path)
     gates = doc["gates"]
     if len(gates) != doc["count"]:
         raise ValueError("cache file %s is truncated" % path)
@@ -541,7 +546,7 @@ def _load_cache(d, n, k, cache_dir, fp):
             raise ValueError("cache file %s mixes wire counts" % path)
         cat.add(su)
     cat.sort()
-    cat.meta = dict(doc.get("meta") or {})
+    cat.meta = dict(meta)
     cat.meta["from_cache"] = path
     return cat
 

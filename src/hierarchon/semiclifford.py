@@ -92,8 +92,32 @@ def gate_hash(G):
     return hashlib.sha256(G.mat.canonical_rep().to_key()).hexdigest()
 
 
-def gate_report(G, witness):
-    """G's witness, as find_witness returned it, and its decomposition as a JSON-able dict."""
+def shared_interchange(su, n, documents):
+    """to_interchange(su, n), built once per distinct key in the documents dict.
+
+    The key is everything to_interchange reads: the conductor, the
+    denominator, the coefficients as bytes with their shape and dtype,
+    scale2 and n.  The conductor is the matrix's own, not the minimal one
+    to_key demotes to, so two matrices equal in value but written at
+    different conductors keep their different documents.  A report that
+    repeats a factor holds one document object for it.
+    """
+    mat = su.mat
+    nums = mat.nums
+    body = repr(nums.tolist()).encode() if nums.dtype == object else nums.tobytes()
+    key = (mat.cond.c, mat.den, nums.shape, nums.dtype.str, body, su.scale2, n)
+    doc = documents.get(key)
+    if doc is None:
+        doc = documents[key] = to_interchange(su, n)
+    return doc
+
+
+def gate_report(G, witness, documents=None):
+    """G's witness, as find_witness returned it, and its decomposition as a JSON-able dict.
+
+    With a documents dict, equal C1, C2 and D factors across the reports
+    built with it share one interchange document (see shared_interchange).
+    """
     n = wire_count(G.d, G.dim)
     report = {"gate_hash": gate_hash(G), "semi_clifford": witness is not None}
     if witness is None:
@@ -106,7 +130,8 @@ def gate_report(G, witness):
             {"c": P.c, "p": list(P.p), "q": list(P.q)} for P in witness.pauli_images
         ],
     }
-    report["C1"] = to_interchange(split.c1, n)
-    report["C2"] = to_interchange(split.c2, n)
-    report["D"] = to_interchange(ScaledUnitary.exact(split.diag), n)
+    documents = {} if documents is None else documents
+    report["C1"] = shared_interchange(split.c1, n, documents)
+    report["C2"] = shared_interchange(split.c2, n, documents)
+    report["D"] = shared_interchange(ScaledUnitary.exact(split.diag), n, documents)
     return report

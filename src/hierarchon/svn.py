@@ -98,10 +98,13 @@ def _rational_fixed_vector(T):
     d = T.d
     U = T.pairs[0][0]
     su = ScaledUnitary.exact(U)
-    basics = (to_matrix(pauli_z(d, 1, 1)), to_matrix(pauli_x(d, 1, 1)))
-    imgs = [recognize_pauli(conjugate_action(su, W), up_to_phase=True) for W in basics]
-    if None in imgs:
-        raise fail
+    imgs = []
+    # the Z image alone decides most failures, so X is conjugated only after it
+    for W in (pauli_z(d, 1, 1), pauli_x(d, 1, 1)):
+        img = recognize_pauli(conjugate_action(su, to_matrix(W)), up_to_phase=True)
+        if img is None:
+            raise fail
+        imgs.append(img)
     # columns of the induced map on phase points, minus the identity
     A = np.array(
         [

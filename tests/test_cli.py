@@ -17,7 +17,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hierarchon.cli
 import hierarchon.semiclifford
@@ -364,10 +364,17 @@ PINNED_REPORTS = [
         ["teleport", "verify", "--samples", "20", "--seed", "3", "--format", "json"],
         "713a00cddac6aab99c045cf726b4931b9df330ef79d27df87a15ba2ad80c0944",
     ),
+    # the 1,944 level-3 certificates, where the most factor documents are shared
+    (
+        ["semiclifford", "--catalog", "3", "--d", "3", "--certificates", "--format", "json"],
+        "e3beaa914ca0cff7264b6e9efa2f113d6061cc092a2aaf147f7f644848283c17",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_REPORTS, ids=["certificates", "gadget"])
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_REPORTS, ids=["certificates", "gadget", "level3-certificates"]
+)
 def test_certificate_and_gadget_reports_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
     assert code == 0
@@ -392,6 +399,75 @@ def test_catalog_certificates_search_each_gate_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["certificates"]) == 216
     assert len(calls) == 216
+
+
+def test_catalog_certificates_share_equal_factor_documents(capsys, monkeypatch):
+    emitted = []
+    monkeypatch.setattr(hierarchon.cli, "_emit", lambda args, report, lines: emitted.append(report))
+    code, _, _ = run(capsys, ["semiclifford", "--catalog", "2", "--d", "3", "--certificates"])
+    assert code == 0
+    (report,) = emitted
+    docs = [c[f] for c in report["certificates"] for f in ("C1", "C2", "D")]
+    assert len(docs) == 3 * 216
+    by_id = {id(doc): json.dumps(doc, sort_keys=True) for doc in docs}
+    # one object per distinct encoding, so equal documents are one object
+    assert len(by_id) == len(set(by_id.values()))
+    assert len(by_id) < len(docs)
+
+
+def test_out_file_holds_the_bytes_printed(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    argv = ["semiclifford", "--catalog", "2", "--d", "3", "--certificates", "--format", "json"]
+    code, out, _ = run(capsys, argv + ["--out", str(path)])
+    assert code == 0
+    assert path.read_bytes() == out.encode()
+
+
+_KEYS = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["", "a", "\u00e9", "\"", "\\", "\n", "\x00", "\u2028", "\U0001f600"]),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 63 - 2, max_value=2 ** 70),
+    st.integers(min_value=-(2 ** 70), max_value=-(2 ** 63) + 2),
+    st.floats(),
+    _KEYS,
+)
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=4),
+            st.lists(kids, max_size=4).map(tuple),
+            st.lists(st.dictionaries(_KEYS, kids, max_size=3), max_size=3),
+            st.dictionaries(_KEYS, kids, max_size=4),
+            st.dictionaries(st.integers(-3, 3), kids, max_size=3),
+        ),
+        max_leaves=12,
+    )
+
+
+def _repeated(tree):
+    # the same subtree object at several depths, inside objects and arrays
+    return st.tuples(tree, tree).map(
+        lambda ab: {"a": ab[0], "b": [ab[0], {"c": ab[0], "d": [[ab[0]], ab[1]]}], "e": ab[1]}
+    )
+
+
+_TREES = _trees(_SCALARS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(_TREES, _repeated(_TREES), st.sampled_from([{}, [], (), [{}], {"": []}])))
+# equal unsorted encodings at one depth, sorted differently: int keys by value
+@example(value={"a": [[{2: 0, 10: 1}]], "b": [[{"2": 0, "10": 1}]]})
+def test_dumps_matches_the_indented_json_encoding(value):
+    assert hierarchon.cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_qutrit3_survey_quick(capsys):
@@ -470,6 +546,23 @@ def test_deep_store_level_file_exits_two_with_one_line(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("meta", [5, {"closure_failure_count": "x"}], ids=["meta", "count"])
+def test_malformed_store_header_exits_two_with_one_line(capsys, tmp_path, meta):
+    store = str(tmp_path / "store")
+    assert run(capsys, ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", store])[0] == 0
+    path = os.path.join(store, "d3_n1", "level_2.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["meta"] = meta
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(
+        capsys, ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", store]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "malformed" in err and err.count("\n") == 1
 
 
 def test_benchmark_tracer_wraps_every_boundary(tmp_path):

@@ -343,6 +343,13 @@ def test_cache_detects_tampering(tmp_path):
         with pytest.raises(ValueError, match="malformed"):
             enumerate_level(3, 1, 2, cache_dir=cache)
 
+    # the header's meta: a JSON object, with a non-negative int failure count
+    for meta in (5, None, [], {"closure_failure_count": "x"},
+                 {"closure_failure_count": -1}, {"closure_failure_count": True}):
+        rewrite(dict(doc, meta=meta))
+        with pytest.raises(ValueError, match="malformed"):
+            enumerate_level(3, 1, 2, cache_dir=cache)
+
 
 def test_cache_resume_recomputes_only_the_top(tmp_path):
     import os

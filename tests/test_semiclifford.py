@@ -8,7 +8,7 @@ import pytest
 
 from hierarchon.cyclo import CycloScalar, conductor
 from hierarchon.diagonal import gen_delta_k
-from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase
+from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, to_interchange
 from hierarchon.hierarchy import enumerate_level, membership
 from hierarchon.phasespace import PauliElement, synthesize_clifford
 from hierarchon.semiclifford import (
@@ -17,6 +17,7 @@ from hierarchon.semiclifford import (
     find_witness,
     gate_hash,
     gate_report,
+    shared_interchange,
     sp_order,
 )
 from hierarchon.teleport import hadamard
@@ -190,3 +191,23 @@ def test_shared_matrices_refuse_in_place_writes():
     # the memo hands out the same untouched matrices to the next certificate
     assert synthesize_clifford(wit.pauli_images).mat is shared[0]
     assert gate_report(G, wit) == before
+
+
+def test_factor_documents_are_shared_per_written_matrix():
+    F = dft(3)
+    assert F.mat.m == 1
+    docs = {}
+    first = shared_interchange(F, 1, docs)
+    assert first == to_interchange(F, 1)
+    copy = ScaledUnitary(ExactMatrix(3, 1, F.mat.nums.copy(), F.mat.den), F.scale2)
+    assert shared_interchange(copy, 1, docs) is first
+    # M and M.promote(2) are equal in value, but their documents differ
+    promoted = ScaledUnitary(F.mat.promote(2), F.scale2)
+    assert promoted.mat == F.mat and promoted.mat.to_key() == F.mat.to_key()
+    other = shared_interchange(promoted, 1, docs)
+    assert other is not first
+    assert other == to_interchange(promoted, 1) != first
+    # scale2 and n are part of the key too
+    assert shared_interchange(ScaledUnitary(F.mat, 9), 1, docs) is not first
+    assert shared_interchange(F, 2, docs) is not first
+    assert len(docs) == 4

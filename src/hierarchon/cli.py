@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from .diagonal import verify_cgk
 from .exactmat import from_interchange
-from .hierarchy import REFERENCE_COUNTS, enumerate_level, enumerate_levels, membership
+from .hierarchy import REFERENCE_COUNTS, enumerate_level, enumerate_levels
 from .qutrit3 import survey
 from .semiclifford import find_witness, gate_hash, gate_report
 from .teleport import verify_gadget
@@ -166,10 +166,9 @@ def cmd_membership(args):
     su, n = _load_gate(args.gate)
     _check_size(su.d, n, args.max_level)
     cache = _cache_dir(args)
-    catalogs = dict(enumerate(enumerate_levels(su.d, n, args.max_level, cache), 1))
     level = None
-    for k in range(1, args.max_level + 1):
-        if membership(su, k, catalogs=catalogs):
+    for k, cat in enumerate(enumerate_levels(su.d, n, args.max_level, cache), 1):
+        if cat.contains(su.mat):
             level = k
             break
     report = {

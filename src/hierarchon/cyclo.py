@@ -31,23 +31,24 @@ class Conductor:
         self.step = d ** (m - 1)
         self.phi = self.c - self.step
         # E[e] = coefficients of zeta**e on the power basis, for all e < c
-        E = np.zeros((self.c, self.phi), dtype=np.int64)
-        E[: self.phi] = np.eye(self.phi, dtype=np.int64)
-        for e in range(self.phi, self.c):
-            r = e - self.phi
-            for j in range(d - 1):
-                E[e, j * self.step + r] = -1
-        self._E = E
-        self._E_tail = np.ascontiguousarray(E[self.phi:])
-        self._conj = np.ascontiguousarray(E[(-np.arange(self.phi)) % self.c])
+        self._E = self.reduce(np.eye(self.c, dtype=np.int64))
+        self._conj = np.ascontiguousarray(self._E[(-np.arange(self.phi)) % self.c])
 
     def reduce(self, arr):
-        """(..., c) raw exponent tensor -> (..., phi) reduced tensor."""
-        head = arr[..., : self.phi]
-        tail = arr[..., self.phi:]
-        if tail.shape[-1] == 0:
-            return head.copy()
-        return head + tail @ self._E_tail
+        """(..., c) raw exponent tensor -> (..., phi) reduced tensor.
+
+        zeta**(phi + r) = -sum_{j < d-1} zeta**(j*step + r), so the tail of
+        step entries comes off each of the d-1 blocks of the head.
+        """
+        lead = arr.shape[:-1]
+        head = arr[..., : self.phi].reshape(lead + (self.d - 1, self.step))
+        return (head - arr[..., None, self.phi:]).reshape(lead + (self.phi,))
+
+    def mul(self, a, b):
+        """Product of two reduced coefficient vectors, on Python ints."""
+        raw = np.convolve(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+        raw[: raw.size - self.c] += raw[self.c:]  # zeta**c == 1; 2*phi - 1 >= c
+        return self.reduce(raw[: self.c])
 
     def zeta_vec(self, e, dtype=np.int64):
         return self._E[e % self.c].astype(dtype)
@@ -123,49 +124,35 @@ def normalize(nums, den):
     return arr, den
 
 
-def root_of_unity_log(nums, den, cond):
-    """If nums/den == zeta_c**t exactly, return t; otherwise None.
+def monomial_log(nums, cond):
+    """(t, v) with nums == v * zeta**t for an integer v != 0 and t < c, else None.
 
-    Reduced forms of roots of unity have exactly two shapes: a standard basis
-    vector (t < phi), or d-1 coefficients -1 on the coset r + step*Z
-    (t = phi + r).  Anything else, including unit-circle field elements that
-    are not roots of unity, maps to None.
+    A reduced monomial has one of two shapes: v on a single basis vector
+    (t < phi), or -v on each of the d-1 exponents of the coset r + step*Z
+    (t = phi + r).
     """
     nums = np.asarray(nums)
-    if den != 1:
-        return None
     support = np.flatnonzero(nums)
     if support.size == 1:
         t = int(support[0])
-        if nums[t] == 1:
-            return t
-        return None
+        return t, int(nums[t])
     if support.size == cond.d - 1:
-        r = int(support[0]) % cond.step
-        want = r + cond.step * np.arange(cond.d - 1)
-        if np.array_equal(support, want) and all(int(nums[e]) == -1 for e in want):
-            return cond.phi + r
+        r = int(support[0])
+        coset = r + cond.step * np.arange(cond.d - 1)
+        if np.array_equal(support, coset) and len(set(nums[coset].tolist())) == 1:
+            return cond.phi + r, -int(nums[r])
     return None
 
 
-def conv_reduce_int(a, b, cond):
-    """Exact product of two reduced coefficient vectors, via Python ints."""
-    c = cond.c
-    raw = [0] * c
-    for u, av in enumerate(a):
-        av = int(av)
-        if av:
-            for v, bv in enumerate(b):
-                if bv:
-                    raw[(u + v) % c] += av * int(bv)
-    out = list(raw[: cond.phi])
-    for e in range(cond.phi, c):
-        coeff = raw[e]
-        if coeff:
-            r = e - cond.phi
-            for j in range(cond.d - 1):
-                out[j * cond.step + r] -= coeff
-    return out
+def root_of_unity_log(nums, den, cond):
+    """If nums/den == zeta_c**t exactly, return t; otherwise None.
+
+    Unit-circle field elements that are not roots of unity map to None.
+    """
+    hit = monomial_log(nums, cond) if den == 1 else None
+    if hit is None or hit[1] != 1:
+        return None
+    return hit[0]
 
 
 def norm_inverse(nums, den, cond):
@@ -175,35 +162,17 @@ def norm_inverse(nums, den, cond):
     is a plain integer.  Runs on Python ints; the conjugate product can exceed
     int64 long before the inputs do.
     """
-    vec = [int(x) for x in np.asarray(nums)]
+    vec = np.asarray(nums).astype(object)
     if not any(vec):
         raise ZeroDivisionError("zero divisor")
-    prod = None
-    for u in cond.units():
-        if u == 1:
-            continue
-        gal = galois_int(vec, u, cond)
-        prod = gal if prod is None else conv_reduce_int(prod, gal, cond)
-    if prod is None:  # phi = 1 cannot happen for d >= 3, but keep it honest
-        prod = [1] + [0] * (cond.phi - 1)
-    full = conv_reduce_int(prod, vec, cond)
+    prod = cond.zeta_vec(0, dtype=object)
+    for u in cond.units()[1:]:
+        prod = cond.mul(prod, cond.galois(vec, u))
+    full = cond.mul(prod, vec)
     if any(full[1:]):
         raise ArithmeticError("field norm is not rational; reduction is broken")
-    N = full[0]
-    out = np.array([den * x for x in prod], dtype=object)
-    out, N = normalize(out, N)
-    small = as_int64_if_safe(out)
-    return small, N
-
-
-def galois_int(vec, u, cond):
-    out = [0] * cond.phi
-    for e, x in enumerate(vec):
-        if x:
-            row = cond._E[(u * e) % cond.c]
-            for i in np.flatnonzero(row):
-                out[int(i)] += int(x) * int(row[i])
-    return out
+    out, N = normalize(den * prod, full[0])
+    return as_int64_if_safe(out), N
 
 
 # an int64 intermediate whose bound stays below this cannot overflow
@@ -304,10 +273,7 @@ class CycloScalar:
         m_new = cond.min_level(arr)
         if m_new == self.m:
             return self
-        out = arr
-        for step_m in range(self.m - 1, m_new - 1, -1):
-            out = conductor(self.d, step_m + 1).demote_tensor(out, step_m)
-        return CycloScalar(self.d, m_new, out, self.den)
+        return CycloScalar(self.d, m_new, cond.demote_tensor(arr, m_new), self.den)
 
     def _pair(self, other):
         if isinstance(other, CycloScalar):
@@ -337,8 +303,7 @@ class CycloScalar:
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        nums = conv_reduce_int(a.nums, b.nums, a.cond)
-        return CycloScalar(a.d, a.m, nums, a.den * b.den)
+        return CycloScalar(a.d, a.m, a.cond.mul(a.nums, b.nums), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -372,7 +337,7 @@ class CycloScalar:
         return CycloScalar(self.d, self.m, vec, self.den)
 
     def galois(self, u):
-        vec = np.array(galois_int(list(self.nums), u, self.cond), dtype=object)
+        vec = self.cond.galois(np.array(self.nums, dtype=object), u)
         return CycloScalar(self.d, self.m, vec, self.den)
 
     def abs2(self):

@@ -19,6 +19,7 @@ from .cyclo import (
     as_int64_if_safe,
     conductor,
     max_abs,
+    monomial_log,
     norm_inverse,
     normalize,
     wide,
@@ -261,12 +262,6 @@ class ExactMatrix:
     def __hash__(self):
         return hash(self.to_key())
 
-    def to_complex(self):
-        c = self.cond.c
-        z = np.exp(2j * np.pi / c)
-        pows = z ** np.arange(self.cond.phi)
-        return (self.nums.astype(np.complex128) @ pows) / self.den
-
     def __repr__(self):
         r, s = self.shape
         return "ExactMatrix(%dx%d, conductor %d, den %d)" % (
@@ -367,21 +362,10 @@ def _gr_matmul_obj(A, B, cond):
 
 def _entry_inverse(vec, cond):
     """Inverse of a reduced integer coefficient vector, as (vec', den')."""
-    vec = np.asarray(vec)
-    sup = np.flatnonzero(vec)
-    if sup.size == 1:
-        # q * zeta**t
-        t = int(sup[0])
-        v = int(vec[t])
+    hit = monomial_log(vec, cond)
+    if hit is not None:
+        t, v = hit
         return cond.zeta_vec(-t), v
-    if sup.size == cond.d - 1:
-        r = int(sup[0]) % cond.step
-        want = r + cond.step * np.arange(cond.d - 1)
-        vals = set(int(vec[e]) for e in want) if np.array_equal(sup, want) else set()
-        if len(vals) == 1:
-            # vec = -v * zeta**(phi+r)
-            v = vals.pop()
-            return -cond.zeta_vec(-(cond.phi + r)), v
     return norm_inverse(vec, 1, cond)
 
 

@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import _kernels as K
-from .cyclo import CycloScalar, conductor, root_of_unity_log
+from .cyclo import CycloScalar, monomial_log
 from .exactmat import (
     ExactMatrix,
     FingerprintContext,
@@ -102,11 +102,7 @@ def _norm_witness(d, x):
     r = _iroot(x, 2)
     if r * r != x:
         return None
-    cond = conductor(d, 1)
-    raw = np.zeros(cond.c, dtype=object)
-    for t in range(d):
-        raw[(t * t) % d] += 1
-    g = CycloScalar(d, 1, cond.reduce(raw), 1)
+    g = sum(CycloScalar.omega(d, t * t) for t in range(d))
     return g ** a * CycloScalar.from_rational(d, r)
 
 
@@ -146,16 +142,12 @@ def _corrections_reason(M, power=None):
     # unit = lam / tau_s**d with tau_s * conj(tau_s) == s, so |unit| == 1
     unit = lam * taubar ** d * CycloScalar.from_rational(d, 1 / rho.as_fraction())
     unit = unit.demote_min()
-    t = root_of_unity_log(np.array(unit.nums, dtype=object), unit.den, unit.cond)
-    sign = 1
-    if t is None:
-        # the quadratic Gauss sum squares to -d when d = 3 mod 4, so the
-        # witness can be off by a sign; -unit being a root repairs it
-        unit = (-unit).demote_min()
-        t = root_of_unity_log(np.array(unit.nums, dtype=object), unit.den, unit.cond)
-        sign = -1
-        if t is None:
-            return None, "unit_not_root"
+    # the quadratic Gauss sum squares to -d when d = 3 mod 4, so the witness
+    # can be off by a sign: unit is then -zeta**t
+    hit = monomial_log(unit.nums, unit.cond) if unit.den == 1 else None
+    if hit is None or hit[1] not in (1, -1):
+        return None, "unit_not_root"
+    t, sign = hit
     c = unit.cond.c
     if t % d == 0:
         m_e = unit.m
@@ -544,6 +536,8 @@ def _load_cache(d, n, k, cache_dir, fp):
         su, gn = from_interchange(g)
         if gn != n:
             raise ValueError("cache file %s mixes wire counts" % path)
+        if su.d != d:
+            raise ValueError("cache file %s mixes base primes" % path)
         cat.add(su)
     cat.sort()
     cat.meta = dict(meta)

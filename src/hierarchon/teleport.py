@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import CycloScalar, conductor
+from .cyclo import CycloScalar
 from .exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, frozen, matmul_many
 from .hierarchy import enumerate_level
 from .phasespace import pauli_x, to_matrix
@@ -77,16 +77,6 @@ def hadamard(d):
     return frozen(ExactMatrix.from_scalars(d, grid))
 
 
-def controlled_x(d):
-    """|z1, z2> -> |z1, z1 + z2> with wire 1 the control and most significant."""
-    phi = conductor(d, 1).phi
-    nums = np.zeros((d * d, d * d, phi), dtype=object)
-    for z1 in range(d):
-        for z2 in range(d):
-            nums[z1 * d + (z1 + z2) % d, z1 * d + z2, 0] = 1
-    return ExactMatrix(d, 1, nums)
-
-
 def x_teleport(psi):
     """Teleport one qudit through a fresh ancilla, one output per outcome.
 
@@ -104,8 +94,8 @@ class GadgetSpec:
     """The three factors of a semi-Clifford gate plus derived gadget data.
 
     c1 and c2 are the Clifford sides (scaled unitaries), core the diagonal
-    middle factor.  The magic state and the measurement correction follow
-    from the factors, so they are computed rather than stored.
+    middle factor.  The measurement correction follows from the factors, so
+    it is computed rather than stored.
     """
 
     def __init__(self, c1, core, c2):
@@ -122,10 +112,6 @@ class GadgetSpec:
     @classmethod
     def from_diagonalisation(cls, split):
         return cls(split.c1, split.diag, split.c2)
-
-    def magic_state(self):
-        # the core on |+>, the first column of the Fourier matrix
-        return StateVec(self.d, self.core @ _column(hadamard(self.d), 0))
 
     def correction(self):
         """The outcome-1 correction; outcome J takes its J-th power."""

@@ -24,6 +24,7 @@ import hierarchon.semiclifford
 from hierarchon.cli import SIZE_CEILING, _estimate_members, _verdict, main
 from hierarchon.cyclo import CycloScalar
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, max_conductor, to_interchange
+from hierarchon.phasespace import pauli_x, to_matrix
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -275,6 +276,15 @@ def test_membership_takes_the_largest_supported_conductor(capsys, tmp_path, d):
     code, _, err = run(capsys, ["membership", str(path), "--max-level", "1"])
     assert code == 2
     assert err.startswith("error: conductor %d is past the supported %d" % (c * d, c))
+
+
+def test_membership_stops_at_the_first_level_that_holds_the_gate(capsys, tmp_path):
+    gate = tmp_path / "x3.json"
+    gate.write_text(json.dumps(to_interchange(ScaledUnitary.exact(to_matrix(pauli_x(3, 1, 1))), 1)))
+    store = tmp_path / "store"
+    code, out, _ = run(capsys, ["membership", str(gate), "--cache-dir", str(store)])
+    assert (code, out) == (0, "level: 1\n")
+    assert os.listdir(store / "d3_n1") == ["level_1.json"]
 
 
 def test_membership_rejects_a_missing_file(capsys):

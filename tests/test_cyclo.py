@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from hierarchon.cyclo import (
     CycloScalar,
     conductor,
-    conv_reduce_int,
+    monomial_log,
     norm_inverse,
     normalize,
     root_of_unity_log,
 )
+from hierarchon.exactmat import _entry_inverse
 
 
 def embed(s):
@@ -175,11 +176,8 @@ def test_promotion_preserves_arithmetic(a, m):
 
 @settings(max_examples=30)
 @given(scalars(7, 1), scalars(7, 1))
-def test_conv_reduce_matches_embedding(a, b):
-    cond = conductor(7, 1)
-    prod = conv_reduce_int(a.nums, b.nums, cond)
-    s = CycloScalar(7, 1, prod, a.den * b.den)
-    assert close(embed(s), embed(a) * embed(b))
+def test_scalar_product_matches_embedding(a, b):
+    assert close(embed(a * b), embed(a) * embed(b))
 
 
 @settings(max_examples=20)
@@ -190,3 +188,82 @@ def test_norm_inverse_arbitrary_elements(a):
     nums, den = norm_inverse(np.array(a.nums, dtype=object), a.den, conductor(5, 1))
     inv = CycloScalar(5, 1, np.asarray(nums, dtype=object), den)
     assert inv * a == 1
+
+
+@pytest.mark.parametrize("d,m", [(3, 2), (5, 2), (3, 3)], ids=["c9", "c25", "c27"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_product_and_inverse_at_prime_power_conductors(d, m, data):
+    a = data.draw(scalars(d, m))
+    b = data.draw(scalars(d, m))
+    assert close(embed(a * b), embed(a) * embed(b))
+    if a.is_zero():
+        return
+    nums, den = norm_inverse(np.array(a.nums, dtype=object), a.den, conductor(d, m))
+    inv = CycloScalar(d, m, np.asarray(nums, dtype=object), den)
+    assert inv * a == 1
+    assert close(embed(inv), 1 / embed(a))
+
+
+# ---------------------------------------------------------------------------
+# reduction and monomials
+
+
+def table_reduce(cond, arr):
+    """The reduction as a product with the tail rows of a table built per exponent."""
+    tail = np.zeros((cond.step, cond.phi), dtype=np.int64)
+    for e in range(cond.phi, cond.c):
+        for j in range(cond.d - 1):
+            tail[e - cond.phi, j * cond.step + e - cond.phi] = -1
+    return arr[..., : cond.phi] + arr[..., cond.phi:] @ tail
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+def test_reduce_matches_the_table_oracle(d, m, dtype, lead):
+    cond = conductor(d, m)
+    raw = np.random.default_rng(d * 100 + m).integers(-50, 50, size=lead + (cond.c,))
+    if dtype is object:
+        raw = raw.astype(object) * 2 ** 70
+    got = cond.reduce(raw.astype(dtype))
+    want = table_reduce(cond, raw.astype(dtype))
+    assert got.shape == lead + (cond.phi,)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,m", [(3, 2), (5, 2), (7, 2)], ids=["c9", "c25", "c49"])
+def test_monomial_log_finds_every_monomial(d, m):
+    cond = conductor(d, m)
+    for t in range(cond.c):
+        for v in (1, -1, 2, -2):
+            assert monomial_log(v * cond.zeta_vec(t), cond) == (t, v)
+            assert monomial_log(v * cond.zeta_vec(t, dtype=object), cond) == (t, v)
+
+
+@pytest.mark.parametrize("d,m", [(3, 2), (5, 2), (7, 2)], ids=["c9", "c25", "c49"])
+def test_monomial_log_rejects_non_monomials(d, m):
+    cond = conductor(d, m)
+    coset = cond.zeta_vec(cond.phi)
+    uneven = coset.copy()
+    uneven[0] = -2
+    spaced = np.zeros(cond.phi, dtype=np.int64)
+    spaced[: d - 1] = -1  # d-1 equal entries off the coset spacing
+    for vec in (0 * coset, cond.zeta_vec(0) + cond.zeta_vec(1), uneven, spaced,
+                coset + cond.zeta_vec(1), np.ones(cond.phi, dtype=np.int64)):
+        assert monomial_log(vec, cond) is None
+
+
+@pytest.mark.parametrize("d,m", [(3, 2), (5, 2)], ids=["c9", "c25"])
+def test_entry_inverse_of_a_monomial_is_the_norm_inverse(d, m):
+    cond = conductor(d, m)
+    for t in range(cond.c):
+        for v in (1, -1, 2, -3):
+            vec = v * cond.zeta_vec(t)
+            fast_nums, fast_den = _entry_inverse(vec, cond)
+            fast = CycloScalar(d, m, np.asarray(fast_nums, dtype=object), fast_den)
+            slow_nums, slow_den = norm_inverse(vec, 1, cond)
+            assert fast == CycloScalar(d, m, np.asarray(slow_nums, dtype=object), slow_den)
+            assert fast * CycloScalar(d, m, vec.astype(object)) == 1

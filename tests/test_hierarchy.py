@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierarchon.cyclo import CycloScalar, conductor
-from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase
+from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, to_interchange
 from hierarchon.hierarchy import (
     REFERENCE_COUNTS,
     _closure_gaps,
@@ -349,6 +349,23 @@ def test_cache_detects_tampering(tmp_path):
         rewrite(dict(doc, meta=meta))
         with pytest.raises(ValueError, match="malformed"):
             enumerate_level(3, 1, 2, cache_dir=cache)
+
+
+def test_cache_rejects_a_gate_of_another_base_prime(tmp_path):
+    cache = str(tmp_path)
+    path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
+    with open(path, "rb") as fh:
+        doc = json.load(fh)
+    x7 = ScaledUnitary.exact(to_matrix(pauli_x(7, 1, 1)))
+    doc["gates"][0] = to_interchange(x7, 1)
+    h = hashlib.sha256()
+    for g in doc["gates"]:
+        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
+    doc["content_hash"] = h.hexdigest()
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="mixes base primes"):
+        enumerate_level(3, 1, 1, cache_dir=cache)
 
 
 def test_cache_resume_recomputes_only_the_top(tmp_path):

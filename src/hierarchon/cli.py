@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from .diagonal import verify_cgk
 from .exactmat import from_interchange
-from .hierarchy import REFERENCE_COUNTS, enumerate_level, enumerate_levels
+from .hierarchy import REFERENCE_COUNTS, _check_request, enumerate_level, enumerate_levels
 from .qutrit3 import survey
 from .semiclifford import find_witness, gate_hash, gate_report
 from .teleport import verify_gadget
@@ -162,15 +162,31 @@ def _load_gate(path):
     return su, n
 
 
+def _check_walk(d, n, k):
+    """Refuse a walk to level k: past the size ceiling, or a request the lift refuses."""
+    _check_size(d, n, k)
+    _check_request(d, n, k)
+
+
 def cmd_membership(args):
     su, n = _load_gate(args.gate)
-    _check_size(su.d, n, args.max_level)
-    cache = _cache_dir(args)
-    level = None
-    for k, cat in enumerate(enumerate_levels(su.d, n, args.max_level, cache), 1):
-        if cat.contains(su.mat):
-            level = k
+    # the walk stops at the first level that holds the gate, so each limit
+    # is checked only when the walk would reach its level
+    reach = 0
+    while reach < args.max_level:
+        try:
+            _check_walk(su.d, n, reach + 1)
+        except ValueError:
             break
+        reach += 1
+    level = None
+    if reach:
+        for k, cat in enumerate(enumerate_levels(su.d, n, reach, _cache_dir(args)), 1):
+            if cat.contains(su.mat):
+                level = k
+                break
+    if level is None:
+        _check_walk(su.d, n, args.max_level)
     report = {
         "schema": "hierarchon.membership/1",
         "library": __version__,

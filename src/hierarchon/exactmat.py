@@ -343,6 +343,20 @@ def matmul_many(As, Bs):
     return out
 
 
+def powers(mats, k):
+    """[I, M, ..., M**(k-1)] for every M, one batched product per exponent; k >= 1."""
+    cols = [[ExactMatrix.identity(M.d, M.dim, M.m) for M in mats], list(mats)]
+    while len(cols) < k:
+        cols.append(matmul_many(cols[-1], mats))
+    return [list(p) for p in zip(*cols[:k])]
+
+
+def orbit_sum(M, k):
+    """I + M + ... + M**(k-1)."""
+    pows = powers([M], k)[0]
+    return sum(pows[1:], pows[0])
+
+
 def _product_bound(A, B, cond):
     """Bound on the sums a group-ring product of A and B forms."""
     return max_abs(A) * max_abs(B) * A.shape[-2] * cond.phi * cond.c

@@ -25,24 +25,22 @@ from .exactmat import (
     ExactMatrix,
     FingerprintContext,
     ScaledUnitary,
-    conjugate_action,
     equal_up_to_phase,
     fingerprint_headroom,
     from_interchange,
     matmul_many,
+    powers,
     to_interchange,
 )
 from .phasespace import (
     PauliElement,
     _right_paulis,
-    pauli_x,
-    pauli_z,
     recognize_pauli,
     shift_columns,
     to_matrix,
     wire_count,
 )
-from .svn import ConjugateTuple, _omega_commutes, reconstruct
+from .svn import ConjugateTuple, _omega_commutes, reconstruct, tuple_of
 
 CACHE_ENV = "HIERARCHON_CACHE"
 
@@ -302,14 +300,6 @@ def _omega_pairs(fp, mats, d):
     return out
 
 
-def _powers_many(mats, d):
-    """[I, M, ..., M**(d-1)] for every M, one batched product per exponent."""
-    cols = [[ExactMatrix.identity(M.d, M.dim, M.m) for M in mats], list(mats)]
-    while len(cols) < d:
-        cols.append(matmul_many(cols[-1], mats))
-    return [list(p) for p in zip(*cols)]
-
-
 def _monomials(pow_pairs, d):
     """Up[i] @ Vp[j] for every (Up, Vp) and (i, j), row-major, as one batch."""
     left = [Up[i] for Up, _ in pow_pairs for i in range(d) for _ in range(d)]
@@ -352,7 +342,7 @@ def _closure_failures(phased, pairs, prev):
     d = prev.d
     dd = d * d
     involved = sorted({x for pair in pairs for x in pair})
-    pows = dict(zip(involved, _powers_many([phased[x] for x in involved], d)))
+    pows = dict(zip(involved, powers([phased[x] for x in involved], d)))
     gaps = []
     for block in _blocks(pairs, dd):
         monos = _monomials([(pows[a], pows[b]) for a, b in block], d)
@@ -388,11 +378,8 @@ def _rephase_all(mats, d):
     """
     reps, phased, skipped = [], [], {}
     for block in _blocks(mats, d):
-        powers = block
-        for _ in range(d - 1):
-            powers = matmul_many(powers, block)
-        for M, Md in zip(block, powers):
-            corr, why = _corrections_reason(M, Md)
+        for M, pows in zip(block, powers(block, d + 1)):
+            corr, why = _corrections_reason(M, pows[d])
             if corr is None:
                 skipped[why] = skipped.get(why, 0) + 1
                 continue
@@ -632,9 +619,7 @@ def membership(G, k, catalogs=None):
         return catalogs[k].contains(G.mat)
     if k == 1:
         return recognize_pauli(G.mat, up_to_phase=True) is not None
-    for i in range(1, n + 1):
-        for P in (pauli_z(d, n, i), pauli_x(d, n, i)):
-            img = conjugate_action(G, to_matrix(P))
-            if not membership(ScaledUnitary.exact(img), k - 1, catalogs):
-                return False
-    return True
+    return all(
+        membership(ScaledUnitary.exact(img), k - 1, catalogs)
+        for img in tuple_of(G, n).members()
+    )

@@ -6,15 +6,22 @@ relations.  reconstruct() rebuilds that unitary, up to phase, as the matrix
 whose column z is V_1^z1 ... V_n^zn u0 with u0 spanning the joint fixed space
 of the U_i.  The result is kept unnormalised: scale2 = |u0|^2 stays rational
 while the true normaliser 1/sqrt(scale2) usually does not exist in the field.
+
+The columns of the product of the orbit sums I + U_i + ... + U_i^(d-1) all
+lie in that fixed space, and u0 is the first nonzero one of rational norm.
+On one wire the search goes on through the columns of the orbit sum times a
+monomialising Clifford frame; a tuple with neither is rotated by a
+symplectic change of its pair.
 """
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 import numpy as np
 
-from .cyclo import CycloScalar, max_abs, wide
-from .exactmat import ExactMatrix, ScaledUnitary, conjugate_action
+from .cyclo import max_abs, wide
+from .exactmat import ExactMatrix, ScaledUnitary, conjugate_action, orbit_sum, powers
 
 
 class ConjugateTuple:
@@ -74,14 +81,28 @@ def _hstack(mats):
     return ExactMatrix(mats[0].d, m, np.concatenate(arrs, axis=1), den)
 
 
-def _rational_fixed_vector(T):
-    """A fixed vector of U_1 with rational norm, via a monomialising frame.
+def _rational_column(M):
+    """(u, |u|^2) for the first nonzero column u of M of rational norm, or None."""
+    for j in range(M.shape[1]):
+        col = M.nums[:, j: j + 1]
+        if not np.any(col != 0):
+            continue
+        u = ExactMatrix(M.d, M.m, col, M.den)
+        norm2 = (u.dagger() @ u).entry(0, 0)
+        if norm2.is_rational():
+            return u, norm2
+    return None
 
-    The conjugation action of an order-d gate on phase points is unipotent,
-    so it fixes a direction f.  A Clifford frame C sending Z to W(f) turns
-    the gate into X^s D, whose fixed vector is a cycle of partial products
-    of the diagonal, all of unit modulus.  Pulling that vector back through
-    C keeps the norm rational: |C v|^2 = scale2(C) |v|^2.
+
+def _rational_fixed_vector(T, prod):
+    """The start of a one-wire tuple from the columns of prod C.
+
+    prod is I + U + ... + U^(d-1) for the first member U.  The conjugation
+    action of an order-d gate on phase points is unipotent, so it fixes a
+    direction f, and a Clifford frame C sending Z to W(f) turns U into
+    X^s D.  Column 0 of prod C is then C times the orbit sum of |0>, a
+    cycle of unit-modulus partial products of D, so its norm
+    scale2(C) |v|^2 is rational.
     """
     from .phasespace import (
         pauli_x,
@@ -93,8 +114,6 @@ def _rational_fixed_vector(T):
     )
 
     fail = ValueError("reconstruction norm is not rational")
-    if T.n != 1:
-        raise fail
     d = T.d
     U = T.pairs[0][0]
     su = ScaledUnitary.exact(U)
@@ -120,55 +139,18 @@ def _rational_fixed_vector(T):
     if np.any(A @ f % d):
         raise fail
     C = synthesize_clifford([weyl(d, (f[0],), (f[1],))])
-    Cm = C.mat
-    M = conjugate_action(ScaledUnitary(Cm.dagger(), C.scale2), U)
-    # M must now be X^s times a diagonal of roots of unity
-    s = None
-    for z in range(d):
-        rows = [r for r in range(d) if np.any(M.nums[r, z] != 0)]
-        if len(rows) != 1:
-            raise fail
-        if s is None:
-            s = rows[0] % d
-        elif rows[0] != (z + s) % d:
-            raise fail
-    one = CycloScalar.from_rational(d, 1)
-    ident = ExactMatrix.identity(d, d, M.m)
-
-    def basis_col(z):
-        return ExactMatrix(d, M.m, ident.nums[:, z: z + 1].copy(), 1)
-
-    if s == 0:
-        v = next((basis_col(z) for z in range(d) if M.entry(z, z) == one), None)
-        if v is None:
-            raise fail
-    else:
-        v = basis_col(0)
-        acc = one
-        z = 0
-        for _ in range(d - 1):
-            acc = (acc * M.entry((z + s) % d, z)).demote_min()
-            z = (z + s) % d
-            v = v + basis_col(z).scale(acc)
-        if (acc * M.entry(0, z)).demote_min() != one:
-            raise fail
-    u0 = Cm @ v
-    if U @ u0 != u0:
+    start = _rational_column(prod @ C.mat)
+    if start is None or U @ start[0] != start[0]:
         raise fail
-    return u0
+    return start
 
 
-def _weyl_word(T, a, b):
-    """omega^(-2^-1 ab) U^a V^b: the tuple image of the Weyl operator W(a,b)."""
+def _weyl_word(Up, Vp, a, b):
+    """omega^(-2^-1 ab) U^a V^b, the tuple image of W(a,b), from the powers of U and V."""
     from .phasespace import half
 
-    d = T.d
-    U, V = T.pairs[0]
-    out = ExactMatrix.identity(d, d, U.m)
-    for _ in range(a % d):
-        out = out @ U
-    for _ in range(b % d):
-        out = out @ V
+    d = len(Up)
+    out = Up[a % d] @ Vp[b % d]
     e = (-half(d) * a * b) % d
     if e:
         out = out.scale_zeta(e * (out.cond.c // d))
@@ -177,16 +159,19 @@ def _weyl_word(T, a, b):
 
 @lru_cache(maxsize=None)
 def _weyl_pair_reconstruction(d, a, b):
-    """The exact Clifford of the direction (a, b), as _rotated_reconstruct needs it."""
+    """The exact Clifford of the direction (a, b), as _rotated_reconstruct needs it.
+
+    Every such Weyl tuple has a projector start, so this never rotates.
+    """
     from .phasespace import to_matrix, weyl
 
     x, y = (d - 1, 0) if a == 0 else (0, 1)
     WA = to_matrix(weyl(d, (a,), (b,)))
     WB = to_matrix(weyl(d, (x,), (y,)))
-    return reconstruct(ConjugateTuple(d, 1, [(WA, WB)]), _rotate=False)
+    return reconstruct(ConjugateTuple(d, 1, [(WA, WB)]))
 
 
-def _rotated_reconstruct(T, memo=None):
+def _rotated_reconstruct(T, memo):
     """Reconstruct through a symplectic change of the tuple.
 
     The pair (U, V) is traded for its image under R in SL(2, Z_d), picked so
@@ -196,14 +181,14 @@ def _rotated_reconstruct(T, memo=None):
     phase bookkeeping survives to the caller.
     """
     d = T.d
-    directions = [(0, 1)] + [(1, t) for t in range(1, d)]
-    for a, b in directions:
-        x, y = ((d - 1, 0) if a == 0 else (0, 1))
-        rotated = ConjugateTuple(d, 1, [(_weyl_word(T, a, b), _weyl_word(T, x, y))])
-        try:
-            G2 = reconstruct(rotated, _rotate=False, memo=memo)
-        except ValueError:
+    Up, Vp = powers(T.pairs[0], d)
+    for a, b in [(0, 1)] + [(1, t) for t in range(1, d)]:
+        x, y = (d - 1, 0) if a == 0 else (0, 1)
+        rotated = ConjugateTuple(d, 1, [(_weyl_word(Up, Vp, a, b), _weyl_word(Up, Vp, x, y))])
+        start = _memo_start(rotated, memo)
+        if start is None:
             continue
+        G2 = _columns(rotated, start)
         TR = _weyl_pair_reconstruction(d, a, b)
         return ScaledUnitary(G2.mat @ TR.mat.dagger(), G2.scale2 * TR.scale2)
     raise ValueError("reconstruction norm is not rational")
@@ -215,73 +200,56 @@ def _start(T):
     None when neither a projector column nor the monomialising frame gives
     a vector of rational norm, so that only a rotation of the tuple can.
     """
-    d, n = T.d, T.n
-    dim = d ** n
-    prod = None
-    for U, _ in T.pairs:
-        acc = ExactMatrix.identity(d, dim, U.m)
-        power = acc
-        for _ in range(d - 1):
-            power = power @ U
-            acc = acc + power
-        prod = acc if prod is None else prod @ acc
+    prod = reduce(operator.matmul, [orbit_sum(U, T.d) for U, _ in T.pairs])
     # prod is (up to scale) the rank-1 projector onto the joint fixed space;
-    # prefer the first column whose norm is rational, the usual case
-    u0 = None
-    seen = False
-    for j in range(dim):
-        col = prod.nums[:, j: j + 1]
-        if not np.any(col != 0):
-            continue
-        seen = True
-        cand = ExactMatrix(prod.d, prod.m, col, prod.den)
-        if (cand.dagger() @ cand).entry(0, 0).is_rational():
-            u0 = cand
-            break
-    if not seen:
+    # the first column whose norm is rational is the usual start
+    if prod.is_zero():
         raise ValueError("not a conjugate tuple: joint fixed space is empty")
-    if u0 is None and n == 1:
+    start = _rational_column(prod)
+    if start is None and T.n == 1:
         try:
-            u0 = _rational_fixed_vector(T)
+            start = _rational_fixed_vector(T, prod)
         except ValueError:
-            u0 = None
-    if u0 is None:
-        return None
-    return u0, (u0.dagger() @ u0).entry(0, 0)
+            pass
+    return start
 
 
-def reconstruct(T, _rotate=True, memo=None):
-    """The unique-up-to-phase unitary with the given conjugation behaviour.
+def _memo_start(T, memo):
+    """_start(T), found once per distinct set of first members in memo."""
+    key = tuple((U.m, U.to_key()) for U, _ in T.pairs)
+    if key not in memo:
+        memo[key] = _start(T)
+    return memo[key]
 
-    The fixed vector u0 depends on the first members U_i alone.  A caller
-    reconstructing many tuples that share first members passes one dict as
-    memo, and u0 is then found once per distinct set of first members.
-    """
-    d, n = T.d, T.n
-    if memo is None:
-        start = _start(T)
-    else:
-        key = tuple((U.m, U.to_key()) for U, _ in T.pairs)
-        if key not in memo:
-            memo[key] = _start(T)
-        start = memo[key]
-    if start is None:
-        if not (_rotate and n == 1):
-            raise ValueError("reconstruction norm is not rational")
-        return _rotated_reconstruct(T, memo)
+
+def _columns(T, start):
+    """The gate whose column z is V_1^z1 ... V_n^zn u0, with scale2 |u0|^2."""
     u0, norm2 = start
     block = u0
-    for i in range(n - 1, -1, -1):
+    for i in range(T.n - 1, -1, -1):
         V = T.pairs[i][1]
         blocks = [block]
-        cur = block
-        for _ in range(d - 1):
-            cur = V @ cur
-            blocks.append(cur)
+        for _ in range(T.d - 1):
+            blocks.append(V @ blocks[-1])
         block = _hstack(blocks)
-    if not norm2.is_rational():
-        raise ValueError("reconstruction norm is not rational")
     return ScaledUnitary(block, norm2.as_fraction())
+
+
+def reconstruct(T, memo=None):
+    """The unique-up-to-phase unitary with the given conjugation behaviour.
+
+    The start u0 depends on the first members U_i alone.  A caller
+    reconstructing many tuples that share first members passes one dict as
+    memo, and u0 is then found once per distinct set of first members.
+    A one-wire tuple with no rational start is rotated.
+    """
+    memo = {} if memo is None else memo
+    start = _memo_start(T, memo)
+    if start is not None:
+        return _columns(T, start)
+    if T.n != 1:
+        raise ValueError("reconstruction norm is not rational")
+    return _rotated_reconstruct(T, memo)
 
 
 def tuple_of(G, n):

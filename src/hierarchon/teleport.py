@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cyclo import CycloScalar
-from .exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, frozen, matmul_many
+from .exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, frozen, matmul_many, powers
 from .hierarchy import enumerate_level
 from .phasespace import pauli_x, to_matrix
 from .semiclifford import diagonalize, find_witness
@@ -146,11 +146,8 @@ def gadget_run(spec, psi):
     shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
     circulant = ExactMatrix(d, w2.m, w2.nums[shift, 0], w2.den)
     out = spec.c1.mat @ (spec.core @ circulant)
-    fix = spec.correction().mat
-    powers = [ExactMatrix.identity(d, d, fix.m)]
-    for _ in range(1, d):
-        powers.append(powers[-1] @ fix)
-    branches = matmul_many(powers, [_column(out, J) for J in range(d)])
+    (fixes,) = powers([spec.correction().mat], d)
+    branches = matmul_many(fixes, [_column(out, J) for J in range(d)])
     return [None if b.is_zero() else StateVec(d, b) for b in branches]
 
 

@@ -115,15 +115,10 @@ def test_enumerate_refuses_runaway_sizes(capsys):
         ["enumerate", "--d", "3", "--max-level", "8"],
         ["semiclifford", "--catalog", "9", "--d", "7"],
         ["diagonal", "verify", "--d", "7", "--k", "40"],
-        ["membership", "{d7_gate}"],
     ],
-    ids=["enumerate", "semiclifford", "diagonal", "membership"],
+    ids=["enumerate", "semiclifford", "diagonal"],
 )
-def test_every_catalog_walk_refuses_runaway_sizes(capsys, monkeypatch, tmp_path, argv):
-    gate = tmp_path / "d7.json"
-    gate.write_text(json.dumps(_root_diag_doc(7, 1)))
-    argv = [a.replace("{d7_gate}", str(gate)) for a in argv]
-
+def test_every_catalog_walk_refuses_runaway_sizes(capsys, monkeypatch, argv):
     def no_lift(*args, **kwargs):
         raise AssertionError("a lift started")
 
@@ -285,6 +280,41 @@ def test_membership_stops_at_the_first_level_that_holds_the_gate(capsys, tmp_pat
     code, out, _ = run(capsys, ["membership", str(gate), "--cache-dir", str(store)])
     assert (code, out) == (0, "level: 1\n")
     assert os.listdir(store / "d3_n1") == ["level_1.json"]
+
+
+def _gate_file(path, mat, n):
+    path.write_text(json.dumps(to_interchange(ScaledUnitary.exact(mat), n)))
+    return str(path)
+
+
+@pytest.mark.parametrize("max_level", [[], ["--max-level", "3"]], ids=["default", "3"])
+def test_membership_places_an_eleven_dimensional_x_below_the_ceiling(capsys, tmp_path, max_level):
+    gate = _gate_file(tmp_path / "x11.json", to_matrix(pauli_x(11, 1, 1)), 1)
+    code, out, err = run(capsys, ["membership", gate] + max_level)
+    assert (code, out, err) == (0, "level: 1\n", "")
+
+
+@pytest.mark.parametrize("max_level", [[], ["--max-level", "2"]], ids=["default", "2"])
+def test_membership_places_a_two_wire_x_below_the_ceiling(capsys, tmp_path, max_level):
+    gate = _gate_file(tmp_path / "x1.json", to_matrix(pauli_x(3, 2, 1)), 2)
+    code, out, err = run(capsys, ["membership", gate] + max_level)
+    assert (code, out, err) == (0, "level: 1\n", "")
+
+
+def test_membership_refuses_where_its_walk_reaches_a_limit(capsys, tmp_path):
+    """A gate in no level within the limits meets the refusal for --max-level."""
+    z9 = CycloScalar.zeta(3, 2, 1)
+    t9_on_wire_1 = ExactMatrix.diag(3, [z9 ** (i // 3) for i in range(9)])
+    gate = _gate_file(tmp_path / "t9_1.json", t9_on_wire_1, 2)
+    store = tmp_path / "store"
+    code, out, err = run(capsys, ["membership", gate, "--cache-dir", str(store)])
+    assert (code, out) == (2, "")
+    assert err == "error: estimated %d gates at level 4 is past the ceiling of %d\n" % (
+        _estimate_members(3, 2, 4), SIZE_CEILING)
+    assert os.listdir(store / "d3_n2") == ["level_1.json"]
+    code, out, err = run(capsys, ["membership", gate, "--max-level", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: two-wire enumeration above level 1 is out of reach")
 
 
 def test_membership_rejects_a_missing_file(capsys):

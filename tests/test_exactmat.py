@@ -15,6 +15,8 @@ from hierarchon.exactmat import (
     from_interchange,
     kron,
     matmul_many,
+    orbit_sum,
+    powers,
     to_interchange,
 )
 from hierarchon.phasespace import PauliElement, times_pauli
@@ -99,6 +101,24 @@ def test_object_dtype_path_kicks_in():
     # and back to int64 once values shrink
     shrunk = prod.scale_q(Fraction(1, big * big))
     assert shrunk.nums.dtype == np.int64
+
+
+@pytest.mark.parametrize("d,m", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_powers_and_orbit_sum_match_pow_int(d, m):
+    """powers and orbit_sum against pow_int for k = 1..d, on both lanes."""
+    gen = np.random.default_rng(10 * d + m)
+    M, N = rand_mat(gen, d, m, d, span=3), rand_mat(gen, d, m, d, span=3)
+    W = M.scale_q(2 ** 70)
+    assert M.nums.dtype == np.int64 and W.nums.dtype == object
+    for k in range(1, d + 1):
+        expect = [[A.pow_int(j) for j in range(k)] for A in (M, N, W)]
+        assert powers([M, N, W], k) == expect
+        assert powers([W], k) == expect[2:]
+        for A, pows in zip((M, N, W), expect):
+            total = pows[0]
+            for P in pows[1:]:
+                total = total + P
+            assert orbit_sum(A, k) == total
 
 
 @pytest.mark.parametrize("d,m", [(3, 1), (3, 2), (5, 1), (7, 1)])

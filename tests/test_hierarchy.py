@@ -10,12 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierarchon.cyclo import CycloScalar, conductor
-from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, to_interchange
+from hierarchon.exactmat import (
+    ExactMatrix,
+    ScaledUnitary,
+    equal_up_to_phase,
+    powers,
+    to_interchange,
+)
 from hierarchon.hierarchy import (
     REFERENCE_COUNTS,
     _closure_gaps,
     _monomials,
-    _powers_many,
     enumerate_level,
     enumerate_levels,
     membership,
@@ -272,7 +277,7 @@ def test_rephasing_a_tuple_member_is_a_right_pauli():
 
 def closure_gaps(T, catalog):
     """The lift's closure gaps (i, j) of a one-wire tuple (U, V) against a catalog."""
-    pows = _powers_many(T.members(), T.d)
+    pows = powers(T.members(), T.d)
     monos = _monomials([(pows[0], pows[1])], T.d)
     return _closure_gaps(monos, catalog.digests_of(monos), catalog)
 

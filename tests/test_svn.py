@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from hierarchon import svn
 from hierarchon.cyclo import CycloScalar
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, conjugate_action
+from hierarchon.hierarchy import enumerate_level
 from hierarchon.phasespace import (
     PauliElement,
     pauli_x,
     pauli_z,
     synthesize_clifford,
     to_matrix,
+    weyl,
 )
 from hierarchon.svn import ConjugateTuple, reconstruct, tuple_of
 
@@ -110,3 +113,59 @@ def test_scale2_tracks_u0_norm():
     prod = G.mat @ G.mat.dagger()
     s = prod.scalar_if_scalar()
     assert s is not None and s.as_fraction() == G.scale2
+
+
+@pytest.fixture(scope="module")
+def start_paths():
+    """Tuples of the d=3 lift through level 4 that the frame starts, and that rotate."""
+    framed, rotated = [], []
+    frame, rotate = svn._rational_fixed_vector, svn._rotated_reconstruct
+
+    def spy_frame(T, prod):
+        start = frame(T, prod)
+        framed.append(T)
+        return start
+
+    def spy_rotate(T, memo):
+        rotated.append(T)
+        return rotate(T, memo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svn, "_rational_fixed_vector", spy_frame)
+        mp.setattr(svn, "_rotated_reconstruct", spy_rotate)
+        enumerate_level(3, 1, 4, cache_dir=False)
+    return framed, rotated
+
+
+def test_the_lift_takes_both_start_paths(start_paths):
+    framed, rotated = start_paths
+    assert (len(framed), len(rotated)) == (72, 324)
+
+
+@pytest.mark.parametrize("path", [0, 1], ids=["frame", "rotation"])
+def test_both_start_paths_rebuild_their_tuple(start_paths, path):
+    Z, X = zx(3)
+    sample = start_paths[path][::6]
+    assert len(sample) >= 12
+    for T in sample:
+        G = reconstruct(T)
+        (U, V), = T.pairs
+        assert conjugate_action(G, Z) == U
+        assert conjugate_action(G, X) == V
+        G.verify()
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_weyl_pair_reconstruction_never_rotates(monkeypatch, d):
+    def no_rotation(T, memo):
+        raise AssertionError("a Weyl-direction tuple rotated")
+
+    monkeypatch.setattr(svn, "_rotated_reconstruct", no_rotation)
+    svn._weyl_pair_reconstruction.cache_clear()
+    Z, X = zx(d)
+    for a, b in [(0, 1)] + [(1, t) for t in range(1, d)]:
+        x, y = (d - 1, 0) if a == 0 else (0, 1)
+        G = svn._weyl_pair_reconstruction(d, a, b)
+        G.verify()
+        assert conjugate_action(G, Z) == to_matrix(weyl(d, (a,), (b,)))
+        assert conjugate_action(G, X) == to_matrix(weyl(d, (x,), (y,)))

@@ -184,10 +184,14 @@ def survey_walk(pairu, pairv, ok0, start, stop, stride):
 
 
 def survey_join(pairu, pairv, ok0, stkey, start, stop, stride):
-    """(729, 729) histogram [prefix, suffix] over rows range(start, stop, stride)."""
+    """(729, 729) histogram [prefix, suffix] over rows range(start, stop, stride).
+
+    Each walk block's codes are added in place, so no block pays a pass
+    over all 531,441 bins.
+    """
     hist = np.zeros(729 * 729, dtype=np.int64)
     for rows, q in survey_walk(pairu, pairv, ok0, start, stop, stride):
-        hist += np.bincount(stkey[rows] * 729 + stkey[q], minlength=729 * 729)
+        np.add.at(hist, stkey[rows] * 729 + stkey[q], 1)
     return hist.reshape(729, 729)
 
 

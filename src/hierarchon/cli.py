@@ -15,12 +15,16 @@ from .diagonal import verify_cgk
 from .exactmat import from_interchange
 from .hierarchy import REFERENCE_COUNTS, _check_request, enumerate_level, enumerate_levels
 from .qutrit3 import survey
-from .semiclifford import find_witness, gate_hash, gate_report
+from .semiclifford import find_witness, find_witnesses, gate_hash, gate_report, gate_reports
 from .teleport import verify_gadget
 
 # refuse enumerations whose estimated size runs away; the estimate leans on
 # the reference table and the d^2n-per-level growth beyond it
 SIZE_CEILING = 1_000_000
+
+# representatives a catalog run certifies per batch: the stacked tensors of
+# one block are small, so peak memory stays flat however large the catalog
+_CERTIFY_BLOCK = 128
 
 
 def _cache_dir(args):
@@ -41,12 +45,26 @@ def _estimate_members(d, n, k):
 
 
 def _check_size(d, n, k):
-    """Refuse, before any lift starts, a walk to a level past the ceiling."""
-    est = _estimate_members(d, n, k)
-    if est > SIZE_CEILING:
+    """Refuse, before any lift starts, a walk to a level past the ceiling.
+
+    The estimate does not fall from one level to the next, so the levels
+    are walked up to the first past the ceiling; the estimate of a runaway
+    level, a power of thousands of digits, is never formed.
+    """
+    for level in range(1, k + 1):
+        est = _estimate_members(d, n, level)
+        if est > SIZE_CEILING:
+            break
+    else:
+        return
+    if level == k:
         raise ValueError(
             "estimated %d gates at level %d is past the ceiling of %d" % (est, k, SIZE_CEILING)
         )
+    raise ValueError(
+        "estimated at least %d gates at level %d is past the ceiling of %d"
+        % (est, k, SIZE_CEILING)
+    )
 
 
 def _verdict(count, reference):
@@ -248,20 +266,21 @@ def cmd_semiclifford(args):
     _check_size(args.d, 1, args.catalog)
     cache = _cache_dir(args)
     catalog = enumerate_level(args.d, 1, args.catalog, cache_dir=cache)
-    total = len(catalog)
+    reps = list(catalog.representatives())
+    total = len(reps)
     found = 0
     counterexamples = []
     certificates = []
     # one interchange document per distinct factor, for this report only
     documents = {}
-    for su in catalog.representatives():
-        witness = find_witness(su)
-        if witness is None:
-            counterexamples.append(gate_report(su, witness))
-            continue
-        found += 1
-        if args.certificates:
-            certificates.append(gate_report(su, witness, documents))
+    for lo in range(0, total, _CERTIFY_BLOCK):
+        block = reps[lo:lo + _CERTIFY_BLOCK]
+        witnesses = find_witnesses(block)
+        found += sum(w is not None for w in witnesses)
+        # a counterexample is always reported, a certificate when asked for
+        keep = [k for k, w in enumerate(witnesses) if w is None or args.certificates]
+        for rep in gate_reports([block[k] for k in keep], [witnesses[k] for k in keep], documents):
+            (certificates if rep["semi_clifford"] else counterexamples).append(rep)
     report = {
         "schema": "hierarchon.semiclifford/1",
         "library": __version__,

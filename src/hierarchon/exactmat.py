@@ -8,6 +8,7 @@ ever leaving the field.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import math
 import re
 
@@ -224,22 +225,11 @@ class ExactMatrix:
                 return None
         return CycloScalar(self.d, self.m, np.asarray(first, dtype=object), self.den)
 
-    def first_nonzero(self):
-        r, s = self.shape
-        flat = np.any(self.nums != 0, axis=-1).reshape(r * s)
-        idx = int(flat.argmax())
-        if not flat[idx]:
-            raise ValueError("zero matrix")
-        return divmod(idx, s)
-
     # -- canonical form -------------------------------------------------------
 
     def canonical_rep(self):
         """Divide by the first nonzero entry, row-major.  Phase-invariant key."""
-        i, j = self.first_nonzero()
-        ivec, iden = _entry_inverse(self.nums[i, j], self.cond)
-        # M / (entry/den) = nums / entry: the global denominator cancels
-        return ExactMatrix(self.d, self.m, self.nums, 1).scale_vec(ivec, iden)
+        return canonical_reps([self])[0]
 
     def to_key(self):
         """Stable bytes key for the exact value (minimal conductor, reduced)."""
@@ -275,30 +265,63 @@ def frozen(mat):
     return mat
 
 
-def equal_up_to_phase(A, B):
-    """A == z*B for some nonzero scalar z, decided by cross-multiplication.
+def canonical_reps(mats):
+    """[M divided by its first nonzero entry, row-major, for M in mats].
 
-    A/A[slot] == B/B[slot] is tested as A*B[slot] == B*A[slot]; the global
-    denominators cancel, and no field inversion is ever needed.
+    Matrices group by conductor and shape, and each group divides by one
+    batched product: M / (entry/den) = nums / entry, so the global
+    denominator cancels.  Each distinct leading entry is inverted once.
     """
+    out = [None] * len(mats)
+    groups = {}
+    for idx, M in enumerate(mats):
+        groups.setdefault((M.d, M.m, M.shape), []).append(idx)
+    for (d, m, (r, s)), idxs in groups.items():
+        cond = conductor(d, m)
+        N = len(idxs)
+        rows = np.arange(N)
+        nums = np.stack([mats[i].nums for i in idxs]).reshape(N, r * s, 1, cond.phi)
+        nonzero = (nums != 0).any(axis=-1).reshape(N, r * s)
+        slots = nonzero.argmax(axis=1)
+        if not nonzero[rows, slots].all():
+            raise ValueError("zero matrix")
+        pairs = [_lead_inverse(d, m, tuple(lead.tolist())) for lead in nums[rows, slots, 0]]
+        ivecs = np.stack([vec for vec, _ in pairs]).reshape(N, 1, 1, cond.phi)
+        raw = stacked_product(nums, ivecs, cond)
+        for row, i, (_, iden) in zip(raw, idxs, pairs):
+            out[i] = ExactMatrix(d, m, row.reshape(r, s, cond.phi), iden)
+    return out
+
+
+def equal_up_to_phase(A, B):
+    """A == z*B for some nonzero scalar z; the stack of one of equal_up_to_phase_stacked."""
     if A.shape != B.shape:
         return False
     a, b = A._common(B)
-    cond = a.cond
-    both = np.stack([a.nums, b.nums])
-    r, s = a.shape
-    nonzero = both.any(axis=-1).reshape(2, r * s)
-    zero_a, zero_b = ~nonzero.any(axis=1)
-    if zero_a or zero_b:
-        return bool(zero_a and zero_b)
-    slot = int(nonzero[0].argmax())
-    if not nonzero[1, slot]:
-        return False
-    (both,) = wide(max_abs(both) ** 2 * cond.phi * cond.c, both)
-    entries = both.reshape(2, r * s, 1, cond.phi)
+    return bool(equal_up_to_phase_stacked(np.stack([a.nums, b.nums])[None], a.cond)[0])
+
+
+def equal_up_to_phase_stacked(pairs, cond):
+    """Whether pairs[k, 0] == z * pairs[k, 1] for a nonzero z, per k.
+
+    pairs is an (N, 2, r, s, phi) stack of numerators over the conductor
+    cond.  A/A[slot] == B/B[slot] is tested as A*B[slot] == B*A[slot],
+    slot the first nonzero entry of A, as one batched product; the
+    denominators cancel, and no field inversion is ever needed.  A zero
+    matrix is a multiple only of a zero matrix.
+    """
+    N = len(pairs)
+    entries = pairs.reshape(N, 2, -1, 1, cond.phi)
+    nonzero = (entries != 0).any(axis=-1)[..., 0]
+    zero = ~nonzero.any(axis=-1)
+    rows = np.arange(N)
+    slots = nonzero[:, 0].argmax(axis=1)
+    (entries,) = wide(max_abs(entries) ** 2 * cond.phi * cond.c, entries)
     # row 0 is every entry of A times B[slot], row 1 every entry of B times A[slot]
-    raw = _batch_product(entries, entries[::-1, slot][:, None], cond)
-    return np.array_equal(raw[0], raw[1])
+    raw = _batch_product(entries, entries[rows, ::-1, slots][:, :, None], cond)
+    same = (raw[:, 0] == raw[:, 1]).reshape(N, -1).all(axis=1)
+    # a zero B fails at the slot; a zero A holds every product at zero
+    return np.where(zero[:, 0], zero[:, 1], nonzero[rows, 1, slots] & same)
 
 
 def kron(a, b):
@@ -314,7 +337,7 @@ def kron(a, b):
     # every entry of a, as a 1x1 batch item, times b as one row of entries
     A = a.nums.reshape(r1 * s1, 1, 1, cond.phi)
     B = b.nums.reshape(1, 1, r2 * s2, cond.phi)
-    raw = _batch_product(*wide(_product_bound(A, B, cond), A, B), cond)
+    raw = stacked_product(A, B, cond)
     out = raw.reshape(r1, s1, r2, s2, cond.phi).transpose(0, 2, 1, 3, 4)
     return ExactMatrix(a.d, m, out.reshape(r1 * r2, s1 * s2, cond.phi), a.den * b.den)
 
@@ -337,7 +360,7 @@ def matmul_many(As, Bs):
         A = np.stack([As[i].promote(m).nums for i in idxs])
         B = np.stack([Bs[i].promote(m).nums for i in idxs])
         cond = conductor(As[idxs[0]].d, m)
-        raw = _batch_product(*wide(_product_bound(A, B, cond), A, B), cond)
+        raw = stacked_product(A, B, cond)
         for row, i in zip(raw, idxs):
             out[i] = ExactMatrix(cond.d, m, row, As[i].den * Bs[i].den)
     return out
@@ -362,6 +385,11 @@ def _product_bound(A, B, cond):
     return max_abs(A) * max_abs(B) * A.shape[-2] * cond.phi * cond.c
 
 
+def stacked_product(A, B, cond):
+    """Reduced group-ring product over leading batch axes, in the dtype its bound allows."""
+    return _batch_product(*wide(_product_bound(A, B, cond), A, B), cond)
+
+
 def _batch_product(A, B, cond):
     """Reduced product over leading batch axes, of arrays wide() has typed."""
     if A.dtype == object:
@@ -372,6 +400,17 @@ def _batch_product(A, B, cond):
 def _gr_matmul_obj(A, B, cond):
     """The object lane's entry: the int64 kernel's body on Python ints."""
     return cond.reduce(K.gr_matmul_batch(A, B, cond.c))
+
+
+# a catalog's gates share few leading entries (63 among the 3,888 divisions
+# of the d=3 level-3 certificates), and a norm inverse is a product of
+# Galois conjugates
+@lru_cache(maxsize=4096)
+def _lead_inverse(d, m, lead):
+    """_entry_inverse of the coefficients lead, with a read-only vector."""
+    vec, den = _entry_inverse(np.array(lead, dtype=object), conductor(d, m))
+    vec.setflags(write=False)
+    return vec, den
 
 
 def _entry_inverse(vec, cond):

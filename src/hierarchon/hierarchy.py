@@ -365,7 +365,8 @@ def _right_pauli_sweep(gates, d, n):
     out = []
     for G in gates:
         G = G.demote_min()
-        out.extend(ExactMatrix(d, G.m, img, G.den) for img in shift_columns(G, src, exps))
+        images = shift_columns(G.nums, G.cond, src, exps)
+        out.extend(ExactMatrix(d, G.m, img, G.den) for img in images)
     return out
 
 

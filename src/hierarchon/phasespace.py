@@ -129,12 +129,18 @@ def symplectic_form(u, v, d):
 def to_matrix(P):
     """Exact dim x dim matrix of omega^c Z^p X^q, at conductor d."""
     d, dim = P.d, P.d ** P.n
-    src, exps = _right_paulis(d, P.n)
-    pi = _index(P.p + P.q, d)
+    src, exps = column_map(P)
     cond = conductor(d, 1)
     nums = np.zeros((dim, dim, cond.phi), dtype=np.int64)
-    nums[src[pi], np.arange(dim)] = cond.zeta_vec(P.c + exps[pi])
+    nums[src, np.arange(dim)] = cond.zeta_vec(exps)
     return ExactMatrix(d, 1, nums, 1)
+
+
+def column_map(P):
+    """(src, e) with (M P)[:, j] = M[:, src[j]] omega**e[j]: P's row of _right_paulis."""
+    src, exps = _right_paulis(P.d, P.n)
+    pi = _index(P.p + P.q, P.d)
+    return src[pi], exps[pi] + P.c
 
 
 @lru_cache(maxsize=None)
@@ -161,17 +167,18 @@ def _omega_shifts(d, m):
     return np.array([[cond.zeta_vec(u + e * f) for u in range(cond.phi)] for e in range(d)])
 
 
-def shift_columns(M, src, exps):
-    """M's columns permuted and rephased, for a stack of column maps.
+def shift_columns(nums, cond, src, exps):
+    """Columns of the (row, col, phi) tensor nums permuted and rephased.
 
     Each map (src, e) along the last axis of src and exps sends M to the
     matrix whose column j is M[:, src[j]] omega**e[j]; the result stacks
-    the images as (..., row, col, phi).  A shifted coefficient sums at most
-    phi of M's, so cyclo.wide picks the dtype on that bound, as it does for
-    a product.
+    the images as (..., row, col, phi).  The coefficients are over the
+    conductor cond; the rows may be those of a stack of matrices set one
+    above the next.  A shifted coefficient sums at most phi of M's, so
+    cyclo.wide picks the dtype on that bound, as it does for a product.
     """
-    shifts = _omega_shifts(M.d, M.m)[exps % M.d]
-    nums, shifts = wide(max_abs(M.nums) * M.cond.phi, M.nums, shifts)
+    shifts = _omega_shifts(cond.d, cond.m)[exps % cond.d]
+    nums, shifts = wide(max_abs(nums) * cond.phi, nums, shifts)
     # (row, ..., col, phi) -> (..., col, row, phi) @ (..., col, phi, phi) -> (..., row, col, phi)
     k = src.ndim
     cols = nums[:, src].transpose(*range(1, k + 1), 0, k + 1)
@@ -184,9 +191,7 @@ def times_pauli(M, P):
     M P permutes the columns of M and multiplies each by a power of omega,
     through the same column maps as the level lift's right-Pauli sweep.
     """
-    src, exps = _right_paulis(P.d, P.n)
-    pi = _index(P.p + P.q, P.d)
-    return ExactMatrix(M.d, M.m, shift_columns(M, src[pi], exps[pi] + P.c), M.den)
+    return ExactMatrix(M.d, M.m, shift_columns(M.nums, M.cond, *column_map(P)), M.den)
 
 
 def wire_count(d, dim):
@@ -292,6 +297,12 @@ def _zfirst_key(basis):
 
 def enumerate_semibases(d, n):
     """One normalized semibasis per Lagrangian subspace, Z semibasis first."""
+    return list(_semibases(d, n))
+
+
+# every witness search walks the list, so it is built once per (d, n)
+@lru_cache(maxsize=None)
+def _semibases(d, n):
     if n == 1:
         out = []
         for v in itertools.product(range(d), repeat=2):
@@ -302,7 +313,7 @@ def enumerate_semibases(d, n):
                 continue
             out.append((_vec_point(v, 1),))
         out.sort(key=_zfirst_key)
-        return out
+        return tuple(out)
     if n != 2:
         raise ValueError("n capped at 2")
     lead1 = []
@@ -328,7 +339,7 @@ def enumerate_semibases(d, n):
             pts = sorted((_vec_point(v, 2) for v in basis), key=lambda pt: _zfirst_key([pt]))
             out.append(tuple(pts))
     out.sort(key=_zfirst_key)
-    return out
+    return tuple(out)
 
 
 def _solve_mod(A, b, d):

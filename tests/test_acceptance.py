@@ -24,7 +24,7 @@ from hierarchon.qutrit3 import (
     septuple_matrix,
     survey,
 )
-from hierarchon.semiclifford import find_witness
+from hierarchon.semiclifford import find_witness, find_witnesses
 from hierarchon.svn import reconstruct, tuple_of
 from hierarchon.teleport import verify_gadget
 
@@ -155,7 +155,8 @@ def test_semi_clifford_holds_through_level_six_extended(cache):
 
 @pytest.mark.extended
 def test_third_level_ququint_gates_are_semi_clifford_extended(cache):
-    misses = [su for su in cat(cache, 5, 1, 3).representatives() if find_witness(su) is None]
+    reps = list(cat(cache, 5, 1, 3).representatives())
+    misses = [su for su, w in zip(reps, find_witnesses(reps)) if w is None]
     assert misses == []
 
 

@@ -130,6 +130,29 @@ def test_every_catalog_walk_refuses_runaway_sizes(capsys, monkeypatch, argv):
     assert "ceiling of %d" % SIZE_CEILING in err
 
 
+@pytest.mark.parametrize(
+    "max_level, estimated",
+    [("8", "estimated"), ("5000", "estimated at least"), ("100000", "estimated at least")],
+)
+def test_runaway_levels_are_refused_without_forming_their_estimate(
+    capsys, monkeypatch, max_level, estimated
+):
+    levels = []
+    original = hierarchon.cli._estimate_members
+
+    def estimate(d, n, k):
+        levels.append(k)
+        return original(d, n, k)
+
+    monkeypatch.setattr(hierarchon.cli, "_estimate_members", estimate)
+    code, out, err = run(capsys, ["enumerate", "--d", "3", "--max-level", max_level])
+    assert (code, out) == (2, "")
+    assert err == "error: %s %d gates at level %s is past the ceiling of %d\n" % (
+        estimated, 69336 * 81, max_level, SIZE_CEILING)
+    # the walk stops at level 8, the first whose estimate passes the ceiling
+    assert levels == list(range(1, 9))
+
+
 def test_size_estimates_track_the_reference_table():
     assert _estimate_members(3, 1, 4) == 7128
     assert _estimate_members(3, 1, 7) == 69336 * 9
@@ -409,11 +432,18 @@ PINNED_REPORTS = [
         ["semiclifford", "--catalog", "3", "--d", "3", "--certificates", "--format", "json"],
         "e3beaa914ca0cff7264b6e9efa2f113d6061cc092a2aaf147f7f644848283c17",
     ),
+    # the 3,000 d=5 level-2 certificates, recorded before they were batched
+    (
+        ["semiclifford", "--catalog", "2", "--d", "5", "--certificates", "--format", "json"],
+        "23593079c65e67646f372e64ab74c02567d27f507bbedf5f370efaf2ea048cd6",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_REPORTS, ids=["certificates", "gadget", "level3-certificates"]
+    "argv, digest",
+    PINNED_REPORTS,
+    ids=["certificates", "gadget", "level3-certificates", "d5-certificates"],
 )
 def test_certificate_and_gadget_reports_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, argv)
@@ -423,22 +453,24 @@ def test_certificate_and_gadget_reports_are_pinned(capsys, argv, digest):
 
 def test_catalog_certificates_search_each_gate_once(capsys, monkeypatch):
     calls = []
-    original = hierarchon.semiclifford.find_witness
+    original = hierarchon.semiclifford.find_witnesses
 
-    def counted(G):
-        calls.append(G)
-        return original(G)
+    def counted(gates):
+        calls.extend(gates)
+        return original(gates)
 
     # both bindings, so a search from either module is counted
-    monkeypatch.setattr(hierarchon.cli, "find_witness", counted)
-    monkeypatch.setattr(hierarchon.semiclifford, "find_witness", counted)
+    monkeypatch.setattr(hierarchon.cli, "find_witnesses", counted)
+    monkeypatch.setattr(hierarchon.semiclifford, "find_witnesses", counted)
     code, out, _ = run(
         capsys,
         ["semiclifford", "--catalog", "2", "--d", "3", "--certificates", "--format", "json"],
     )
     assert code == 0
     assert len(json.loads(out)["certificates"]) == 216
+    # every representative is searched, and none twice
     assert len(calls) == 216
+    assert len({id(G) for G in calls}) == 216
 
 
 def test_catalog_certificates_share_equal_factor_documents(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from hierarchon.exactmat import (
     ExactMatrix,
     FingerprintContext,
     ScaledUnitary,
+    canonical_reps,
     conjugate_action,
     equal_up_to_phase,
     from_interchange,
@@ -200,6 +201,19 @@ def test_canonical_with_nonmonomial_leading_entry():
     assert c.entry(0, 0) == 1
     assert c.entry(1, 0) == w / (1 + w)
     assert c.canonical_rep() == c
+
+
+def test_canonical_reps_divide_each_matrix_by_its_leading_entry():
+    w = CycloScalar.omega(3)
+    # leading entries past int64, a non-monomial one, and a zero first row
+    big = ExactMatrix.from_scalars(3, [[0, (2 ** 63 + 5) * (1 + w)], [w, 2 ** 70]])
+    mats = [big, zmat(3), rand_mat(rng, 3, 2, 3), big.promote(2), fmat(5).mat, big.scale_zeta(1)]
+    mats += [m.scale_q(Fraction(-7, 3)) for m in mats]
+    for M, C in zip(mats, canonical_reps(mats)):
+        i, j = divmod(int(np.flatnonzero((M.nums != 0).any(axis=-1))[0]), M.shape[1])
+        assert C.entry(i, j) == 1
+        assert C == M.scale(M.entry(i, j).inverse())
+        assert C == M.canonical_rep()
 
 
 def test_zero_matrix_has_no_canonical():

@@ -337,3 +337,16 @@ def test_survey_walk_needs_sorted_first_members():
     ok0 = np.ones((3, 3), dtype=np.uint8)
     with pytest.raises(ValueError, match="non-decreasing"):
         K.survey_join(pairu, pairv, ok0, np.zeros(3, dtype=np.int64), 0, 3, 1)
+
+
+def test_survey_join_counts_every_repeat_of_a_code(monkeypatch):
+    # every row matches every pair and every pair has one code, so the
+    # matches of a block land in one bin many times over
+    pairu = np.zeros(40, dtype=np.int64)
+    pairv = np.zeros(40, dtype=np.int64)
+    ok0 = np.ones((2, 2), dtype=np.uint8)
+    stkey = np.full(40, 5, dtype=np.int64)
+    monkeypatch.setattr(K, "_WALK_ROWS", 7)
+    got = K.survey_join(pairu, pairv, ok0, stkey, 0, 40, 1)
+    assert got[5, 5] == 40 * 40 and int(got.sum()) == 40 * 40
+    assert np.array_equal(got, dense_survey_join(pairu, pairv, ok0, stkey, 0, 40, 1))

@@ -8,15 +8,27 @@ import pytest
 
 from hierarchon.cyclo import CycloScalar, conductor
 from hierarchon.diagonal import gen_delta_k
-from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, to_interchange
+from hierarchon.exactmat import (
+    ExactMatrix,
+    ScaledUnitary,
+    conjugate_action,
+    equal_up_to_phase,
+    to_interchange,
+)
 from hierarchon.hierarchy import enumerate_level, membership
 from hierarchon.phasespace import PauliElement, synthesize_clifford
+import hierarchon.cli
+import hierarchon.semiclifford as semiclifford
+from hierarchon.phasespace import enumerate_semibases, recognize_pauli, to_matrix
 from hierarchon.semiclifford import (
     SemiCliffordWitness,
     diagonalize,
+    diagonalize_many,
     find_witness,
+    find_witnesses,
     gate_hash,
     gate_report,
+    gate_reports,
     shared_interchange,
     sp_order,
 )
@@ -48,8 +60,12 @@ def points_of(witness):
 
 
 @pytest.fixture(scope="module")
-def cat3(tmp_path_factory):
-    cache = str(tmp_path_factory.mktemp("cache"))
+def cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cache"))
+
+
+@pytest.fixture(scope="module")
+def cat3(cache):
     return enumerate_level(3, 1, 3, cache_dir=cache)
 
 
@@ -97,9 +113,13 @@ def test_composed_gates_recover_the_core():
         assert equal_up_to_phase(split.c1.mat @ split.diag @ split.c2.mat, G.mat)
 
 
-def test_rotation_is_not_semi_clifford():
+def rotation():
     # two stacked 3-4-5 rotations: exactly unitary, no Pauli images anywhere
-    G = rational_matrix(3, [[15, 12, 16], [-20, 9, 12], [0, -20, 15]], 25)
+    return rational_matrix(3, [[15, 12, 16], [-20, 9, 12], [0, -20, 15]], 25)
+
+
+def test_rotation_is_not_semi_clifford():
+    G = rotation()
     assert find_witness(G) is None
     report = gate_report(G, None)
     assert report["semi_clifford"] is False
@@ -121,13 +141,17 @@ def test_witness_search_is_deterministic():
     assert points_of(a) == points_of(b)
 
 
-def test_two_wire_clifford_witness():
+def cx_gate():
     phi = conductor(3, 1).phi
     nums = np.zeros((9, 9, phi), dtype=object)
     for z1 in range(3):
         for z2 in range(3):
             nums[z1 * 3 + (z2 + z1) % 3, z1 * 3 + z2, 0] = 1
-    CX = ScaledUnitary.exact(ExactMatrix(3, 1, nums))
+    return ScaledUnitary.exact(ExactMatrix(3, 1, nums))
+
+
+def test_two_wire_clifford_witness():
+    CX = cx_gate()
     wit = find_witness(CX)
     assert wit.semibasis == (((0, 1), (0, 0)), ((1, 0), (0, 0)))
     assert points_of(wit) == [(0, (2, 1), (0, 0)), (0, (1, 0), (0, 0))]
@@ -211,3 +235,99 @@ def test_factor_documents_are_shared_per_written_matrix():
     assert shared_interchange(ScaledUnitary(F.mat, 9), 1, docs) is not first
     assert shared_interchange(F, 2, docs) is not first
     assert len(docs) == 4
+
+
+# -- the batched certificate path ---------------------------------------------
+
+
+def mixed_gates():
+    """Gates at conductors 3 and 9, one and two wires, some semi-Clifford."""
+    F, T = dft(3), t_gate()
+    return [
+        T,
+        F,
+        ScaledUnitary(F.mat @ T.mat, F.scale2),
+        cx_gate(),
+        ScaledUnitary(T.mat @ F.mat, F.scale2),
+        ScaledUnitary(F.mat @ T.mat @ F.mat, F.scale2 * F.scale2),
+        # T rescaled by a ninth root of unity: the same class, another conductor-9 matrix
+        ScaledUnitary(T.mat.scale_zeta(1), 1),
+    ]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_gate_reports_equal_the_batches_of_one(where):
+    gates = mixed_gates()
+    at = {"first": 0, "middle": len(gates) // 2, "last": len(gates)}[where]
+    gates.insert(at, rotation())
+    assert {G.mat.m for G in gates} == {1, 2}
+    witnesses = find_witnesses(gates)
+    assert [w is None for w in witnesses] == [k == at for k in range(len(gates))]
+    for G, w in zip(gates, witnesses):
+        one = find_witness(G)
+        assert (one is None) == (w is None)
+        if w is not None:
+            assert w.semibasis == one.semibasis and points_of(w) == points_of(one)
+    docs, docs_one = {}, {}
+    batched = gate_reports(gates, witnesses, docs)
+    assert batched == [gate_report(G, find_witness(G), docs_one) for G in gates]
+    assert json.dumps(batched) == json.dumps([gate_report(G, find_witness(G)) for G in gates])
+    assert len(docs) == len(docs_one)
+
+
+def test_empty_batches():
+    assert find_witnesses([]) == []
+    assert diagonalize_many([], []) == []
+    assert gate_reports([], []) == []
+
+
+def test_wrong_witness_inside_a_batch_is_rejected():
+    F, T = dft(3), t_gate()
+    G = ScaledUnitary(F.mat @ T.mat, F.scale2)
+    fake = SemiCliffordWitness((((1,), (0,)),), [PauliElement(3, 0, (1,), (0,))])
+    with pytest.raises(ValueError) as alone:
+        diagonalize(F, fake)
+    gates = [T, F, G]
+    witnesses = [find_witness(T), fake, find_witness(G)]
+    with pytest.raises(ValueError) as batched:
+        diagonalize_many(gates, witnesses)
+    assert str(batched.value) == str(alone.value) == "witness does not diagonalise the gate"
+    with pytest.raises(ValueError, match="^witness does not diagonalise the gate$"):
+        gate_reports(gates, witnesses)
+
+
+@pytest.mark.parametrize("d, k", [(3, 2), (3, 3), (3, 4), (5, 2)])
+def test_the_pauli_screen_rejects_only_non_paulis(cache, d, k):
+    """Every image the screen rejects makes recognize_pauli return None."""
+    gates = list(enumerate_level(d, 1, k, cache_dir=cache).representatives())
+    rejected = checked = 0
+    for m in sorted({G.mat.m for G in gates}):
+        group = [G for G in gates if G.mat.m == m]
+        cond = conductor(d, m)
+        nums = np.stack([G.mat.nums for G in group])
+        daggers = cond.conj(nums).transpose(0, 2, 1, 3)
+        for (point,) in enumerate_semibases(d, 1):
+            raw = semiclifford._conjugates(nums, daggers, point, cond)
+            for k_, ok in enumerate(semiclifford._pauli_shaped(raw, cond)):
+                G = group[k_]
+                image = ExactMatrix(d, m, raw[k_], G.mat.den ** 2).scale_q(1 / G.scale2)
+                if checked % 97 == 0:
+                    W = to_matrix(PauliElement(d, 0, *point))
+                    assert image == conjugate_action(G, W)
+                checked += 1
+                if not ok:
+                    rejected += 1
+                    assert recognize_pauli(image) is None
+    assert checked == len(gates) * (d + 1)
+    # a Clifford sends every Pauli to a Pauli, so only level 3 and up reject
+    assert (rejected > 0) == (k > 2)
+
+
+def test_certificates_do_not_depend_on_the_block_size(capsys, monkeypatch, cache):
+    argv = ["semiclifford", "--catalog", "3", "--d", "3", "--certificates", "--format", "json",
+            "--cache-dir", cache]
+    assert hierarchon.cli.main(argv) == 0
+    default = capsys.readouterr().out
+    monkeypatch.setattr(hierarchon.cli, "_CERTIFY_BLOCK", 7)
+    assert hierarchon.cli.main(argv) == 0
+    assert capsys.readouterr().out == default

@@ -7,8 +7,10 @@ same configuration produces identical bytes.
 """
 
 import argparse
+import contextlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .diagonal import verify_cgk
@@ -75,27 +77,70 @@ def _verdict(count, reference):
 
 _INDENT = "  "
 
+# parts the encoder gathers before it hands them on joined
+_FLUSH_PARTS = 8192
 
-def _dumps(value):
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+def _dump(value, write):
+    """Pass json.dumps(value, indent=2, sort_keys=True) to write, in chunks.
 
     The walk goes through dicts with str keys and through arrays (lists and
     tuples) that hold a dict.  Any other array or dict is encoded once per
     distinct compact form and depth: json.dumps encodes it standalone, and
-    its line breaks are shifted by the depth's indent.  A report that
-    repeats a subtree, as the certificates of a catalog repeat their
-    factors, holds each encoding once rather than as thousands of fresh
-    string chunks.
+    its line breaks are shifted by the depth's indent.  A subtree object met
+    a second time at one depth, as a catalog's certificates share their
+    factor documents, is encoded once more into one string that every later
+    meeting reuses; ids are stable because value holds every subtree while
+    the walk runs.  str and int scalars are encoded as json.dumps encodes
+    them, without its call.  Chunks go to write as the walk produces them,
+    so the whole document is never held as one string.
     """
     parts = []
     leaves = {}
+    seen = set()
+    shared = {}
+    capturing = 0  # open captures; parts are handed on only outside one
 
     def walk(v, depth):
+        nonlocal capturing
+        if type(v) is str:
+            parts.append(encode_basestring_ascii(v))
+            return
+        if isinstance(v, int) and not isinstance(v, bool):
+            parts.append(int.__repr__(v))
+            return
+        if not isinstance(v, (list, tuple, dict)):
+            # a scalar's encoding has no line break to shift
+            parts.append(json.dumps(v))
+            return
+        key = (id(v), depth)
+        text = shared.get(key)
+        if text is not None:
+            parts.append(text)
+            return
+        if key in seen:
+            start = len(parts)
+            capturing += 1
+            encode(v, depth)
+            capturing -= 1
+            shared[key] = "".join(parts[start:])
+            del parts[start:]
+            parts.append(shared[key])
+            return
+        seen.add(key)
+        encode(v, depth)
+        if not capturing and len(parts) >= _FLUSH_PARTS:
+            write("".join(parts))
+            parts.clear()
+
+    def encode(v, depth):
         if isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v):
             brackets, items = "[]", [("", x) for x in v]
         elif isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
-            brackets, items = "{}", [(json.dumps(k) + ": ", v[k]) for k in sorted(v)]
-        elif isinstance(v, (list, tuple, dict)):
+            brackets, items = "{}", [
+                (encode_basestring_ascii(k) + ": ", v[k]) for k in sorted(v)
+            ]
+        else:
             # sorted like the indented form, so the compact form fixes it:
             # {10: 0, 2: 1} and {"10": 0, "2": 1} sort their keys differently
             key = (json.dumps(v, sort_keys=True), depth)
@@ -103,10 +148,6 @@ def _dumps(value):
                 indented = json.dumps(v, indent=2, sort_keys=True)
                 leaves[key] = indented.replace("\n", "\n" + _INDENT * depth)
             parts.append(leaves[key])
-            return
-        else:
-            # a scalar's encoding has no line break to shift
-            parts.append(json.dumps(v))
             return
         inner = "\n" + _INDENT * (depth + 1)
         parts.append(brackets[0])
@@ -116,21 +157,28 @@ def _dumps(value):
         parts.append("\n" + _INDENT * depth + brackets[1])
 
     walk(value, 0)
-    return "".join(parts)
+    if parts:
+        write("".join(parts))
 
 
 def _emit(args, report, table_lines):
     as_json = getattr(args, "format", "table") == "json"
     # the indented document of a large catalog takes a second to build, so
-    # a table run without --out does not build it
+    # a table run without --out does not build it; otherwise its chunks go
+    # to every sink as they are encoded
     if as_json or args.out:
-        text = _dumps(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    if as_json:
-        print(text)
-    else:
+        with contextlib.ExitStack() as stack:
+            sinks = [stack.enter_context(open(args.out, "w")).write] if args.out else []
+            if as_json:
+                sinks.append(sys.stdout.write)
+
+            def write(chunk):
+                for sink in sinks:
+                    sink(chunk)
+
+            _dump(report, write)
+            write("\n")
+    if not as_json:
         for line in table_lines:
             print(line)
 

@@ -301,17 +301,30 @@ def _omega_pairs(fp, mats, d):
 
 
 def _monomials(pow_pairs, d):
-    """Up[i] @ Vp[j] for every (Up, Vp) and (i, j), row-major, as one batch."""
-    left = [Up[i] for Up, _ in pow_pairs for i in range(d) for _ in range(d)]
-    right = [Vp[j] for _, Vp in pow_pairs for _ in range(d) for j in range(d)]
-    return matmul_many(left, right)
+    """Up[i] @ Vp[j] for every (Up, Vp) and (i, j), row-major.
+
+    A monomial with i or j zero is a power itself, so only the (d-1)**2
+    others per pair are formed, as one batched product.
+    """
+    ij = [(i, j) for i in range(1, d) for j in range(1, d)]
+    products = iter(matmul_many(
+        [Up[i] for Up, _ in pow_pairs for i, _ in ij],
+        [Vp[j] for _, Vp in pow_pairs for _, j in ij],
+    ))
+    return [
+        Vp[j] if i == 0 else Up[i] if j == 0 else next(products)
+        for Up, Vp in pow_pairs
+        for i in range(d)
+        for j in range(d)
+    ]
 
 
 def _closure_gaps(monos, digests, catalog):
-    """Exponents (i, j) whose monomial U**i V**j misses the catalog.
+    """Exponents (i, j) = divmod(idx, d) of the monos[idx] that miss the catalog.
 
-    monos holds the d*d monomials of one pair in row-major (i, j) order and
-    digests their catalog digests; every digest hit is confirmed exactly.
+    For the d*d monomials of one pair in row-major (i, j) order these are
+    the exponents whose U**i V**j misses.  digests holds the catalog digests
+    of monos, and every digest hit is confirmed exactly by contains.
     """
     d = catalog.d
     return [
@@ -319,6 +332,19 @@ def _closure_gaps(monos, digests, catalog):
         for idx, (M, dig) in enumerate(zip(monos, digests))
         if not catalog.contains(M, digest=dig)
     ]
+
+
+def _exact_key(M, m):
+    """Key of M's exact value at conductor level m >= M.m: equal keys, equal matrices.
+
+    Normalised matrices promoted to one level are equal exactly when their
+    shapes, denominators and coefficients are.  An object-lane matrix, past
+    int64 and so equal to no int64 one, keys by its to_key bytes.
+    """
+    if M.nums.dtype == object:
+        return M.to_key()
+    nums = M.nums if M.m == m else M.cond.promote_tensor(M.nums, m)
+    return (M.shape, M.den, nums.tobytes())
 
 
 # matrices one batched pass of the lift holds at a time; a pass over a block
@@ -332,23 +358,35 @@ def _blocks(items, per_item):
 
 
 def _closure_failures(phased, pairs, prev):
-    """The gaps of every pair, from batched passes over the monomials.
+    """The gaps of every pair, with each distinct monomial decided once.
 
-    The powers of each phased representative are taken once; the d*d
-    monomials of a block of pairs form one batched product and one
-    fingerprint pass, and each pair's gaps are then read off by
-    _closure_gaps.
+    The powers of each phased representative are taken once, and the d*d
+    monomials of a block of pairs form one batched product.  Pairs share
+    most of their monomials (the d=3 level-4 lift forms 7,128, of which 597
+    are distinct), so membership is memoised for the whole closure under
+    each monomial's exact key, never under a digest, which two gates can
+    share.  The monomials of a block that are new to the memo are
+    fingerprinted in one pass and decided by _closure_gaps; each pair's
+    gaps are then read from the memo.
     """
     d = prev.d
     dd = d * d
     involved = sorted({x for pair in pairs for x in pair})
     pows = dict(zip(involved, powers([phased[x] for x in involved], d)))
+    # every monomial lies at or below the highest level among the powers
+    top = max((P.m for ps in pows.values() for P in ps), default=1)
+    member = {}  # exact key -> whether the monomial is in prev
     gaps = []
     for block in _blocks(pairs, dd):
         monos = _monomials([(pows[a], pows[b]) for a, b in block], d)
-        digests = prev.digests_of(monos)
+        keys = [_exact_key(M, top) for M in monos]
+        fresh = {key: M for key, M in zip(keys, monos) if key not in member}
+        if fresh:
+            new = list(fresh.values())
+            missing = {i * d + j for i, j in _closure_gaps(new, prev.digests_of(new), prev)}
+            member.update((key, idx not in missing) for idx, key in enumerate(fresh))
         gaps.extend(
-            _closure_gaps(monos[t * dd:(t + 1) * dd], digests[t * dd:(t + 1) * dd], prev)
+            [divmod(idx, d) for idx, key in enumerate(keys[t * dd:(t + 1) * dd]) if not member[key]]
             for t in range(len(block))
         )
     return gaps

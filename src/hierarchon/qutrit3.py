@@ -124,25 +124,47 @@ def kernel_semibasis_check(q):
     return witness is not None, witness
 
 
-def _tables(d=3):
-    n = d ** 7
-    idx = np.arange(n)
-    rem = idx.copy()
-    digs = []
-    for pw in range(6, -1, -1):
-        digs.append((rem // d ** pw).astype(np.int16))
-        rem = rem % d ** pw
-    # septuple i of the rows against septuple j of the columns
-    lin, c = _commutator([x[:, None] for x in digs], [x[None, :] for x in digs], d)
-    d1, d2, d3 = digs[:3]
-    colcode = (d1 + 3 * d2 + 9 * d3).astype(np.int64)
-    return lin, c, colcode
+def _digit_columns(d, count):
+    """The count base-d digits of 0..d**count-1, most significant first."""
+    idx = np.arange(d ** count)
+    return [idx // d ** pw % d for pw in range(count - 1, -1, -1)]
 
 
 def _pair_list(d=3):
-    lin, c, colcode = _tables(d)
-    pairs = np.argwhere(lin & (c == 1))
-    ok0 = (lin & (c == 0)).astype(np.uint8)
+    """(pairs, ok0, colcode) over every ordered pair of septuples.
+
+    pairs lists the (i, j) with U_i U_j = w U_j U_i, row-major; ok0[i, j] is
+    1 where U_i and U_j commute; colcode[i] packs the quadratic digits of i.
+    A septuple index is i = d**4 q + d**2 a + x, with q its quadratic, a its
+    Z and x its X digits.  The congruences read only (q, x) of each side, and each
+    half of c reads two digit groups, psi(alpha) - b.alpha the row's x and
+    the column's (q, b), a.beta - phi(beta) the row's (q, a) and the
+    column's y.  So _commutator runs on three small tables, and each
+    d**7 x d**7 mask is one comparison of two int8 tables and one AND.
+    """
+    nq, nx = d ** 3, d ** 2
+    q, x = _digit_columns(d, 3), _digit_columns(d, 2)
+
+    def at(digits, axis, ndim):
+        return [v.reshape([-1 if k == axis else 1 for k in range(ndim)]) for v in digits]
+
+    none = [0, 0]  # the Z or the X digits, absent from a table
+    # lin over (q_i, x_i, q_j, y_j)
+    lin, _ = _commutator(at(q, 0, 4) + none + at(x, 1, 4), at(q, 2, 4) + none + at(x, 3, 4), d)
+    # psi(alpha) - b.alpha over (x_i, q_j, b_j); a.beta - phi(beta) over (q_i, a_i, y_j)
+    _, c_x = _commutator([0] * 3 + none + at(x, 0, 3), at(q, 1, 3) + at(x, 2, 3) + none, d)
+    _, c_y = _commutator(at(q, 0, 3) + at(x, 1, 3) + none, [0] * 3 + none + at(x, 2, 3), d)
+    # on the grid over (q_i, a_i, x_i, q_j, b_j, y_j), c == t exactly where
+    # c_y == t - c_x (mod d), so no d**7 x d**7 sum is formed
+    lin = lin.reshape(nq, 1, nx, nq, 1, nx)
+    c_y = c_y.astype(np.int8).reshape(nq, nx, 1, 1, 1, nx)
+    c_x = c_x.astype(np.int8).reshape(1, 1, nx, nq, nx, 1)
+    n = d ** 7
+    # laid out as np.argwhere lays it out, so each column is contiguous
+    pairs = np.transpose(np.divmod(np.flatnonzero(lin & (c_y == (1 - c_x) % d)), n))
+    ok0 = (lin & (c_y == -c_x % d)).reshape(n, n).view(np.uint8)
+    d1, d2, d3 = q
+    colcode = np.repeat(d1 + d * d2 + d * d * d3, nx * nx).astype(np.int64)
     return pairs, ok0, colcode
 
 

@@ -451,6 +451,33 @@ def test_certificate_and_gadget_reports_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded before the closure decided each distinct
+# monomial once and the survey's pair tables were built from digit groups
+PINNED_LIFT_AND_SURVEY = [
+    (
+        ["enumerate", "--d", "3", "--max-level", "4", "--format", "json"],
+        "1f397580b4aff7c4175e89c568e8b84b44c5c4401deb639402d814e0480f30c0",
+    ),
+    (
+        ["qutrit3", "survey", "--stride", "50", "--format", "json"],
+        "1e99b75914804e30e8545f1bc0f82531b2040c26b442bd2c5361ad581d942422",
+    ),
+    (
+        ["qutrit3", "survey", "--stride", "1", "--format", "json"],
+        "03bf11abf10d24334efbbf31705c407414f9c03894229a2af5e3761283645948",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_LIFT_AND_SURVEY, ids=["level4-lift", "survey-50", "survey-1"]
+)
+def test_lift_and_survey_reports_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_catalog_certificates_search_each_gate_once(capsys, monkeypatch):
     calls = []
     original = hierarchon.semiclifford.find_witnesses
@@ -539,7 +566,32 @@ _TREES = _trees(_SCALARS)
 # equal unsorted encodings at one depth, sorted differently: int keys by value
 @example(value={"a": [[{2: 0, 10: 1}]], "b": [[{"2": 0, "10": 1}]]})
 def test_dumps_matches_the_indented_json_encoding(value):
-    assert hierarchon.cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    chunks = []
+    hierarchon.cli._dump(value, chunks.append)
+    assert "".join(chunks) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dump_streams_chunks_and_encodes_shared_subtrees_once(monkeypatch):
+    doc = {"conductor": 3, "entries": [[[1, -1], [0, 2 ** 70]]], "name": "\u00e9"}
+    value = {"certificates": [{"C1": doc, "D": doc, "id": k} for k in range(50)], "doc": doc}
+    calls = []
+    original = json.dumps
+
+    def counted(v, *args, **kwargs):
+        calls.append(v)
+        return original(v, *args, **kwargs)
+
+    monkeypatch.setattr(hierarchon.cli, "_FLUSH_PARTS", 16)
+    monkeypatch.setattr(hierarchon.cli.json, "dumps", counted)
+    chunks = []
+    hierarchon.cli._dump(value, chunks.append)
+    assert len(chunks) > 1
+    assert "".join(chunks) == original(value, indent=2, sort_keys=True)
+    # json.dumps runs on the leaf list alone: compact and indented at each
+    # of its two depths, and compact once more when the second meeting of
+    # the certificates' document encodes it into the string the other 98
+    # meetings reuse
+    assert calls == [doc["entries"]] * 5
 
 
 def test_qutrit3_survey_quick(capsys):

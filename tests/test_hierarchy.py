@@ -292,6 +292,55 @@ def test_closure_gaps_of_single_wire_tuples(d3):
     assert closure_gaps(tuple_of(T9, 1), d3[2]) == []
 
 
+def _level_pairs(cat):
+    """(phased, pairs) of the lift from cat to the level above it."""
+    from hierarchon import hierarchy
+
+    reps, phased, _ = hierarchy._rephase_all([su.mat for su in cat.representatives()], cat.d)
+    return phased, hierarchy._omega_pairs(cat.fp, reps, cat.d)
+
+
+@pytest.mark.parametrize("batch", [512, 1])
+def test_closure_failures_match_a_per_monomial_oracle(d3, monkeypatch, batch):
+    from hierarchon import hierarchy
+
+    monkeypatch.setattr(hierarchy, "_BATCH", batch)
+    # the level-3 lift's pairs, whose monomials mostly lie past level 1
+    phased, pairs = _level_pairs(d3[2])
+    got = hierarchy._closure_failures(phased, pairs, d3[1])
+    want = [
+        [
+            (i, j)
+            for i in range(3)
+            for j in range(3)
+            if not d3[1].contains(phased[a].pow_int(i) @ phased[b].pow_int(j))
+        ]
+        for a, b in pairs
+    ]
+    assert got == want
+    assert any(got) and not all(got)
+
+
+def test_closure_decides_each_distinct_monomial_once(d3, monkeypatch):
+    from hierarchon import hierarchy
+
+    original = hierarchy.LevelCatalog.contains
+    for batch in (512, 1):
+        monkeypatch.setattr(hierarchy, "_BATCH", batch)
+        seen = []
+
+        def spy(self, gate, digest=None):
+            seen.append(gate.to_key())
+            return original(self, gate, digest)
+
+        monkeypatch.setattr(hierarchy.LevelCatalog, "contains", spy)
+        cat = hierarchy._lift_level(d3[3])
+        # the 7,128 monomials of the 792 pairs are 597 distinct matrices
+        assert len(seen) == len(set(seen)) == 597
+        assert cat.digests == d3[4].digests
+        assert cat.meta["closure_failure_count"] == 0
+
+
 def test_enumerate_rejects_bad_requests():
     with pytest.raises(ValueError, match="levels start at 1"):
         enumerate_level(3, 1, 0)

@@ -12,6 +12,7 @@ from hierarchon.cli import main
 from hierarchon.qutrit3 import (
     Septuple,
     TupleQuadruple,
+    _commutator,
     _pair_list,
     commutation_check,
     enumerate_tuples,
@@ -131,6 +132,22 @@ def dense_tuples(stride):
         valid = ok0[pu[r]] & ok0[pv[r]]
         for q in np.nonzero(valid[pu] & valid[pv])[0]:
             yield TupleQuadruple(*(septuple_from_index(int(i)) for i in (pu[r], pv[r], pu[q], pv[q])))
+
+
+def full_grid_pair_list(d=3):
+    """_pair_list by the full-grid formula: _commutator on every pair of septuples."""
+    idx = np.arange(d ** 7)
+    digs = [(idx // d ** pw % d).astype(np.int16) for pw in range(6, -1, -1)]
+    lin, c = _commutator([x[:, None] for x in digs], [x[None, :] for x in digs], d)
+    d1, d2, d3 = digs[:3]
+    colcode = (d1 + 3 * d2 + 9 * d3).astype(np.int64)
+    return np.argwhere(lin & (c == 1)), (lin & (c == 0)).astype(np.uint8), colcode
+
+
+def test_pair_list_matches_the_full_grid_formula():
+    for got, want in zip(_pair_list(), full_grid_pair_list()):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_enumeration_matches_the_dense_loop():

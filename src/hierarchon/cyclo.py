@@ -32,7 +32,6 @@ class Conductor:
         self.phi = self.c - self.step
         # E[e] = coefficients of zeta**e on the power basis, for all e < c
         self._E = self.reduce(np.eye(self.c, dtype=np.int64))
-        self._conj = np.ascontiguousarray(self._E[(-np.arange(self.phi)) % self.c])
 
     def reduce(self, arr):
         """(..., c) raw exponent tensor -> (..., phi) reduced tensor.
@@ -55,7 +54,7 @@ class Conductor:
 
     def conj(self, arr):
         """Complex conjugation zeta -> zeta**-1 on a reduced (..., phi) tensor."""
-        return arr @ self._conj
+        return self.galois(arr, -1)
 
     @lru_cache(maxsize=None)
     def _galois_table(self, u):
@@ -73,38 +72,25 @@ class Conductor:
         """Reindex a reduced tensor into the conductor d**m_new >= d**m."""
         if m_new < self.m:
             raise ValueError("promotion cannot shrink the conductor")
-        if m_new == self.m:
-            return np.array(arr)
         big = conductor(self.d, m_new)
         f = big.c // self.c
         out = np.zeros(arr.shape[:-1] + (big.phi,), dtype=arr.dtype)
         out[..., f * np.arange(self.phi)] = arr
         return out
 
-    def demote_tensor(self, arr, m_new):
-        """Drop to conductor d**m_new; None if the support does not allow it."""
-        if m_new > self.m:
-            raise ValueError("demotion cannot grow the conductor")
-        if m_new == self.m:
-            return np.array(arr)
-        # exponents that survive are the multiples of f = c / d**m_new
-        arr = np.asarray(arr)
-        f = self.c // conductor(self.d, m_new).c
-        split = arr.reshape(arr.shape[:-1] + (self.phi // f, f))
-        if np.any(split[..., 1:]):
-            return None
-        return split[..., 0].copy()
+    def demote_min(self, arr):
+        """(m', arr') with arr' the reduced tensor arr at the smallest conductor d**m'.
 
-    def min_level(self, arr):
-        """Smallest m_new such that demote_tensor(arr, m_new) is valid."""
+        Demoting by a factor f = c / d**m' keeps the exponents that are
+        multiples of f, so every other coefficient must vanish.
+        """
         arr = np.asarray(arr)
-        m_new = self.m
-        while m_new > 1:
-            f = self.c // conductor(self.d, m_new - 1).c
-            if np.any(arr.reshape(arr.shape[:-1] + (self.phi // f, f))[..., 1:]):
-                break
-            m_new -= 1
-        return m_new
+        m_new, f = self.m, 1
+        while m_new > 1 and not np.any(
+            arr.reshape(arr.shape[:-1] + (self.phi // (f * self.d), f * self.d))[..., 1:]
+        ):
+            m_new, f = m_new - 1, f * self.d
+        return m_new, np.ascontiguousarray(arr[..., ::f])
 
 
 def normalize(nums, den):
@@ -268,12 +254,8 @@ class CycloScalar:
         return CycloScalar(self.d, m_new, vec, self.den)
 
     def demote_min(self):
-        cond = self.cond
-        arr = np.array(self.nums, dtype=object)
-        m_new = cond.min_level(arr)
-        if m_new == self.m:
-            return self
-        return CycloScalar(self.d, m_new, cond.demote_tensor(arr, m_new), self.den)
+        m_new, vec = self.cond.demote_min(np.array(self.nums, dtype=object))
+        return self if m_new == self.m else CycloScalar(self.d, m_new, vec, self.den)
 
     def _pair(self, other):
         if isinstance(other, CycloScalar):

@@ -115,11 +115,8 @@ class ExactMatrix:
         return ExactMatrix(self.d, m_new, vec, self.den)
 
     def demote_min(self):
-        cond = self.cond
-        m_new = cond.min_level(self.nums)
-        if m_new == self.m:
-            return self
-        return ExactMatrix(self.d, m_new, cond.demote_tensor(self.nums, m_new), self.den)
+        m_new, nums = self.cond.demote_min(self.nums)
+        return self if m_new == self.m else ExactMatrix(self.d, m_new, nums, self.den)
 
     def _common(self, other):
         if self.d != other.d:
@@ -173,14 +170,12 @@ class ExactMatrix:
         return self.scale_vec(cond.zeta_vec(e % cond.c))
 
     def scale(self, s):
-        if isinstance(s, CycloScalar):
-            if s.d != self.d:
-                raise ValueError("mixed base primes")
-            m = max(s.m, self.m)
-            a = self.promote(m)
-            sv = s.promote(m)
-            return a.scale_vec(as_int64_if_safe(np.array(sv.nums, dtype=object)), sv.den)
-        return self.scale_q(s)
+        """Every entry times the CycloScalar s; scale_q takes a rational."""
+        if s.d != self.d:
+            raise ValueError("mixed base primes")
+        m = max(s.m, self.m)
+        sv = s.promote(m)
+        return self.promote(m).scale_vec(as_int64_if_safe(np.array(sv.nums, dtype=object)), sv.den)
 
     def dagger(self):
         conj = self.cond.conj(self.nums)
@@ -234,7 +229,7 @@ class ExactMatrix:
     def to_key(self):
         """Stable bytes key for the exact value (minimal conductor, reduced)."""
         small = self.demote_min()
-        arr = as_int64_if_safe(small.nums)
+        arr = small.nums
         r, s = small.shape
         head = ("%d|%d|%d|%d|%d|" % (small.d, small.m, r, s, small.den)).encode()
         if arr.dtype == object:
@@ -316,9 +311,8 @@ def equal_up_to_phase_stacked(pairs, cond):
     zero = ~nonzero.any(axis=-1)
     rows = np.arange(N)
     slots = nonzero[:, 0].argmax(axis=1)
-    (entries,) = wide(max_abs(entries) ** 2 * cond.phi * cond.c, entries)
     # row 0 is every entry of A times B[slot], row 1 every entry of B times A[slot]
-    raw = _batch_product(entries, entries[rows, ::-1, slots][:, :, None], cond)
+    raw = stacked_product(entries, entries[rows, ::-1, slots][:, :, None], cond)
     same = (raw[:, 0] == raw[:, 1]).reshape(N, -1).all(axis=1)
     # a zero B fails at the slot; a zero A holds every product at zero
     return np.where(zero[:, 0], zero[:, 1], nonzero[rows, 1, slots] & same)
@@ -387,11 +381,7 @@ def _product_bound(A, B, cond):
 
 def stacked_product(A, B, cond):
     """Reduced group-ring product over leading batch axes, in the dtype its bound allows."""
-    return _batch_product(*wide(_product_bound(A, B, cond), A, B), cond)
-
-
-def _batch_product(A, B, cond):
-    """Reduced product over leading batch axes, of arrays wide() has typed."""
+    A, B = wide(_product_bound(A, B, cond), A, B)
     if A.dtype == object:
         return _gr_matmul_obj(A, B, cond)
     return cond.reduce(K.gr_matmul_batch(A, B, cond.c))
@@ -451,23 +441,12 @@ class ScaledUnitary:
     def dim(self):
         return self.mat.dim
 
-    def __matmul__(self, other):
-        return ScaledUnitary(self.mat @ other.mat, self.scale2 * other.scale2)
-
-    def dagger(self):
-        return ScaledUnitary(self.mat.dagger(), self.scale2)
-
-    def pow_int(self, k):
-        return ScaledUnitary(self.mat.pow_int(k), self.scale2 ** k)
-
     def __repr__(self):
         return "ScaledUnitary(%r, scale2=%s)" % (self.mat, self.scale2)
 
 
 def conjugate_action(G, M):
     """G M G* as an ExactMatrix, computed scale-free as (mat M mat*)/scale2."""
-    if isinstance(M, ScaledUnitary):
-        return conjugate_action(G, M.mat)
     prod = G.mat @ M @ G.mat.dagger()
     return prod.scale_q(Fraction(1, 1) / G.scale2)
 

@@ -537,12 +537,13 @@ def _load_cache(d, n, k, cache_dir, fp):
     if not (
         isinstance(doc, dict)
         and isinstance(doc.get("gates"), list)
-        and "count" in doc
+        and type(doc.get("count")) is int
         and "content_hash" in doc
     ):
         raise ValueError("cache file %s is malformed" % path)
+    # type() too, since JSON true and 1.0 compare equal to 1
     for field, want in (("version", 1), ("d", d), ("n", n), ("k", k)):
-        if doc.get(field) != want:
+        if type(doc.get(field)) is not int or doc[field] != want:
             raise ValueError("cache file %s does not describe level (%d,%d,%d)" % (path, d, n, k))
     # the header's meta is outside the content hash, so its shape is checked here
     meta = doc.get("meta", {})

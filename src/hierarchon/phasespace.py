@@ -303,66 +303,39 @@ def enumerate_semibases(d, n):
 # every witness search walks the list, so it is built once per (d, n)
 @lru_cache(maxsize=None)
 def _semibases(d, n):
-    if n == 1:
-        out = []
-        for v in itertools.product(range(d), repeat=2):
-            if not any(v):
-                continue
-            lead = next(x for x in v if x)
-            if lead != 1:
-                continue
-            out.append((_vec_point(v, 1),))
-        out.sort(key=_zfirst_key)
-        return tuple(out)
-    if n != 2:
+    """The isotropic n-sets of points with leading coordinate 1, one per span.
+
+    Two distinct such points are never dependent, so for n <= 2 every
+    pairwise isotropic n-set spans a Lagrangian subspace, keyed by its
+    reduced basis.
+    """
+    if n > 2:
         raise ValueError("n capped at 2")
-    lead1 = []
-    for v in itertools.product(range(d), repeat=4):
-        if not any(v):
+    points = itertools.product(range(d), repeat=2 * n)
+    lead1 = [v for v in points if next((x for x in v if x), 0) == 1]
+    spans = {}
+    for vs in itertools.combinations(lead1, n):
+        pts = [_vec_point(v, n) for v in vs]
+        if any(symplectic_form(u, w, d) for u, w in itertools.combinations(pts, 2)):
             continue
-        lead = next(x for x in v if x)
-        if lead == 1:
-            lead1.append(v)
-    seen = set()
-    out = []
-    for i, v1 in enumerate(lead1):
-        for v2 in lead1[i + 1:]:
-            if symplectic_form(_vec_point(v1, 2), _vec_point(v2, 2), d):
-                continue
-            basis, piv = _rref_mod([v1, v2], d)
-            if len(basis) != 2:
-                continue
-            key = tuple(basis)
-            if key in seen:
-                continue
-            seen.add(key)
-            pts = sorted((_vec_point(v, 2) for v in basis), key=lambda pt: _zfirst_key([pt]))
-            out.append(tuple(pts))
-    out.sort(key=_zfirst_key)
-    return tuple(out)
+        basis = tuple(_rref_mod(vs, d)[0])
+        spans[basis] = tuple(sorted((_vec_point(v, n) for v in basis), key=lambda pt: _zfirst_key([pt])))
+    return tuple(sorted(spans.values(), key=_zfirst_key))
 
 
 def _solve_mod(A, b, d):
-    """One solution x of A x = b over Z_d (d prime), or None."""
-    rows = [list(r) + [bb] for r, bb in zip(A, b)]
-    red, piv = _rref_mod(rows, d)
+    """One solution x of A x = b over Z_d (d prime), or None.
+
+    x holds the augmented column at the pivots of the reduced [A | b] and 0
+    elsewhere; there is no solution when a pivot lands in that column.
+    """
     ncols = len(A[0])
+    red, piv = _rref_mod([list(r) + [bb] for r, bb in zip(A, b)], d)
+    if piv and piv[-1] == ncols:
+        return None
     x = [0] * ncols
-    for r, row in enumerate(red):
-        lead = None
-        for col in range(ncols):
-            if row[col]:
-                lead = col
-                break
-        if lead is None:
-            if row[ncols]:
-                return None
-            continue
-        x[lead] = row[ncols]
-    # verify (A may be singular)
-    for r, bb in zip(A, b):
-        if sum(a * xx for a, xx in zip(r, x)) % d != bb % d:
-            return None
+    for row, col in zip(red, piv):
+        x[col] = row[ncols]
     return x
 
 

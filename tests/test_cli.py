@@ -689,6 +689,33 @@ def test_malformed_store_header_exits_two_with_one_line(capsys, tmp_path, meta):
     assert err.startswith("error: ") and "malformed" in err and err.count("\n") == 1
 
 
+def test_store_header_true_for_one_exits_two_with_one_line(capsys, tmp_path):
+    store = str(tmp_path / "store")
+    assert run(capsys, ["enumerate", "--d", "3", "--max-level", "1", "--cache-dir", store])[0] == 0
+    path = os.path.join(store, "d3_n1", "level_1.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["version"] = True
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(
+        capsys, ["enumerate", "--d", "3", "--max-level", "1", "--cache-dir", store]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--d", "3", "--max-level", "0"], ["qutrit3", "survey", "--stride", "0"]],
+    ids=["max-level-0", "stride-0"],
+)
+def test_nonpositive_counts_exit_two_with_one_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_benchmark_tracer_wraps_every_boundary(tmp_path):
     """The traced benchmark's install() finds every name it wraps, and the CLI runs."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -267,3 +267,46 @@ def test_entry_inverse_of_a_monomial_is_the_norm_inverse(d, m):
             slow_nums, slow_den = norm_inverse(vec, 1, cond)
             assert fast == CycloScalar(d, m, np.asarray(slow_nums, dtype=object), slow_den)
             assert fast * CycloScalar(d, m, vec.astype(object)) == 1
+
+
+def min_level_then_demote(cond, arr):
+    """Demotion as first written: find the level, then check the support again."""
+    m_new = cond.m
+    while m_new > 1:
+        f = cond.c // conductor(cond.d, m_new - 1).c
+        if np.any(arr.reshape(arr.shape[:-1] + (cond.phi // f, f))[..., 1:]):
+            break
+        m_new -= 1
+    if m_new == cond.m:
+        return m_new, np.array(arr)
+    f = cond.c // conductor(cond.d, m_new).c
+    split = arr.reshape(arr.shape[:-1] + (cond.phi // f, f))
+    assert not np.any(split[..., 1:])
+    return m_new, split[..., 0].copy()
+
+
+@pytest.mark.parametrize("d,m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_demote_min_matches_min_level_then_demote(d, m, dtype):
+    cond = conductor(d, m)
+    rng = np.random.default_rng(d * 10 + m)
+    levels = set()
+    for lead in ((), (3,), (2, 3)):
+        for m0 in range(1, m + 1):
+            small = conductor(d, m0)
+            for _ in range(4):
+                arr = rng.integers(-9, 10, size=lead + (small.phi,)) * rng.integers(0, 2)
+                if m0 < m:
+                    arr = small.promote_tensor(arr, m)
+                if rng.integers(3) == 0:
+                    arr = arr.copy()
+                    arr[(0,) * len(lead) + (rng.integers(cond.phi),)] += 1
+                if dtype is object:
+                    arr = arr.astype(object) * 2 ** 70
+                got_m, got = cond.demote_min(arr)
+                want_m, want = min_level_then_demote(cond, arr)
+                assert got_m == want_m
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert np.array_equal(got, want)
+                levels.add(got_m)
+    assert levels == set(range(1, m + 1))

@@ -405,6 +405,35 @@ def test_cache_detects_tampering(tmp_path):
             enumerate_level(3, 1, 2, cache_dir=cache)
 
 
+def _content_hash(gates):
+    h = hashlib.sha256()
+    for g in gates:
+        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("version", True), ("version", 1.0), ("d", 3.0), ("n", True), ("n", 1.0),
+     ("k", True), ("k", 1.0), ("count", True), ("count", 1.0)],
+)
+def test_cache_header_fields_must_be_ints(tmp_path, field, value):
+    """JSON true and 1.0 compare equal to 1 in Python, but are no header integers."""
+    cache = str(tmp_path)
+    path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
+    with open(path, "rb") as fh:
+        doc = json.load(fh)
+    if field == "count":
+        # a one-gate level whose hash holds, so only the count's type is wrong
+        doc["gates"] = doc["gates"][:1]
+        doc["content_hash"] = _content_hash(doc["gates"])
+    doc[field] = value
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="malformed|does not describe"):
+        enumerate_level(3, 1, 1, cache_dir=cache)
+
+
 def test_cache_rejects_a_gate_of_another_base_prime(tmp_path):
     cache = str(tmp_path)
     path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]

@@ -15,6 +15,10 @@ from hierarchon.exactmat import (
 )
 from hierarchon.phasespace import (
     PauliElement,
+    _rref_mod,
+    _solve_mod,
+    _vec_point,
+    _zfirst_key,
     enumerate_semibases,
     extend_to_symplectic_basis,
     half,
@@ -317,6 +321,79 @@ def test_extend_to_symplectic_basis():
                 assert symplectic_form(es[i], es[j], 3) == 0
                 assert symplectic_form(fs[i], fs[j], 3) == 0
                 assert symplectic_form(es[i], fs[j], 3) == (1 if i == j else 0)
+
+
+def two_branch_semibases(d, n):
+    """The semibasis list as first written: one branch for n=1, one for n=2."""
+    if n == 1:
+        out = []
+        for v in itertools.product(range(d), repeat=2):
+            if any(v) and next(x for x in v if x) == 1:
+                out.append((_vec_point(v, 1),))
+        out.sort(key=_zfirst_key)
+        return tuple(out)
+    lead1 = [v for v in itertools.product(range(d), repeat=4)
+             if any(v) and next(x for x in v if x) == 1]
+    seen = set()
+    out = []
+    for i, v1 in enumerate(lead1):
+        for v2 in lead1[i + 1:]:
+            if symplectic_form(_vec_point(v1, 2), _vec_point(v2, 2), d):
+                continue
+            basis, _ = _rref_mod([v1, v2], d)
+            if len(basis) != 2 or tuple(basis) in seen:
+                continue
+            seen.add(tuple(basis))
+            out.append(tuple(sorted((_vec_point(v, 2) for v in basis),
+                                    key=lambda pt: _zfirst_key([pt]))))
+    out.sort(key=_zfirst_key)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_semibases_match_the_two_branch_routine(d, n):
+    want = two_branch_semibases(d, n)
+    assert enumerate_semibases(d, n) == list(want)
+    for basis in want:
+        assert extend_to_symplectic_basis(list(basis), d)[0] == list(basis)
+
+
+def solve_by_reduction_and_check(A, b, d):
+    """The solver as first written: read each row's lead, then verify A x = b."""
+    rows = [list(r) + [bb] for r, bb in zip(A, b)]
+    red, _ = _rref_mod(rows, d)
+    ncols = len(A[0])
+    x = [0] * ncols
+    for row in red:
+        lead = next((col for col in range(ncols) if row[col]), None)
+        if lead is None:
+            if row[ncols]:
+                return None
+            continue
+        x[lead] = row[ncols]
+    for r, bb in zip(A, b):
+        if sum(a * xx for a, xx in zip(r, x)) % d != bb % d:
+            return None
+    return x
+
+
+def test_solve_mod_matches_the_checked_solver_and_brute_force():
+    rng = random.Random(15)
+    outcomes = set()
+    for d in (3, 5, 7):
+        for _ in range(200):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 3)
+            A = [[rng.randrange(d) for _ in range(cols)] for _ in range(rows)]
+            b = [rng.randrange(d) for _ in range(rows)]
+            got = _solve_mod(A, b, d)
+            assert got == solve_by_reduction_and_check(A, b, d)
+            xs = np.indices((d,) * cols).reshape(cols, -1)
+            solvable = bool(np.all((np.array(A) @ xs) % d == np.array(b)[:, None], axis=0).any())
+            assert (got is not None) == solvable
+            if got is not None:
+                assert all(sum(a * x for a, x in zip(r, got)) % d == bb for r, bb in zip(A, b))
+            outcomes.add(solvable)
+    assert outcomes == {True, False}
 
 
 def test_times_pauli_is_the_product():

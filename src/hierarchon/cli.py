@@ -40,9 +40,8 @@ def _estimate_members(d, n, k):
         return ref[k]
     if not ref:
         return (d ** (2 * n)) ** k
+    # the reference tables run from level 1 without gaps
     last = max(ref)
-    if k < last:
-        return ref[min(kk for kk in ref if kk >= k)]
     return ref[last] * (d ** (2 * n)) ** (k - last)
 
 

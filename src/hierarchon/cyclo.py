@@ -335,7 +335,7 @@ class CycloScalar:
 
     def as_fraction(self):
         if not self.is_rational():
-            raise ValueError("not rational: %r" % (self,))
+            raise ValueError("not rational")
         return Fraction(self.nums[0], self.den)
 
     def root_of_unity_log(self):
@@ -349,10 +349,6 @@ class CycloScalar:
 
     # -- comparison ------------------------------------------------------
 
-    def _canon(self):
-        s = self.demote_min()
-        return (s.d, s.m, s.nums, s.den)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloScalar.from_rational(self.d, Fraction(other), 1)
@@ -363,17 +359,3 @@ class CycloScalar:
                 and self.as_fraction() == other.as_fraction()
         a, b = self._pair(other)
         return a.nums == b.nums and a.den == b.den
-
-    def __hash__(self):
-        return hash(self._canon())
-
-    def __repr__(self):
-        cst = "z%d" % self.cond.c
-        terms = []
-        for e, x in enumerate(self.nums):
-            if x:
-                terms.append("%d" % x if e == 0 else "%d*%s^%d" % (x, cst, e))
-        body = " + ".join(terms) if terms else "0"
-        if self.den != 1:
-            return "(%s)/%d" % (body, self.den)
-        return body

@@ -60,9 +60,6 @@ class RankKPoly:
         d = self.d
         return ExactMatrix.diag(d, [CycloScalar.zeta(d, self.m, self(z)) for z in range(d)])
 
-    def __repr__(self):
-        return "RankKPoly(d=%d, k=%d, coeffs=%r)" % (self.d, self.k, self.coeffs)
-
 
 def rank_polys(d, k):
     """All rank-k polynomials, lexicographic in the coefficient vector."""
@@ -111,11 +108,11 @@ def verify_cgk(d, k, catalog):
     Both empty and the counts matching d**k is a pass.
     """
     delta = {}
-    for phi in rank_polys(d, k):
-        delta[phi.gate().canonical_rep().to_key()] = phi.coeffs
     missing = []
     for phi in rank_polys(d, k):
-        if not catalog.contains(phi.gate()):
+        D = phi.gate()
+        delta[D.canonical_rep().to_key()] = phi.coeffs
+        if not catalog.contains(D):
             missing.append(list(phi.coeffs))
     diag_count = 0
     extra = []

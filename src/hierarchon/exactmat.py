@@ -244,15 +244,6 @@ class ExactMatrix:
         a, b = self._common(other)
         return a.den == b.den and np.array_equal(a.nums, b.nums)
 
-    def __hash__(self):
-        return hash(self.to_key())
-
-    def __repr__(self):
-        r, s = self.shape
-        return "ExactMatrix(%dx%d, conductor %d, den %d)" % (
-            r, s, self.cond.c, self.den,
-        )
-
 
 def frozen(mat):
     """mat with a read-only coefficient array, for a matrix a memo shares."""
@@ -440,9 +431,6 @@ class ScaledUnitary:
     @property
     def dim(self):
         return self.mat.dim
-
-    def __repr__(self):
-        return "ScaledUnitary(%r, scale2=%s)" % (self.mat, self.scale2)
 
 
 def conjugate_action(G, M):

@@ -116,9 +116,6 @@ class PhasedGate:
     def matrix(self):
         return self.base.scale(self.phase).demote_min()
 
-    def __repr__(self):
-        return "PhasedGate(%r, phase=%r)" % (self.base, self.phase)
-
 
 def _corrections_reason(M, power=None):
     """order_d_corrections(M) and why it is None; power, when given, is M**d."""
@@ -262,11 +259,6 @@ def _pauli_catalog(d, n, fp):
 # the lift from level k-1 to level k
 
 
-def _mod_eval(fp, mat, pi):
-    pv = fp.powvec(pi, mat.m)
-    return K.fp_eval(mat.nums, pv, fp.primes[pi])
-
-
 def _omega_pairs(fp, mats, d):
     """Ordered pairs (a, b) with M_a M_b == omega M_b M_a, exactly.
 
@@ -282,7 +274,7 @@ def _omega_pairs(fp, mats, d):
     dim = mats[0].dim
     ev = np.empty((N, dim, dim), dtype=np.int64)
     for i, mat in enumerate(mats):
-        ev[i] = _mod_eval(fp, mat, 0)
+        ev[i] = K.fp_eval(mat.nums, fp.powvec(0, mat.m), p)
     omega_p = int(fp.powvec(0, 1)[1])
     mask = np.ones((N, N), dtype=bool)
     for r, c in ((0, 0), (0, 1), (1, 0)):

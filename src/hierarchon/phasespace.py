@@ -63,11 +63,6 @@ class PauliElement:
     def __hash__(self):
         return hash((self.d, self.c, self.p, self.q))
 
-    def __repr__(self):
-        return "PauliElement(d=%d, c=%d, p=%s, q=%s)" % (
-            self.d, self.c, self.p, self.q,
-        )
-
 
 def pauli_z(d, n, i):
     """Z on wire i (1-based), identity elsewhere."""

@@ -41,9 +41,6 @@ class SemiCliffordWitness:
         self.semibasis = tuple(semibasis)
         self.pauli_images = list(pauli_images)
 
-    def __repr__(self):
-        return "SemiCliffordWitness(%r)" % (self.semibasis,)
-
 
 class Diagonalisation:
     def __init__(self, c1, diag, c2):

@@ -185,7 +185,7 @@ def _rotated_reconstruct(T, memo):
     for a, b in [(0, 1)] + [(1, t) for t in range(1, d)]:
         x, y = (d - 1, 0) if a == 0 else (0, 1)
         rotated = ConjugateTuple(d, 1, [(_weyl_word(Up, Vp, a, b), _weyl_word(Up, Vp, x, y))])
-        start = _memo_start(rotated, memo)
+        start = _start(rotated, memo)
         if start is None:
             continue
         G2 = _columns(rotated, start)
@@ -194,12 +194,16 @@ def _rotated_reconstruct(T, memo):
     raise ValueError("reconstruction norm is not rational")
 
 
-def _start(T):
+def _start(T, memo):
     """(u0, |u0|^2) spanning the joint fixed space of the first members.
 
     None when neither a projector column nor the monomialising frame gives
     a vector of rational norm, so that only a rotation of the tuple can.
+    Found once per distinct set of first members in memo.
     """
+    key = tuple((U.m, U.to_key()) for U, _ in T.pairs)
+    if key in memo:
+        return memo[key]
     prod = reduce(operator.matmul, [orbit_sum(U, T.d) for U, _ in T.pairs])
     # prod is (up to scale) the rank-1 projector onto the joint fixed space;
     # the first column whose norm is rational is the usual start
@@ -211,15 +215,8 @@ def _start(T):
             start = _rational_fixed_vector(T, prod)
         except ValueError:
             pass
+    memo[key] = start
     return start
-
-
-def _memo_start(T, memo):
-    """_start(T), found once per distinct set of first members in memo."""
-    key = tuple((U.m, U.to_key()) for U, _ in T.pairs)
-    if key not in memo:
-        memo[key] = _start(T)
-    return memo[key]
 
 
 def _columns(T, start):
@@ -244,7 +241,7 @@ def reconstruct(T, memo=None):
     A one-wire tuple with no rational start is rotated.
     """
     memo = {} if memo is None else memo
-    start = _memo_start(T, memo)
+    start = _start(T, memo)
     if start is not None:
         return _columns(T, start)
     if T.n != 1:

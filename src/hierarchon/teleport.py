@@ -85,8 +85,6 @@ def x_teleport(psi):
     correction X**-J is folded in, so every returned branch is proportional
     to the input.  A branch with no amplitude comes back as None.
     """
-    if len(psi) != psi.d:
-        raise ValueError("x_teleport takes a single-wire state")
     return gadget_run(GadgetSpec.identity(psi.d), psi)
 
 
@@ -119,10 +117,6 @@ class GadgetSpec:
         c1 = self.c1.mat
         raw = c1 @ self.core @ xinv @ self.core.dagger() @ c1.dagger()
         return ScaledUnitary(raw, self.c1.scale2 * self.c1.scale2)
-
-    def gate(self):
-        """The implemented gate, up to the scale of the Clifford factors."""
-        return self.c1.mat @ self.core @ self.c2.mat
 
 
 def gadget_run(spec, psi):
@@ -166,8 +160,9 @@ def verify_gadget(d=3, samples=100, seed=0, catalog=None, states=1):
     """Gadget check over random third-level gates and random input states.
 
     Every sampled gate is diagonalised, run through the circuit on `states`
-    random states, and each measurement branch is compared against the gate
-    acting directly.  The report counts branches and lists any failures.
+    random states, and each measurement branch is compared against the
+    sampled gate acting directly, not the product of the circuit's own
+    factors.  The report counts branches and lists any failures.
     """
     if catalog is None:
         catalog = enumerate_level(d, 1, 3)
@@ -184,7 +179,7 @@ def verify_gadget(d=3, samples=100, seed=0, catalog=None, states=1):
         spec = GadgetSpec.from_diagonalisation(diagonalize(su, witness))
         for _ in range(states):
             psi = _random_state(d, 2, rng)
-            target = apply(spec.gate(), psi)
+            target = apply(su.mat, psi)
             for J, branch in enumerate(gadget_run(spec, psi)):
                 checked += 1
                 if branch is None:

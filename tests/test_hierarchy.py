@@ -598,6 +598,90 @@ def test_batched_keys_match_single_keys(d3):
     assert d3[3].digests_of(mats) == [d3[3]._digest(m) for m in mats]
 
 
+# equal_up_to_phase calls of the d=3 walk to level 3 on one-byte digests
+COLLISION_COMPARES = 7480
+
+
+def test_fingerprint_collisions_reach_the_exact_comparison(monkeypatch):
+    from hierarchon import hierarchy
+
+    # one-byte digests put hundreds of classes in a bucket, so the counts
+    # rest on the exact comparison alone
+    digest, digests_of = hierarchy.LevelCatalog._digest, hierarchy.LevelCatalog.digests_of
+    monkeypatch.setattr(
+        hierarchy.LevelCatalog, "_digest", lambda self, mat: digest(self, mat)[:1]
+    )
+    monkeypatch.setattr(
+        hierarchy.LevelCatalog, "digests_of",
+        lambda self, mats: [dig[:1] for dig in digests_of(self, mats)],
+    )
+    compares = []
+    real = hierarchy.equal_up_to_phase
+
+    def spy(a, b):
+        compares.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(hierarchy, "equal_up_to_phase", spy)
+    counts = [len(cat) for cat in enumerate_levels(3, 1, 3, cache_dir=False)]
+    assert counts == [9, 216, 1944]
+    assert len(compares) == COLLISION_COMPARES
+
+
+# rephased level-3 representatives, in _rephase_all order, whose pair is no
+# conjugate tuple: four of its monomials lie past level 3
+NOT_A_TUPLE = (97, 1)
+
+
+def test_a_closure_failure_is_recorded_and_the_cli_exits_1(d3, tmp_path, capsys, monkeypatch):
+    from hierarchon import hierarchy
+    from hierarchon.cli import main
+
+    # levels 1-3 cached first, so the CLI below lifts only level 4 with the pair
+    cache = str(tmp_path)
+    enumerate_level(3, 1, 3, cache_dir=cache)
+    real = hierarchy._omega_pairs
+    monkeypatch.setattr(
+        hierarchy, "_omega_pairs", lambda fp, mats, d: [NOT_A_TUPLE] + real(fp, mats, d)[:4]
+    )
+    cat = hierarchy._lift_level(d3[3])
+    assert cat.meta["closure_failure_count"] == 1
+    assert cat.meta["closure_failures"] == [
+        {"pair": list(NOT_A_TUPLE), "gaps": [(1, 1), (1, 2), (2, 1), (2, 2)]}
+    ]
+    assert cat.meta["pairs"] == 4
+
+    # the whole level-4 lift with the pair in front: the catalog is whole,
+    # and the failure alone fails the run
+    monkeypatch.setattr(
+        hierarchy, "_omega_pairs", lambda fp, mats, d: [NOT_A_TUPLE] + real(fp, mats, d)
+    )
+    argv = ["enumerate", "--d", "3", "--max-level", "4", "--cache-dir", cache, "--format", "json"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["closure_failures"] == 1
+    assert [lv["verdict"] for lv in doc["levels"]] == ["MATCH"] * 4
+
+
+def test_closure_keys_object_lane_monomials_exactly(d3, monkeypatch):
+    from hierarchon import hierarchy
+
+    lanes = []
+    real = hierarchy._exact_key
+
+    def spy(M, m):
+        lanes.append(M.nums.dtype)
+        return real(M, m)
+
+    monkeypatch.setattr(hierarchy, "_exact_key", spy)
+    U, V = tuple_of(ScaledUnitary.exact(diag9(0, 1, 2)), 1).members()
+    # U * 2**40 squares past int64; scaling changes no phase class
+    big = U.scale_q(Fraction(2 ** 40))
+    for cat, want in ((d3[1], [(i, j) for i in range(3) for j in (1, 2)]), (d3[2], [])):
+        assert hierarchy._closure_failures([big, V], [(0, 1)], cat) == [want]
+    assert object in lanes
+
+
 # ---------------------------------------------------------------------------
 # heavier tiers
 

@@ -1,11 +1,14 @@
 """Branch-exhaustive checks of X-teleportation and the magic state gadget."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hierarchon import teleport
+from hierarchon.cli import main
 from hierarchon.cyclo import CycloScalar
 from hierarchon.diagonal import gen_delta_k
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, kron
@@ -145,3 +148,37 @@ def test_verify_gadget_is_deterministic(cats):
     a = verify_gadget(3, samples=5, seed=11, catalog=cats[3])
     b = verify_gadget(3, samples=5, seed=11, catalog=cats[3])
     assert a == b
+
+
+@pytest.fixture
+def squared_core(monkeypatch):
+    """Drive the gadget with C1 D**2 C2 in place of the sampled C1 D C2."""
+
+    def from_diagonalisation(cls, split):
+        return cls(split.c1, split.diag @ split.diag, split.c2)
+
+    monkeypatch.setattr(GadgetSpec, "from_diagonalisation", classmethod(from_diagonalisation))
+
+
+def test_a_wrong_gadget_factor_fails_every_branch(cats, squared_core):
+    # the target is the sampled gate, not a product of the gadget's own factors
+    report = verify_gadget(3, samples=20, seed=1, catalog=cats[3])
+    assert report["branches_checked"] == 60
+    assert [f["reason"] for f in report["failures"]] == ["mismatch"] * 60
+
+
+def test_teleport_verify_exits_1_on_a_mismatch(capsys, tmp_path, squared_core):
+    argv = ["teleport", "verify", "--samples", "5", "--seed", "1", "--format", "json"]
+    assert main(argv + ["--cache-dir", str(tmp_path)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["branches_checked"] == 15
+    assert [f["reason"] for f in doc["failures"]] == ["mismatch"] * 15
+
+
+def test_a_gate_without_a_witness_is_a_failure(cats, monkeypatch):
+    monkeypatch.setattr(teleport, "find_witness", lambda su: None)
+    report = verify_gadget(3, samples=4, seed=1, catalog=cats[3])
+    assert report["branches_checked"] == 0
+    assert report["failures"] == [
+        {"sample": i, "branch": None, "reason": "no witness"} for i in range(4)
+    ]

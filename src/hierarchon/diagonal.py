@@ -96,8 +96,7 @@ def dxd_step(D):
     X = to_matrix(pauli_x(D.d, 1, 1))
     raw = D @ X @ D.dagger() @ X.dagger()
     down = raw.canonical_rep().demote_min()
-    fixes = order_d_corrections(down @ X)
-    return down, None if fixes is None else [g.phase for g in fixes]
+    return down, order_d_corrections(down @ X)
 
 
 def verify_cgk(d, k, catalog):

@@ -104,21 +104,11 @@ def _norm_witness(d, x):
     return g ** a * CycloScalar.from_rational(d, r)
 
 
-class PhasedGate:
-    """A matrix plus a scalar phase chosen so (phase * base)**d == I."""
-
-    __slots__ = ("base", "phase")
-
-    def __init__(self, base, phase):
-        self.base = base
-        self.phase = phase
-
-    def matrix(self):
-        return self.base.scale(self.phase).demote_min()
-
-
 def _corrections_reason(M, power=None):
-    """order_d_corrections(M) and why it is None; power, when given, is M**d."""
+    """(c0, None) with (c0 M)**d == I, or (None, why); power, when given, is M**d.
+
+    c0 is the first of order_d_corrections(M); the others are c0 omega**j.
+    """
     d = M.d
     lam = (M.pow_int(d) if power is None else power).scalar_if_scalar()
     if lam is None or lam.is_zero():
@@ -153,18 +143,20 @@ def _corrections_reason(M, power=None):
     # c0**d == sign * zeta**-t * taubar**d / s**d == sign * zeta**-t * unit / lam
     # and sign * zeta**-t * unit == sign**2 == 1, so c0**d == lam**-1 (d odd)
     c0 = CycloScalar.zeta(d, m_e, e) * taubar * CycloScalar.from_rational(d, Fraction(sign) / s)
-    return [PhasedGate(M, c0 * CycloScalar.omega(d, j)) for j in range(d)], None
+    return c0, None
 
 
 def order_d_corrections(M):
-    """The d scalar rephasings of M with (phase * M)**d == I, or None.
+    """The d scalar phases c with (c M)**d == I, or None.
 
     M**d must be a scalar whose conjugate-norm is the d-th power of a
     rational; the quotient by a norm witness must then be a root of unity.
     Both conditions hold for every representative the surveys emit.
     """
-    out, _ = _corrections_reason(M)
-    return out
+    c0, _ = _corrections_reason(M)
+    if c0 is None:
+        return None
+    return [c0 * CycloScalar.omega(M.d, j) for j in range(M.d)]
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +402,12 @@ def _rephase_all(mats, d):
     reps, phased, skipped = [], [], {}
     for block in _blocks(mats, d):
         for M, pows in zip(block, powers(block, d + 1)):
-            corr, why = _corrections_reason(M, pows[d])
-            if corr is None:
+            c0, why = _corrections_reason(M, pows[d])
+            if c0 is None:
                 skipped[why] = skipped.get(why, 0) + 1
                 continue
             reps.append(M)
-            phased.append(corr[0].matrix())
+            phased.append(M.scale(c0).demote_min())
     return reps, phased, skipped
 
 
@@ -557,7 +549,8 @@ def _load_cache(d, n, k, cache_dir, fp):
             raise ValueError("cache file %s mixes wire counts" % path)
         if su.d != d:
             raise ValueError("cache file %s mixes base primes" % path)
-        cat.add(su)
+        if not cat.add(su):
+            raise ValueError("cache file %s repeats a class" % path)
     cat.sort()
     cat.meta = dict(meta)
     cat.meta["from_cache"] = path

@@ -15,55 +15,18 @@ from .cyclo import CycloScalar
 from .exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, frozen, matmul_many, powers
 from .hierarchy import enumerate_level
 from .phasespace import pauli_x, to_matrix
-from .semiclifford import diagonalize, find_witness
+from .semiclifford import Diagonalisation, diagonalize, find_witness
 
 
-class StateVec:
-    """Unnormalised state over one or two wires: one nonzero exact column.
-
-    amplitudes is either that (dim, 1) ExactMatrix or a sequence of scalars.
-    """
-
-    def __init__(self, d, amplitudes):
-        if isinstance(amplitudes, ExactMatrix):
-            col = amplitudes
-        else:
-            amps = list(amplitudes)
-            if not amps:
-                raise ValueError("empty state")
-            col = ExactMatrix.from_scalars(d, [[a] for a in amps])
-        if col.is_zero():
-            raise ValueError("state is identically zero")
-        self.d = d
-        self.col = col
-
-    @property
-    def amplitudes(self):
-        return tuple(self.col.entry(i, 0) for i in range(len(self)))
-
-    def __len__(self):
-        return self.col.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, StateVec) and self.d == other.d and self.col == other.col
-
-    @classmethod
-    def basis(cls, d, z, wires=1):
-        return cls(d, _column(ExactMatrix.identity(d, d ** wires), z))
-
-
-def _column(M, j):
-    return ExactMatrix(M.d, M.m, M.nums[:, j:j + 1], M.den)
-
-
-def apply(M, psi):
-    """M applied to psi with exact scalars; scale factors are kept as-is."""
-    return StateVec(psi.d, M @ psi.col)
-
-
-def proportional(u, v):
-    """Whether two states differ by a nonzero scalar."""
-    return equal_up_to_phase(u.col, v.col)
+def state(d, amplitudes):
+    """An unnormalised state over one or two wires: a nonzero exact column."""
+    amps = list(amplitudes)
+    if not amps:
+        raise ValueError("empty state")
+    psi = ExactMatrix.from_scalars(d, [[a] for a in amps])
+    if psi.is_zero():
+        raise ValueError("state is identically zero")
+    return psi
 
 
 @lru_cache(maxsize=None)
@@ -85,42 +48,25 @@ def x_teleport(psi):
     correction X**-J is folded in, so every returned branch is proportional
     to the input.  A branch with no amplitude comes back as None.
     """
-    return gadget_run(GadgetSpec.identity(psi.d), psi)
+    eye = ScaledUnitary.exact(ExactMatrix.identity(psi.d, psi.d, 1))
+    return gadget_run(Diagonalisation(eye, eye.mat, eye), psi)
 
 
-class GadgetSpec:
-    """The three factors of a semi-Clifford gate plus derived gadget data.
+def correction(split):
+    """The outcome-1 correction of split's gadget; outcome J takes its J-th power.
 
-    c1 and c2 are the Clifford sides (scaled unitaries), core the diagonal
-    middle factor.  The measurement correction follows from the factors, so
-    it is computed rather than stored.
+    split is a Diagonalisation: Clifford sides c1 and c2 (scaled unitaries)
+    around the diagonal core diag.
     """
-
-    def __init__(self, c1, core, c2):
-        self.c1 = c1
-        self.core = core
-        self.c2 = c2
-        self.d = core.d
-
-    @classmethod
-    def identity(cls, d):
-        eye = ExactMatrix.identity(d, d, 1)
-        return cls(ScaledUnitary.exact(eye), eye, ScaledUnitary.exact(eye))
-
-    @classmethod
-    def from_diagonalisation(cls, split):
-        return cls(split.c1, split.diag, split.c2)
-
-    def correction(self):
-        """The outcome-1 correction; outcome J takes its J-th power."""
-        xinv = to_matrix(pauli_x(self.d, 1, 1).inverse())
-        c1 = self.c1.mat
-        raw = c1 @ self.core @ xinv @ self.core.dagger() @ c1.dagger()
-        return ScaledUnitary(raw, self.c1.scale2 * self.c1.scale2)
+    D = split.diag
+    xinv = to_matrix(pauli_x(D.d, 1, 1).inverse())
+    c1 = split.c1.mat
+    raw = c1 @ D @ xinv @ D.dagger() @ c1.dagger()
+    return ScaledUnitary(raw, split.c1.scale2 * split.c1.scale2)
 
 
-def gadget_run(spec, psi):
-    """Run the magic-state circuit for every outcome J.
+def gadget_run(split, psi):
+    """Run the magic-state circuit of the Diagonalisation split for every outcome J.
 
     Wire 1 carries the magic state w1; the input enters on wire 2 as w2,
     through C2 and two Fourier layers.  After the controlled X, outcome J
@@ -130,19 +76,20 @@ def gadget_run(spec, psi):
     followed by C1 and the J-th power of the correction, landing it on the
     implemented gate's output.
     """
-    d = spec.d
-    if len(psi) != d:
+    core = split.diag
+    d = core.d
+    if psi.shape[0] != d:
         raise ValueError("gadget_run takes a single-wire state")
-    if not spec.core.is_diagonal():
+    if not core.is_diagonal():
         raise ValueError("gadget requires diagonal core")
     H = hadamard(d)
-    w2 = H @ (H @ (spec.c2.mat @ psi.col))
+    w2 = H @ (H @ (split.c2.mat @ psi))
     shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
     circulant = ExactMatrix(d, w2.m, w2.nums[shift, 0], w2.den)
-    out = spec.c1.mat @ (spec.core @ circulant)
-    (fixes,) = powers([spec.correction().mat], d)
-    branches = matmul_many(fixes, [_column(out, J) for J in range(d)])
-    return [None if b.is_zero() else StateVec(d, b) for b in branches]
+    out = split.c1.mat @ (core @ circulant)
+    (fixes,) = powers([correction(split).mat], d)
+    columns = [ExactMatrix(d, out.m, out.nums[:, J:J + 1], out.den) for J in range(d)]
+    return [None if b.is_zero() else b for b in matmul_many(fixes, columns)]
 
 
 def _random_state(d, m, rng):
@@ -153,7 +100,7 @@ def _random_state(d, m, rng):
             e = rng.randrange(d ** m)
             amps.append(CycloScalar.zeta(d, m, e) * c)
         if not all(a.is_zero() for a in amps):
-            return StateVec(d, amps)
+            return state(d, amps)
 
 
 def verify_gadget(d=3, samples=100, seed=0, catalog=None, states=1):
@@ -176,14 +123,14 @@ def verify_gadget(d=3, samples=100, seed=0, catalog=None, states=1):
         if witness is None:
             failures.append({"sample": i, "branch": None, "reason": "no witness"})
             continue
-        spec = GadgetSpec.from_diagonalisation(diagonalize(su, witness))
+        split = diagonalize(su, witness)
         for _ in range(states):
             psi = _random_state(d, 2, rng)
-            target = apply(su.mat, psi)
-            for J, branch in enumerate(gadget_run(spec, psi)):
+            target = su.mat @ psi
+            for J, branch in enumerate(gadget_run(split, psi)):
                 checked += 1
                 if branch is None:
                     failures.append({"sample": i, "branch": J, "reason": "empty"})
-                elif not proportional(branch, target):
+                elif not equal_up_to_phase(branch, target):
                     failures.append({"sample": i, "branch": J, "reason": "mismatch"})
     return {"d": d, "samples": samples, "branches_checked": checked, "failures": failures}

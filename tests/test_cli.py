@@ -365,6 +365,23 @@ def test_diagonal_verify_json(capsys):
     assert doc["missing"] == [] and doc["extra"] == []
 
 
+@pytest.mark.parametrize(
+    "k,served,line",
+    [(3, 2, "missing from catalog: 18"), (2, 3, "extra diagonal classes: 18")],
+    ids=["missing", "extra"],
+)
+def test_diagonal_verify_exits_1_on_the_wrong_level(capsys, monkeypatch, k, served, line):
+    real = hierarchon.cli.enumerate_level
+
+    def wrong_level(d, n, k, cache_dir=None):
+        return real(d, n, served, cache_dir=cache_dir)
+
+    monkeypatch.setattr(hierarchon.cli, "enumerate_level", wrong_level)
+    code, out, _ = run(capsys, ["diagonal", "verify", "--d", "3", "--k", str(k)])
+    assert code == 1
+    assert out.startswith("fail: ") and line in out.splitlines()
+
+
 def test_semiclifford_gate_mode(capsys, t9_file):
     code, out, _ = run(capsys, ["semiclifford", t9_file, "--format", "json"])
     assert code == 0
@@ -687,6 +704,27 @@ def test_malformed_store_header_exits_two_with_one_line(capsys, tmp_path, meta):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "malformed" in err and err.count("\n") == 1
+
+
+def test_store_with_a_repeated_class_exits_two_with_one_line(capsys, tmp_path):
+    store = str(tmp_path / "store")
+    assert run(capsys, ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", store])[0] == 0
+    path = os.path.join(store, "d3_n1", "level_2.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["gates"].append(doc["gates"][0])
+    doc["count"] = len(doc["gates"])
+    h = hashlib.sha256()
+    for g in doc["gates"]:
+        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
+    doc["content_hash"] = h.hexdigest()
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(
+        capsys, ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", store]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "repeats a class" in err and err.count("\n") == 1
 
 
 def test_store_header_true_for_one_exits_two_with_one_line(capsys, tmp_path):

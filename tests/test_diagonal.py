@@ -190,3 +190,7 @@ def test_verify_cgk_flags_a_wrong_catalog():
     assert report["delta_count"] == 9
     assert len(report["missing"]) == 6
     assert report["diagonal_in_catalog"] == 3
+    # the level-3 catalog holds 27 - 9 diagonal classes the level-2 family misses
+    report = verify_cgk(3, 2, enumerate_level(3, 1, 3))
+    assert report["missing"] == [] and len(report["extra"]) == 18
+    assert report["diagonal_in_catalog"] == 27

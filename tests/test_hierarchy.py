@@ -78,9 +78,9 @@ def test_corrections_of_weyl_are_the_phase_orbit():
     Z, _ = zx(3)
     out = order_d_corrections(Z)
     assert len(out) == 3
-    for j, g in enumerate(out):
-        assert g.phase == CycloScalar.omega(3, j)
-        assert g.matrix().pow_int(3).is_identity()
+    for j, c in enumerate(out):
+        assert c == CycloScalar.omega(3, j)
+        assert Z.scale(c).demote_min().pow_int(3).is_identity()
 
 
 def test_corrections_rescale_scaled_weyls():
@@ -97,10 +97,10 @@ def test_corrections_rescale_scaled_weyls():
     for M, c0 in cases:
         out = order_d_corrections(M)
         assert out is not None
-        assert out[0].phase == c0
-        for g in out:
-            assert equal_up_to_phase(g.matrix(), Z)
-            assert g.matrix().pow_int(3).is_identity()
+        assert out[0] == c0
+        for c in out:
+            assert equal_up_to_phase(M.scale(c).demote_min(), Z)
+            assert M.scale(c).demote_min().pow_int(3).is_identity()
 
 
 def test_corrections_promote_the_conductor():
@@ -108,9 +108,9 @@ def test_corrections_promote_the_conductor():
     out = order_d_corrections(M)
     assert len(out) == 3
     # M**3 = zeta9 I, so the base correction is zeta27**-1
-    assert out[0].phase == CycloScalar.zeta(3, 3, 26)
-    for g in out:
-        assert g.matrix().pow_int(3).is_identity()
+    assert out[0] == CycloScalar.zeta(3, 3, 26)
+    for c in out:
+        assert M.scale(c).demote_min().pow_int(3).is_identity()
 
 
 def test_corrections_refuse_uncorrectable_gates():
@@ -125,12 +125,13 @@ def test_corrections_refuse_uncorrectable_gates():
 def test_corrections_in_dimension_five():
     Z, X = zx(5)
     out = order_d_corrections(Z.scale(rat(5, 5)))
-    assert out[0].phase == rat(5, Fraction(1, 5))
-    out = order_d_corrections(X.scale(rat(5, 2)))
-    assert out[0].phase == rat(5, Fraction(1, 2))
-    for g in out:
-        assert equal_up_to_phase(g.matrix(), X)
-        assert g.matrix().pow_int(5).is_identity()
+    assert out[0] == rat(5, Fraction(1, 5))
+    M = X.scale(rat(5, 2))
+    out = order_d_corrections(M)
+    assert out[0] == rat(5, Fraction(1, 2))
+    for c in out:
+        assert equal_up_to_phase(M.scale(c).demote_min(), X)
+        assert M.scale(c).demote_min().pow_int(5).is_identity()
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,9 +147,9 @@ def test_corrections_exist_for_rational_weyl_multiples(d, p, q, num, den):
     M = W.scale(rat(d, Fraction(num, den)))
     out = order_d_corrections(M)
     assert out is not None and len(out) == d
-    for g in out:
-        assert equal_up_to_phase(g.matrix(), W)
-        assert g.matrix().pow_int(d).is_identity()
+    for c in out:
+        assert equal_up_to_phase(M.scale(c).demote_min(), W)
+        assert M.scale(c).demote_min().pow_int(d).is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +435,21 @@ def test_cache_header_fields_must_be_ints(tmp_path, field, value):
         enumerate_level(3, 1, 1, cache_dir=cache)
 
 
+def test_cache_rejects_a_repeated_class(tmp_path):
+    cache = str(tmp_path)
+    path = enumerate_level(3, 1, 2, cache_dir=cache).meta["cache_path"]
+    with open(path, "rb") as fh:
+        doc = json.load(fh)
+    # count and content hash agree with the 217 gates, so only the repeat is wrong
+    doc["gates"].append(doc["gates"][0])
+    doc["count"] = len(doc["gates"])
+    doc["content_hash"] = _content_hash(doc["gates"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="repeats a class"):
+        enumerate_level(3, 1, 2, cache_dir=cache)
+
+
 def test_cache_rejects_a_gate_of_another_base_prime(tmp_path):
     cache = str(tmp_path)
     path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
@@ -661,6 +677,20 @@ def test_a_closure_failure_is_recorded_and_the_cli_exits_1(d3, tmp_path, capsys,
     doc = json.loads(capsys.readouterr().out)
     assert doc["closure_failures"] == 1
     assert [lv["verdict"] for lv in doc["levels"]] == ["MATCH"] * 4
+
+
+def test_a_repeated_pair_trips_the_sweep_assertion(monkeypatch):
+    from hierarchon import hierarchy
+
+    real = hierarchy._omega_pairs
+
+    def repeat_first(fp, mats, d):
+        pairs = real(fp, mats, d)
+        return pairs[:1] + pairs
+
+    monkeypatch.setattr(hierarchy, "_omega_pairs", repeat_first)
+    with pytest.raises(AssertionError, match="right-Pauli sweep repeated a class; "):
+        enumerate_level(3, 1, 2, cache_dir=False)
 
 
 def test_closure_keys_object_lane_monomials_exactly(d3, monkeypatch):

@@ -11,15 +11,14 @@ from hierarchon import teleport
 from hierarchon.cli import main
 from hierarchon.cyclo import CycloScalar
 from hierarchon.diagonal import gen_delta_k
-from hierarchon.exactmat import ExactMatrix, ScaledUnitary, kron
+from hierarchon.exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, kron
 from hierarchon.hierarchy import enumerate_level, membership
+from hierarchon.semiclifford import Diagonalisation
 from hierarchon.teleport import (
-    GadgetSpec,
-    StateVec,
-    apply,
+    correction,
     gadget_run,
     hadamard,
-    proportional,
+    state,
     verify_gadget,
     x_teleport,
 )
@@ -53,22 +52,22 @@ def cats(tmp_path_factory):
 
 def test_statevec_rejects_empty_and_zero():
     with pytest.raises(ValueError, match="zero"):
-        StateVec(3, [scalar(0), scalar(0), scalar(0)])
+        state(3, [scalar(0), scalar(0), scalar(0)])
     with pytest.raises(ValueError, match="empty"):
-        StateVec(3, [])
+        state(3, [])
 
 
 def test_x_teleport_basis_state():
-    branches = x_teleport(StateVec.basis(3, 0))
+    branches = x_teleport(state(3, [1, 0, 0]))
     assert len(branches) == 3
     for b in branches:
-        assert proportional(b, StateVec.basis(3, 0))
+        assert equal_up_to_phase(b, state(3, [1, 0, 0]))
 
 
 def test_x_teleport_superposition():
-    psi = StateVec(3, [scalar(1), scalar(1), scalar(0)])
+    psi = state(3, [scalar(1), scalar(1), scalar(0)])
     for b in x_teleport(psi):
-        assert proportional(b, psi)
+        assert equal_up_to_phase(b, psi)
 
 
 @settings(max_examples=25, deadline=None)
@@ -79,51 +78,52 @@ def test_x_teleport_superposition():
 def test_x_teleport_arbitrary_states(exps, coeffs):
     assume(any(c != 0 for c in coeffs))
     amps = [CycloScalar.zeta(3, 2, e) * c for e, c in zip(exps, coeffs)]
-    psi = StateVec(3, amps)
+    psi = state(3, amps)
     for b in x_teleport(psi):
-        assert proportional(b, psi)
+        assert equal_up_to_phase(b, psi)
 
 
 def test_x_teleport_rejects_two_wire_states():
-    psi = StateVec(3, [scalar(1)] * 9)
+    psi = state(3, [scalar(1)] * 9)
     with pytest.raises(ValueError, match="single-wire"):
         x_teleport(psi)
 
 
 def test_identity_gadget_reduces_to_teleportation():
-    psi = StateVec(3, [scalar(1), scalar(1), scalar(0)])
-    for b in gadget_run(GadgetSpec.identity(3), psi):
-        assert proportional(b, psi)
+    psi = state(3, [scalar(1), scalar(1), scalar(0)])
+    eye = ScaledUnitary.exact(eye3())
+    for b in gadget_run(Diagonalisation(eye, eye3(), eye), psi):
+        assert equal_up_to_phase(b, psi)
 
 
 def test_t_gadget_on_basis_state():
-    spec = GadgetSpec(ScaledUnitary.exact(eye3()), t_core(), ScaledUnitary.exact(eye3()))
-    psi = StateVec.basis(3, 1)
-    target = apply(t_core(), psi)
-    for b in gadget_run(spec, psi):
-        assert proportional(b, target)
-        assert b.amplitudes[0].is_zero() and b.amplitudes[2].is_zero()
-        assert not b.amplitudes[1].is_zero()
+    split = Diagonalisation(ScaledUnitary.exact(eye3()), t_core(), ScaledUnitary.exact(eye3()))
+    psi = state(3, [0, 1, 0])
+    target = t_core() @ psi
+    for b in gadget_run(split, psi):
+        assert equal_up_to_phase(b, target)
+        assert b.entry(0, 0).is_zero() and b.entry(2, 0).is_zero()
+        assert not b.entry(1, 0).is_zero()
 
 
 def test_magic_state_is_core_on_plus():
-    spec = GadgetSpec(ScaledUnitary.exact(eye3()), t_core(), ScaledUnitary.exact(eye3()))
+    split = Diagonalisation(ScaledUnitary.exact(eye3()), t_core(), ScaledUnitary.exact(eye3()))
     z9 = CycloScalar.zeta(3, 2, 1)
     # the magic state is the core on |+>, the all-ones first column of the Fourier matrix
-    plus = StateVec(3, [1, 1, 1])
-    assert apply(spec.core, plus) == StateVec(3, [z9 ** 0, z9, z9 ** 2])
+    plus = state(3, [1, 1, 1])
+    assert split.diag @ plus == state(3, [z9 ** 0, z9, z9 ** 2])
 
 
 def test_gadget_rejects_nondiagonal_core():
-    spec = GadgetSpec(ScaledUnitary.exact(eye3()), hadamard(3), ScaledUnitary.exact(eye3()))
+    split = Diagonalisation(ScaledUnitary.exact(eye3()), hadamard(3), ScaledUnitary.exact(eye3()))
     with pytest.raises(ValueError, match="diagonal core"):
-        gadget_run(spec, StateVec.basis(3, 0))
+        gadget_run(split, state(3, [1, 0, 0]))
 
 
 def test_correction_is_clifford_for_every_third_level_core(cats):
     for core in gen_delta_k(3, 3):
-        spec = GadgetSpec(ScaledUnitary.exact(eye3()), core, ScaledUnitary.exact(eye3()))
-        fix = spec.correction()
+        split = Diagonalisation(ScaledUnitary.exact(eye3()), core, ScaledUnitary.exact(eye3()))
+        fix = correction(split)
         fix.verify()
         assert membership(fix, 2, catalogs=cats)
 
@@ -154,10 +154,13 @@ def test_verify_gadget_is_deterministic(cats):
 def squared_core(monkeypatch):
     """Drive the gadget with C1 D**2 C2 in place of the sampled C1 D C2."""
 
-    def from_diagonalisation(cls, split):
-        return cls(split.c1, split.diag @ split.diag, split.c2)
+    real = teleport.diagonalize
 
-    monkeypatch.setattr(GadgetSpec, "from_diagonalisation", classmethod(from_diagonalisation))
+    def diagonalize(su, witness):
+        split = real(su, witness)
+        return Diagonalisation(split.c1, split.diag @ split.diag, split.c2)
+
+    monkeypatch.setattr(teleport, "diagonalize", diagonalize)
 
 
 def test_a_wrong_gadget_factor_fails_every_branch(cats, squared_core):

@@ -15,14 +15,10 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .diagonal import verify_cgk
 from .exactmat import from_interchange
-from .hierarchy import REFERENCE_COUNTS, _check_request, enumerate_level, enumerate_levels
+from .hierarchy import REFERENCE_COUNTS, _check_request, enumerate_level, enumerate_levels, top_level
 from .qutrit3 import survey
 from .semiclifford import find_witness, find_witnesses, gate_hash, gate_report, gate_reports
 from .teleport import verify_gadget
-
-# refuse enumerations whose estimated size runs away; the estimate leans on
-# the reference table and the d^2n-per-level growth beyond it
-SIZE_CEILING = 1_000_000
 
 # representatives a catalog run certifies per batch: the stacked tensors of
 # one block are small, so peak memory stays flat however large the catalog
@@ -32,40 +28,6 @@ _CERTIFY_BLOCK = 128
 def _cache_dir(args):
     # None lets the hierarchy fall back to the HIERARCHON_CACHE variable
     return args.cache_dir or None
-
-
-def _estimate_members(d, n, k):
-    ref = REFERENCE_COUNTS.get((d, n), {})
-    if k in ref:
-        return ref[k]
-    if not ref:
-        return (d ** (2 * n)) ** k
-    # the reference tables run from level 1 without gaps
-    last = max(ref)
-    return ref[last] * (d ** (2 * n)) ** (k - last)
-
-
-def _check_size(d, n, k):
-    """Refuse, before any lift starts, a walk to a level past the ceiling.
-
-    The estimate does not fall from one level to the next, so the levels
-    are walked up to the first past the ceiling; the estimate of a runaway
-    level, a power of thousands of digits, is never formed.
-    """
-    for level in range(1, k + 1):
-        est = _estimate_members(d, n, level)
-        if est > SIZE_CEILING:
-            break
-    else:
-        return
-    if level == k:
-        raise ValueError(
-            "estimated %d gates at level %d is past the ceiling of %d" % (est, k, SIZE_CEILING)
-        )
-    raise ValueError(
-        "estimated at least %d gates at level %d is past the ceiling of %d"
-        % (est, k, SIZE_CEILING)
-    )
 
 
 def _verdict(count, reference):
@@ -183,10 +145,7 @@ def _emit(args, report, table_lines):
 
 
 def cmd_enumerate(args):
-    if args.max_level < 1:
-        print("error: --max-level must be at least 1", file=sys.stderr)
-        return 2
-    _check_size(args.d, args.n, args.max_level)
+    _check_request(args.d, args.n, args.max_level)
     cache = _cache_dir(args)
     refs = REFERENCE_COUNTS.get((args.d, args.n), {})
     levels = []
@@ -227,31 +186,19 @@ def _load_gate(path):
     return su, n
 
 
-def _check_walk(d, n, k):
-    """Refuse a walk to level k: past the size ceiling, or a request the lift refuses."""
-    _check_size(d, n, k)
-    _check_request(d, n, k)
-
-
 def cmd_membership(args):
     su, n = _load_gate(args.gate)
-    # the walk stops at the first level that holds the gate, so each limit
-    # is checked only when the walk would reach its level
-    reach = 0
-    while reach < args.max_level:
-        try:
-            _check_walk(su.d, n, reach + 1)
-        except ValueError:
-            break
-        reach += 1
+    # the walk stops at the first level that holds the gate, so a limit
+    # below --max-level is met only by a gate that no level within it holds
+    reach = min(args.max_level, top_level(su.d, n))
     level = None
-    if reach:
+    if reach >= 1:
         for k, cat in enumerate(enumerate_levels(su.d, n, reach, _cache_dir(args)), 1):
             if cat.contains(su.mat):
                 level = k
                 break
     if level is None:
-        _check_walk(su.d, n, args.max_level)
+        _check_request(su.d, n, args.max_level)
     report = {
         "schema": "hierarchon.membership/1",
         "library": __version__,
@@ -271,7 +218,7 @@ def cmd_membership(args):
 
 
 def cmd_diagonal(args):
-    _check_size(args.d, 1, args.k)
+    _check_request(args.d, 1, args.k)
     cache = _cache_dir(args)
     catalog = enumerate_level(args.d, 1, args.k, cache_dir=cache)
     result = verify_cgk(args.d, args.k, catalog)
@@ -310,7 +257,7 @@ def cmd_semiclifford(args):
         line = "semi-Clifford" if rep["semi_clifford"] else "not semi-Clifford"
         _emit(args, report, [line])
         return 0
-    _check_size(args.d, 1, args.catalog)
+    _check_request(args.d, 1, args.catalog)
     cache = _cache_dir(args)
     catalog = enumerate_level(args.d, 1, args.catalog, cache_dir=cache)
     reps = list(catalog.representatives())

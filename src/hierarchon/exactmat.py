@@ -502,7 +502,7 @@ def from_interchange(doc):
     """
     if not isinstance(doc, dict):
         raise ValueError("interchange document must be a JSON object")
-    if doc.get("version") != INTERCHANGE_VERSION:
+    if not (_is_int(doc.get("version")) and doc["version"] == INTERCHANGE_VERSION):
         raise ValueError("unknown interchange version")
     d = _field(doc, "d", lambda x: _is_int(x) and x > 2 and _is_prime(x), "an odd prime")
     n = _field(doc, "n", lambda x: _is_int(x) and x >= 1, "a positive integer")

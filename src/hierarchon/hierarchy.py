@@ -52,6 +52,24 @@ REFERENCE_COUNTS = {
     (7, 1): {1: 49, 2: 16464, 3: 806736, 4: 6338640},
 }
 
+# no walk reaches a level whose size passes this many classes
+SIZE_CEILING = 1_000_000
+
+
+def level_size(d, n, k):
+    """The number of level-k classes on n wires that the size ceiling reads.
+
+    Level 1 holds the d^(2n) Paulis.  Above it, for one wire, this is
+    N(d, k) = d^2 * d(d^2 - 1) * ((d + 1) d^(k-2) - d).  N(d, 2) = d^3(d^2 - 1)
+    is the count of one-qudit Cliffords up to phase; above level 2, N is a
+    conjecture that every reference count but (5, 1, 3) and every lift run
+    agree with.  It gates only the ceiling and is never a verdict.
+    """
+    if k == 1:
+        return d ** (2 * n)
+    return d ** 3 * (d * d - 1) * ((d + 1) * d ** (k - 2) - d)
+
+
 @lru_cache(maxsize=None)
 def fingerprint_context(d):
     return FingerprintContext(d, fingerprint_headroom(d))
@@ -572,6 +590,32 @@ def _check_request(d, n, k):
             "(the Clifford quotient alone has millions of classes); "
             "use the dedicated two-qutrit survey instead"
         )
+    past, size = _first_past_ceiling(d, n)
+    if k >= past:
+        raise ValueError(
+            "estimated %s%d gates at level %d is past the ceiling of %d"
+            % ("" if k == past else "at least ", size, k, SIZE_CEILING)
+        )
+
+
+def _first_past_ceiling(d, n):
+    """The first level whose size passes the ceiling, and that size.
+
+    No size past that level is formed.  Two wires stop at level 2 with no
+    size, as the two-wire rule refuses every level above 1 first.
+    """
+    level, size = 1, level_size(d, n, 1)
+    while size <= SIZE_CEILING:
+        level += 1
+        if n != 1:
+            return level, None
+        size = level_size(d, n, level)
+    return level, size
+
+
+def top_level(d, n):
+    """The highest level a walk on n wires of dimension d may reach."""
+    return _first_past_ceiling(d, n)[0] - 1
 
 
 def _cache_root(cache_dir):

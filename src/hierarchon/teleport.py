@@ -46,7 +46,7 @@ def x_teleport(psi):
     This is the magic-state gadget with identity factors: the ancilla on
     wire 1 becomes the output, the input wire is measured, and outcome J's
     correction X**-J is folded in, so every returned branch is proportional
-    to the input.  A branch with no amplitude comes back as None.
+    to the input.
     """
     eye = ScaledUnitary.exact(ExactMatrix.identity(psi.d, psi.d, 1))
     return gadget_run(Diagonalisation(eye, eye.mat, eye), psi)
@@ -74,7 +74,8 @@ def gadget_run(split, psi):
     circulant of w2.  As w1 is the diagonal core on the all-ones |+>,
     diag(w1) is the core itself.  Every branch is then
     followed by C1 and the J-th power of the correction, landing it on the
-    implemented gate's output.
+    implemented gate's output.  Every factor is invertible, so a nonzero
+    input leaves no branch zero.
     """
     core = split.diag
     d = core.d
@@ -82,6 +83,8 @@ def gadget_run(split, psi):
         raise ValueError("gadget_run takes a single-wire state")
     if not core.is_diagonal():
         raise ValueError("gadget requires diagonal core")
+    if psi.is_zero():
+        raise ValueError("state is identically zero")
     H = hadamard(d)
     w2 = H @ (H @ (split.c2.mat @ psi))
     shift = (np.arange(d)[None, :] - np.arange(d)[:, None]) % d
@@ -89,7 +92,7 @@ def gadget_run(split, psi):
     out = split.c1.mat @ (core @ circulant)
     (fixes,) = powers([correction(split).mat], d)
     columns = [ExactMatrix(d, out.m, out.nums[:, J:J + 1], out.den) for J in range(d)]
-    return [None if b.is_zero() else b for b in matmul_many(fixes, columns)]
+    return matmul_many(fixes, columns)
 
 
 def _random_state(d, m, rng):
@@ -129,8 +132,6 @@ def verify_gadget(d=3, samples=100, seed=0, catalog=None, states=1):
             target = su.mat @ psi
             for J, branch in enumerate(gadget_run(split, psi)):
                 checked += 1
-                if branch is None:
-                    failures.append({"sample": i, "branch": J, "reason": "empty"})
-                elif not equal_up_to_phase(branch, target):
+                if not equal_up_to_phase(branch, target):
                     failures.append({"sample": i, "branch": J, "reason": "mismatch"})
     return {"d": d, "samples": samples, "branches_checked": checked, "failures": failures}

@@ -20,10 +20,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hierarchon.cli
+import hierarchon.hierarchy
 import hierarchon.semiclifford
-from hierarchon.cli import SIZE_CEILING, _estimate_members, _verdict, main
+from hierarchon.cli import _verdict, main
 from hierarchon.cyclo import CycloScalar
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, max_conductor, to_interchange
+from hierarchon.hierarchy import REFERENCE_COUNTS, SIZE_CEILING, level_size
 from hierarchon.phasespace import pauli_x, to_matrix
 
 
@@ -104,7 +106,7 @@ def test_enumerate_refuses_two_wire_levels(capsys):
 
 
 def test_enumerate_refuses_runaway_sizes(capsys):
-    code, _, err = run(capsys, ["enumerate", "--d", "3", "--max-level", "8"])
+    code, _, err = run(capsys, ["enumerate", "--d", "3", "--max-level", "9"])
     assert code == 2
     assert "ceiling" in err
 
@@ -112,7 +114,7 @@ def test_enumerate_refuses_runaway_sizes(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["enumerate", "--d", "3", "--max-level", "8"],
+        ["enumerate", "--d", "3", "--max-level", "9"],
         ["semiclifford", "--catalog", "9", "--d", "7"],
         ["diagonal", "verify", "--d", "7", "--k", "40"],
     ],
@@ -132,33 +134,32 @@ def test_every_catalog_walk_refuses_runaway_sizes(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize(
     "max_level, estimated",
-    [("8", "estimated"), ("5000", "estimated at least"), ("100000", "estimated at least")],
+    [("9", "estimated"), ("5000", "estimated at least"), ("100000", "estimated at least")],
 )
 def test_runaway_levels_are_refused_without_forming_their_estimate(
     capsys, monkeypatch, max_level, estimated
 ):
     levels = []
-    original = hierarchon.cli._estimate_members
+    original = hierarchon.hierarchy.level_size
 
     def estimate(d, n, k):
         levels.append(k)
         return original(d, n, k)
 
-    monkeypatch.setattr(hierarchon.cli, "_estimate_members", estimate)
+    monkeypatch.setattr(hierarchon.hierarchy, "level_size", estimate)
     code, out, err = run(capsys, ["enumerate", "--d", "3", "--max-level", max_level])
     assert (code, out) == (2, "")
     assert err == "error: %s %d gates at level %s is past the ceiling of %d\n" % (
-        estimated, 69336 * 81, max_level, SIZE_CEILING)
-    # the walk stops at level 8, the first whose estimate passes the ceiling
-    assert levels == list(range(1, 9))
+        estimated, 1888920, max_level, SIZE_CEILING)
+    # the walk stops at level 9, the first whose size passes the ceiling
+    assert levels == list(range(1, 10))
 
 
 def test_size_estimates_track_the_reference_table():
-    assert _estimate_members(3, 1, 4) == 7128
-    assert _estimate_members(3, 1, 7) == 69336 * 9
-    assert _estimate_members(7, 1, 3) == 806736
-    assert _estimate_members(7, 1, 4) <= SIZE_CEILING * 10
-    assert _estimate_members(3, 2, 1) == 81
+    for (d, n), counts in REFERENCE_COUNTS.items():
+        for k, count in counts.items():
+            # the lift finds 75,000 at d=5, k=3 against the published 7,500
+            assert level_size(d, n, k) == (75000 if (d, n, k) == (5, 1, 3) else count)
 
 
 def test_verdict_column():
@@ -332,12 +333,40 @@ def test_membership_refuses_where_its_walk_reaches_a_limit(capsys, tmp_path):
     store = tmp_path / "store"
     code, out, err = run(capsys, ["membership", gate, "--cache-dir", str(store)])
     assert (code, out) == (2, "")
-    assert err == "error: estimated %d gates at level 4 is past the ceiling of %d\n" % (
-        _estimate_members(3, 2, 4), SIZE_CEILING)
+    assert err.startswith("error: two-wire enumeration above level 1 is out of reach")
+    assert err.count("\n") == 1
     assert os.listdir(store / "d3_n2") == ["level_1.json"]
     code, out, err = run(capsys, ["membership", gate, "--max-level", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error: two-wire enumeration above level 1 is out of reach")
+
+
+def test_membership_of_a_d17_clifford_stops_at_the_ceiling_without_a_lift(
+    capsys, monkeypatch, tmp_path
+):
+    def no_lift(prev):
+        raise AssertionError("a level was lifted")
+
+    monkeypatch.setattr(hierarchon.hierarchy, "_lift_level", no_lift)
+    w = CycloScalar.omega(17)
+    quadratic_phase = ExactMatrix.diag(17, [w ** (z * z) for z in range(17)])
+    gate = _gate_file(tmp_path / "q17.json", quadratic_phase, 1)
+    code, out, err = run(capsys, ["membership", gate])
+    assert (code, out) == (2, "")
+    # level 2 alone holds N(17, 2) = 17^3 (17^2 - 1) Cliffords up to phase
+    assert err == (
+        "error: estimated at least 1414944 gates at level 4 is past the ceiling of 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_gate_file_version_must_be_the_integer_one(capsys, tmp_path, version):
+    doc = to_interchange(ScaledUnitary.exact(to_matrix(pauli_x(3, 1, 1))), 1)
+    doc["version"] = version
+    path = tmp_path / "x3.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["membership", str(path)])
+    assert (code, out, err) == (2, "", "error: unknown interchange version\n")
 
 
 def test_membership_rejects_a_missing_file(capsys):

@@ -339,6 +339,14 @@ def test_interchange_rejects_bad_conductor():
         from_interchange(doc)
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_interchange_version_must_be_the_integer_one(version):
+    doc = to_interchange(fmat(3), 1)
+    doc["version"] = version
+    with pytest.raises(ValueError, match="unknown interchange version"):
+        from_interchange(json.loads(json.dumps(doc)))
+
+
 def test_max_conductor_is_the_fingerprint_headroom_within_the_table_cap():
     from hierarchon.exactmat import fingerprint_headroom, max_conductor
 

@@ -25,6 +25,7 @@ from hierarchon.hierarchy import (
     enumerate_levels,
     membership,
     order_d_corrections,
+    top_level,
 )
 from hierarchon.phasespace import PauliElement, pauli_x, pauli_z, to_matrix, weyl
 from hierarchon.svn import ConjugateTuple, reconstruct, tuple_of
@@ -349,6 +350,26 @@ def test_enumerate_rejects_bad_requests():
         enumerate_level(3, 2, 2)
     with pytest.raises(ValueError, match="capped"):
         enumerate_level(3, 3, 1)
+
+
+def test_walk_limits_follow_the_closed_form(monkeypatch):
+    from hierarchon import hierarchy
+
+    assert [top_level(d, 1) for d in (3, 5, 7, 11, 13, 17, 31)] == [8, 4, 3, 2, 2, 1, 1]
+    # the two-wire rule caps two wires at level 1; 37^4 Paulis pass the ceiling
+    assert (top_level(3, 2), top_level(37, 2)) == (1, 0)
+
+    def no_lift(prev):
+        raise AssertionError("a level was lifted")
+
+    monkeypatch.setattr(hierarchy, "_lift_level", no_lift)
+    # the library refuses what the command line refuses, before any lift
+    with pytest.raises(ValueError, match="^estimated 1888920 gates at level 9 is past"):
+        enumerate_level(3, 1, 9, cache_dir=False)
+    with pytest.raises(ValueError, match="^estimated at least 1414944 gates at level 3 is"):
+        enumerate_levels(17, 1, 3, cache_dir=False)
+    with pytest.raises(ValueError, match="^estimated 1874161 gates at level 1 is past"):
+        enumerate_level(37, 2, 1, cache_dir=False)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,11 @@ def test_x_teleport_basis_state():
         assert equal_up_to_phase(b, state(3, [1, 0, 0]))
 
 
+def test_gadget_rejects_a_zero_input_column():
+    with pytest.raises(ValueError, match="state is identically zero"):
+        x_teleport(ExactMatrix.zeros(3, 1, 3, 1))
+
+
 def test_x_teleport_superposition():
     psi = state(3, [scalar(1), scalar(1), scalar(0)])
     for b in x_teleport(psi):
@@ -185,3 +190,14 @@ def test_a_gate_without_a_witness_is_a_failure(cats, monkeypatch):
     assert report["failures"] == [
         {"sample": i, "branch": None, "reason": "no witness"} for i in range(4)
     ]
+
+
+def test_a_zero_branch_is_a_mismatch(cats, monkeypatch):
+    # no branch of a nonzero input vanishes; one that did would still fail
+    def zero_branches(split, psi):
+        return [ExactMatrix.zeros(3, 1, 3, 1) for _ in range(3)]
+
+    monkeypatch.setattr(teleport, "gadget_run", zero_branches)
+    report = verify_gadget(3, samples=4, seed=1, catalog=cats[3])
+    assert report["branches_checked"] == 12
+    assert [f["reason"] for f in report["failures"]] == ["mismatch"] * 12

@@ -9,6 +9,7 @@ ever leaving the field.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 import math
 import re
 
@@ -526,22 +527,31 @@ def from_interchange(doc):
             raise ValueError("entry count does not match d^n")
     if dim * dim != len(entries):
         raise ValueError("entry count does not match d^n")
-    if not re.fullmatch(r"[0-9]+(/0*[1-9][0-9]*)?", scale2) or Fraction(scale2) <= 0:
+    if not re.fullmatch(r"[0-9]+(/0*[1-9][0-9]*)?", scale2) or (s2 := Fraction(scale2)) <= 0:
         raise ValueError("interchange field 'scale2' must be a positive fraction p/q")
-    den = 1
-    for cell in entries:
-        if type(cell) is not list or len(cell) != cond.phi:
-            raise ValueError("every entry must list phi(conductor) = %d coefficients" % cond.phi)
-        for pq in cell:
-            if type(pq) is not list or len(pq) != 2 or not (_is_int(pq[0]) and _is_int(pq[1])):
-                raise ValueError("every coefficient must be an integer pair [num, den]")
-            if pq[1] == 0:
-                raise ValueError("a coefficient has a zero denominator")
-            if pq[1] != 1:
-                den = math.lcm(den, pq[1])
-    flat = [p * (den // q) for cell in entries for p, q in cell]
-    nums = np.array(flat, dtype=object).reshape(dim, dim, cond.phi)
-    return ScaledUnitary(ExactMatrix(d, m, nums, den), Fraction(scale2)), n
+    # checked as whole lists, not one coefficient at a time: a store reload
+    # reads thousands of documents per level
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {cond.phi}:
+        raise ValueError("every entry must list phi(conductor) = %d coefficients" % cond.phi)
+    pairs = list(chain.from_iterable(entries))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        raise ValueError("every coefficient must be an integer pair [num, den]")
+    flat = list(chain.from_iterable(pairs))
+    if set(map(type, flat)) != {int}:
+        raise ValueError("every coefficient must be an integer pair [num, den]")
+    nums, dens = flat[0::2], flat[1::2]
+    distinct = set(dens)
+    if 0 in distinct:
+        raise ValueError("a coefficient has a zero denominator")
+    den = math.lcm(*distinct)
+    if distinct != {1}:
+        nums = [p * (den // q) for p, q in zip(nums, dens)]
+    # numpy would infer uint64 or float64 past int64; as_int64_if_safe's bound
+    # picks the dtype the object path would end in
+    lim = 2 ** 62
+    dtype = np.int64 if -lim < min(nums) and max(nums) < lim else object
+    nums = np.array(nums, dtype=dtype).reshape(dim, dim, cond.phi)
+    return ScaledUnitary(ExactMatrix(d, m, nums, den), s2), n
 
 
 # ---------------------------------------------------------------------------

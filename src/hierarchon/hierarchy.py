@@ -11,6 +11,7 @@ only ever discards pairs, never accepts them.
 import hashlib
 import json
 import os
+import re
 import shutil
 import tempfile
 from fractions import Fraction
@@ -482,8 +483,16 @@ def _cache_path(cache_dir, d, n, k):
     return os.path.join(cache_dir, "d%d_n%d" % (d, n), "level_%d.json" % k)
 
 
+# the hashed bytes of one gate, shared by the writer and the loader; a gate
+# document is a tree, so the check for cycles would only cost time
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
+_DECODER = json.JSONDecoder()
+# JSON's whitespace, which is narrower than str.isspace
+_WS = re.compile(r"[ \t\n\r]*")
+
+
 def _doc_bytes(su, n):
-    return json.dumps(to_interchange(su, n), separators=(",", ":"), sort_keys=True).encode()
+    return _CANONICAL.encode(to_interchange(su, n)).encode()
 
 
 def _save_cache(cat, cache_dir):
@@ -527,18 +536,104 @@ def _save_cache(cat, cache_dir):
     return path
 
 
+def _open(text, at, close):
+    """(offset of the first member, True) after the opener at text[at], or
+    (offset past close, False) when the array or object is empty."""
+    at = _WS.match(text, at + 1).end()
+    return (at + 1, False) if text.startswith(close, at) else (at, True)
+
+
+def _next(text, at, close):
+    """The same after a member that ends at text[at]: a comma or close follows."""
+    at = _WS.match(text, at).end()
+    if text.startswith(",", at):
+        return _WS.match(text, at + 1).end(), True
+    if text.startswith(close, at):
+        return at + 1, False
+    raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
+
+
+def _scan_level(text, take):
+    """Decode a level file as json.loads would, handing each gate to take.
+
+    The "gates" array is decoded one document at a time and never held as
+    a list.  Returns the other top-level fields, or None when a key repeats
+    (json.loads would keep the last one), and the number of gates, or None
+    when there is no gates array.  A file that is not an object is decoded
+    whole and returned as it is.  Syntax errors are json.loads's, at the
+    same offsets.
+    """
+    at = _WS.match(text).end()
+    if not text.startswith("{", at):
+        return _DECODER.decode(text), None
+    fields, count, repeated = {}, None, False
+    at, more = _open(text, at, "}")
+    while more:
+        if not text.startswith('"', at):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, at)
+        key, at = json.decoder.scanstring(text, at + 1)
+        at = _WS.match(text, at).end()
+        if not text.startswith(":", at):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, at)
+        at = _WS.match(text, at + 1).end()
+        repeated = repeated or key in fields or (key == "gates" and count is not None)
+        if key == "gates" and not repeated and text.startswith("[", at):
+            count = 0
+            at, item = _open(text, at, "]")
+            while item:
+                gate, at = _DECODER.raw_decode(text, at)
+                take(gate)
+                count += 1
+                at, item = _next(text, at, "]")
+        else:
+            fields[key], at = _DECODER.raw_decode(text, at)
+        at, more = _next(text, at, "}")
+    at = _WS.match(text, at).end()
+    if at != len(text):
+        raise json.JSONDecodeError("Extra data", text, at)
+    return (None if repeated else fields), count
+
+
 def _load_cache(d, n, k, cache_dir, fp):
+    """The catalog of level (d, n, k) read from the store, or None if absent.
+
+    Each gate is hashed, decoded and added before the next one is parsed, so
+    no parsed level is ever held.  A gate's error is held until the header,
+    count and content-hash checks pass, and raised in their order.
+    """
     path = _cache_path(cache_dir, d, n, k)
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
+        raw = fh.read()
+    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+    del raw
+    cat = LevelCatalog(d, n, k, fp)
+    h = hashlib.sha256()
+    held = []
+
+    def take(g):
+        h.update(_CANONICAL.encode(g).encode())
+        if held:
+            return
         try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("cache file %s is nested too deeply" % path) from None
+            su, gn = from_interchange(g)
+            if gn != n:
+                raise ValueError("cache file %s mixes wire counts" % path)
+            if su.d != d:
+                raise ValueError("cache file %s mixes base primes" % path)
+            if not cat.add(su):
+                raise ValueError("cache file %s repeats a class" % path)
+        except ValueError as e:
+            held.append(e)
+
+    try:
+        doc, count = _scan_level(text, take)
+    except RecursionError:
+        raise ValueError("cache file %s is nested too deeply" % path) from None
     if not (
         isinstance(doc, dict)
-        and isinstance(doc.get("gates"), list)
+        and count is not None
         and type(doc.get("count")) is int
         and "content_hash" in doc
     ):
@@ -552,23 +647,12 @@ def _load_cache(d, n, k, cache_dir, fp):
     failures = meta.get("closure_failure_count", 0) if isinstance(meta, dict) else None
     if not (type(failures) is int and failures >= 0):
         raise ValueError("cache file %s is malformed" % path)
-    gates = doc["gates"]
-    if len(gates) != doc["count"]:
+    if count != doc["count"]:
         raise ValueError("cache file %s is truncated" % path)
-    h = hashlib.sha256()
-    for g in gates:
-        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
     if h.hexdigest() != doc["content_hash"]:
         raise ValueError("cache file %s fails its content hash" % path)
-    cat = LevelCatalog(d, n, k, fp)
-    for g in gates:
-        su, gn = from_interchange(g)
-        if gn != n:
-            raise ValueError("cache file %s mixes wire counts" % path)
-        if su.d != d:
-            raise ValueError("cache file %s mixes base primes" % path)
-        if not cat.add(su):
-            raise ValueError("cache file %s repeats a class" % path)
+    if held:
+        raise held[0]
     cat.sort()
     cat.meta = dict(meta)
     cat.meta["from_cache"] = path

@@ -772,6 +772,105 @@ def test_store_header_true_for_one_exits_two_with_one_line(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _store_level_text(capsys, store, k):
+    argv = ["enumerate", "--d", "3", "--max-level", str(k), "--cache-dir", store]
+    assert run(capsys, argv)[0] == 0
+    path = os.path.join(store, "d3_n1", "level_%d.json" % k)
+    with open(path) as fh:
+        return path, fh.read(), argv
+
+
+def _refusal(capsys, argv):
+    """The one error line of a CLI run that must exit 2."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def _gates_hash(gates):
+    h = hashlib.sha256()
+    for g in gates:
+        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [
+        (lambda doc: None, "content hash"),
+        (lambda doc: doc.update(count=doc["count"] + 1), "truncated"),
+        (lambda doc: doc.update(content_hash=_gates_hash(doc["gates"])), "zero denominator"),
+    ],
+    ids=["hash", "count", "held"],
+)
+def test_a_broken_gate_is_reported_after_the_header_checks(capsys, tmp_path, header, message):
+    """The loader decodes gates as it reads them, but refuses in the old order."""
+    store = str(tmp_path / "store")
+    path, text, argv = _store_level_text(capsys, store, 2)
+    doc = json.loads(text)
+    cells = doc["gates"][3]["entries"]
+    cells[1] = [[1, 0]] * len(cells[1])
+    header(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert message in _refusal(capsys, argv)
+
+
+_SYNTAX = {
+    "trailing": lambda t: t + " x",
+    "second-object": lambda t: t + "{}",
+    "comma": lambda t: t.replace("},{", "} {", 1),
+    "key": lambda t: "{1" + t[1:],
+    "colon": lambda t: t.replace('"count":', '"count" ', 1),
+    "gates-comma": lambda t: t.replace(',"gates":', ' "gates":', 1),
+    "cut": lambda t: t[: len(t) // 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYNTAX))
+def test_store_syntax_errors_are_json_errors(capsys, tmp_path, name):
+    store = str(tmp_path / "store")
+    path, text, argv = _store_level_text(capsys, store, 1)
+    broken = _SYNTAX[name](text)
+    with open(path, "w") as fh:
+        fh.write(broken)
+    with pytest.raises(json.JSONDecodeError) as parsed:
+        json.loads(broken)
+    assert _refusal(capsys, argv) == "error: %s\n" % parsed.value
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: '{"gates":[],' + t[1:],
+        lambda t: t[:-1] + ',"gates":[]}',
+        lambda t: t[:-1] + ',"gates":{}}',
+        lambda t: '{"d":3,' + t[1:],
+        lambda t: "{}",
+        lambda t: ' {"gates" : [ ] } ',
+        lambda t: '{"gates":5}',
+    ],
+    ids=["gates-twice", "gates-twice-last", "gates-then-object", "header-twice", "empty",
+         "no-header", "gates-not-a-list"],
+)
+def test_store_level_with_a_repeated_or_missing_key_is_malformed(capsys, tmp_path, edit):
+    """json.loads would keep a repeated key's last value; the store refuses it."""
+    store = str(tmp_path / "store")
+    path, text, argv = _store_level_text(capsys, store, 1)
+    with open(path, "w") as fh:
+        fh.write(edit(text))
+    assert "malformed" in _refusal(capsys, argv)
+
+
+def test_deep_gate_in_a_store_level_exits_two_with_one_line(capsys, tmp_path):
+    store = str(tmp_path / "store")
+    path, text, argv = _store_level_text(capsys, store, 1)
+    with open(path, "w") as fh:
+        fh.write(text.replace('"gates":[', '"gates":[' + "[" * 100000 + "]" * 100000 + ",", 1))
+    assert "nested too deeply" in _refusal(capsys, argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["enumerate", "--d", "3", "--max-level", "0"], ["qutrit3", "survey", "--stride", "0"]],

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from hierarchon.cyclo import CycloScalar, conductor
 from hierarchon.exactmat import (
+    INTERCHANGE_VERSION,
     ExactMatrix,
     FingerprintContext,
     ScaledUnitary,
     canonical_reps,
     conjugate_action,
     equal_up_to_phase,
+    _field,
+    _is_int,
+    _is_prime,
     from_interchange,
     kron,
     matmul_many,
+    max_conductor,
     orbit_sum,
     powers,
     to_interchange,
@@ -332,6 +339,14 @@ def test_interchange_entries_match_the_fraction_formula(mat):
     assert back.mat.to_key() == mat.to_key()
 
 
+@pytest.mark.parametrize("count", [8, 10, 81])
+def test_interchange_entry_count_must_be_d_to_the_2n(count):
+    doc = to_interchange(fmat(3), 1)
+    doc["entries"] = (doc["entries"] * 9)[:count]
+    with pytest.raises(ValueError, match="entry count does not match"):
+        from_interchange(doc)
+
+
 def test_interchange_rejects_bad_conductor():
     doc = to_interchange(fmat(3), 1)
     doc["conductor"] = 6
@@ -345,6 +360,139 @@ def test_interchange_version_must_be_the_integer_one(version):
     doc["version"] = version
     with pytest.raises(ValueError, match="unknown interchange version"):
         from_interchange(json.loads(json.dumps(doc)))
+
+
+def _from_interchange_by_loop(doc):
+    """from_interchange as it was written one coefficient at a time: the oracle
+    for the checks that now run over whole lists."""
+    if not isinstance(doc, dict):
+        raise ValueError("interchange document must be a JSON object")
+    if not (_is_int(doc.get("version")) and doc["version"] == INTERCHANGE_VERSION):
+        raise ValueError("unknown interchange version")
+    d = _field(doc, "d", lambda x: _is_int(x) and x > 2 and _is_prime(x), "an odd prime")
+    n = _field(doc, "n", lambda x: _is_int(x) and x >= 1, "a positive integer")
+    c = _field(doc, "conductor", _is_int, "an integer")
+    scale2 = _field(doc, "scale2", lambda x: isinstance(x, str), "a string p/q")
+    entries = _field(doc, "entries", lambda x: isinstance(x, list), "a list")
+    if c > max_conductor(d):
+        raise ValueError("conductor %d is past the supported %d" % (c, max_conductor(d)))
+    m = 0
+    cc = c
+    while cc > 1 and cc % d == 0:
+        cc //= d
+        m += 1
+    if cc != 1 or m < 1:
+        raise ValueError("conductor is not a power of d")
+    cond = conductor(d, m)
+    dim = 1
+    for _ in range(n):
+        dim *= d
+        if dim * dim > len(entries):
+            raise ValueError("entry count does not match d^n")
+    if dim * dim != len(entries):
+        raise ValueError("entry count does not match d^n")
+    if not re.fullmatch(r"[0-9]+(/0*[1-9][0-9]*)?", scale2) or Fraction(scale2) <= 0:
+        raise ValueError("interchange field 'scale2' must be a positive fraction p/q")
+    den = 1
+    for cell in entries:
+        if type(cell) is not list or len(cell) != cond.phi:
+            raise ValueError("every entry must list phi(conductor) = %d coefficients" % cond.phi)
+        for pq in cell:
+            if type(pq) is not list or len(pq) != 2 or not (_is_int(pq[0]) and _is_int(pq[1])):
+                raise ValueError("every coefficient must be an integer pair [num, den]")
+            if pq[1] == 0:
+                raise ValueError("a coefficient has a zero denominator")
+            if pq[1] != 1:
+                den = math.lcm(den, pq[1])
+    flat = [p * (den // q) for cell in entries for p, q in cell]
+    nums = np.array(flat, dtype=object).reshape(dim, dim, cond.phi)
+    return ScaledUnitary(ExactMatrix(d, m, nums, den), Fraction(scale2)), n
+
+
+_BIG = [2 ** 62 - 1, 2 ** 62, -(2 ** 62), 2 ** 63 - 1, 2 ** 63, -(2 ** 63), 2 ** 64 + 5, -(2 ** 70)]
+_JUNK = st.sampled_from([True, False, 1.0, 0.5, None, "1", "", [], {}, [1], [1, 2, 3], [[1, 1]]])
+
+
+@st.composite
+def _documents(draw, faults):
+    """A d=3 one-wire document, then `faults` edits, each of which may break it."""
+    m = draw(st.sampled_from([1, 2]))
+    phi = conductor(3, m).phi
+    # the denominators of one document come from one pool, so some have none
+    den = st.sampled_from(draw(st.sampled_from([[1], [1, -1], [1, 2, 3, -1, -4, 6]])))
+    entries = [[[draw(st.integers(-9, 9)), draw(den)] for _ in range(phi)] for _ in range(9)]
+    # a few coefficients near or past int64, so that one can set the dtype alone
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, 8)), draw(st.integers(0, phi - 1))
+        entries[i][j][draw(st.integers(0, 1))] = draw(st.sampled_from(_BIG + [-b for b in _BIG]))
+    for _ in range(draw(faults)):
+        i = draw(st.integers(0, 8))
+        if type(entries[i]) is not list or not entries[i]:
+            entries[i] = [[0, 1] for _ in range(phi)]  # an earlier edit's junk
+        cell = entries[i]
+        j = draw(st.integers(0, len(cell) - 1))
+        kind = draw(st.sampled_from(
+            ["num", "den", "pair", "cell", "grow", "shrink", "zero", "short", "long"]
+        ))
+        if kind in ("num", "den"):
+            cell[j] = list(cell[j]) if type(cell[j]) is list and len(cell[j]) == 2 else [0, 1]
+            cell[j][kind == "den"] = draw(_JUNK)
+        elif kind == "pair":
+            cell[j] = draw(_JUNK)
+        elif kind == "cell":
+            entries[i] = draw(_JUNK)
+        elif kind == "grow":
+            cell.append([1, 1])
+        elif kind == "shrink":
+            cell.pop()
+        elif kind == "zero":
+            cell[j] = [draw(st.integers(-9, 9)), 0]
+        else:
+            cell[j] = [1] if kind == "short" else [1, 1, 1]
+    scale2 = draw(st.sampled_from(["1", "3", "7/3", "2/04"]))
+    return {"version": 1, "d": 3, "n": 1, "conductor": 3 ** m, "scale2": scale2, "entries": entries}
+
+
+def _outcome(read, doc):
+    try:
+        su, n = read(json.loads(json.dumps(doc)))
+    except ValueError as e:
+        return "refused", str(e)
+    mat = su.mat
+    return "read", (n, su.scale2, mat.d, mat.m, mat.den, mat.nums.dtype, mat.nums.tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_documents(st.integers(0, 3)))
+def test_from_interchange_accepts_what_the_loop_accepts(doc):
+    got, want = _outcome(from_interchange, doc), _outcome(_from_interchange_by_loop, doc)
+    assert got[0] == want[0]
+    if got[0] == "read":
+        assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_documents(st.just(1)))
+def test_from_interchange_refuses_one_fault_as_the_loop_does(doc):
+    assert _outcome(from_interchange, doc) == _outcome(_from_interchange_by_loop, doc)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[2 ** 62, 1]], [[-(2 ** 62), 1]], [[2 ** 63, 1]], [[2 ** 63, -1]], [[2 ** 63, 1], [-1, 1]],
+     [[2 ** 64 + 1, 1]]],
+    ids=["2^62", "-2^62", "2^63", "2^63/-1", "2^63,-1", "past-2^64"],
+)
+def test_from_interchange_keeps_ints_past_int64_exact(pairs):
+    """numpy alone would read [2**63] as uint64 and [2**63, -1] as float64, and
+    as_int64_if_safe keeps Python objects from 2**62 on."""
+    entries = [[[0, 1], [0, 1]] for _ in range(9)]
+    for idx, pq in enumerate(pairs):
+        entries[idx][0] = pq
+    doc = {"version": 1, "d": 3, "n": 1, "conductor": 3, "scale2": "1", "entries": entries}
+    got = _outcome(from_interchange, doc)
+    assert got == _outcome(_from_interchange_by_loop, doc)
+    assert got[1][5] == object
 
 
 def test_max_conductor_is_the_fingerprint_headroom_within_the_table_cap():

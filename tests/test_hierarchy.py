@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -485,6 +486,59 @@ def test_cache_rejects_a_gate_of_another_base_prime(tmp_path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     with pytest.raises(ValueError, match="mixes base primes"):
+        enumerate_level(3, 1, 1, cache_dir=cache)
+
+
+def test_cache_with_gates_before_the_header_loads_the_same_catalog(tmp_path):
+    """A level file in json.dump's layout, gates first, is the same level."""
+    cache = str(tmp_path)
+    first = enumerate_level(3, 1, 2, cache_dir=cache)
+    path = first.meta["cache_path"]
+    with open(path, "rb") as fh:
+        doc = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump({"gates": doc.pop("gates"), **doc}, fh, indent=1)
+    second = enumerate_level(3, 1, 2, cache_dir=cache)
+    assert second.meta["from_cache"] == path
+    assert second.digests == first.digests
+    assert [su.scale2 for su in second.representatives()] == [
+        su.scale2 for su in first.representatives()
+    ]
+    assert all(
+        a.mat == b.mat and a.mat.nums.dtype == b.mat.nums.dtype
+        for a, b in zip(second.representatives(), first.representatives())
+    )
+
+
+def test_cache_load_holds_no_parsed_level(tmp_path):
+    """The loader's peak allocation stays within 3x the catalog it returns."""
+    from hierarchon import hierarchy
+
+    cache = str(tmp_path)
+    enumerate_level(3, 1, 3, cache_dir=cache)
+    fp = hierarchy.fingerprint_context(3)
+    hierarchy._load_cache(3, 1, 2, cache, fp)  # fills the lazy key tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cat = hierarchy._load_cache(3, 1, 3, cache, fp)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cat) == 1944
+    assert peak - base < 3 * (kept - base)
+
+
+def test_cache_rejects_a_gate_of_another_wire_count(tmp_path):
+    cache = str(tmp_path)
+    path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
+    with open(path, "rb") as fh:
+        doc = json.load(fh)
+    doc["gates"][4] = to_interchange(ScaledUnitary.exact(ExactMatrix.identity(3, 9)), 2)
+    doc["content_hash"] = _content_hash(doc["gates"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="mixes wire counts"):
         enumerate_level(3, 1, 1, cache_dir=cache)
 
 

@@ -148,9 +148,9 @@ def isotropic_plane_witness(mat):
 # codes of (r, q).
 
 # rows of the pair list one step of the survey walk expands: the qutrit pair
-# list has at most 2,916 candidates a row, so each of a step's index arrays
-# stays within 6 MB
-_WALK_ROWS = 256
+# list has at most 2,916 candidates a row, so a step has at most 46,656 and
+# each of its index arrays stays within 0.37 MB at int64
+_WALK_ROWS = 16
 
 
 def survey_walk(pairu, pairv, ok0, start, stop, stride):
@@ -158,20 +158,21 @@ def survey_walk(pairu, pairv, ok0, start, stop, stride):
 
     Rows are range(start, stop, stride).  A candidate q matches row r when
     both of its members commute exactly with both members of r, i.e. lie in
-    r's valid set ok0[pairu[r]] & ok0[pairv[r]].  The pairs are walked as a
-    CSR list by first member (pairu must be non-decreasing), so only the
-    neighbours of a row's valid septuples are tested.  Across the yielded
-    blocks the matches come out by row, then by q, both ascending.
+    r's valid set ok0[pairu[r]] & ok0[pairv[r]].  ok0 is a 0/1 table, read
+    in place as bool when it is uint8.  The pairs are walked as a CSR list
+    by first member (pairu must be non-decreasing), so only the neighbours
+    of a row's valid septuples are tested.  Across the yielded blocks the
+    matches come out by row, then by q, both ascending.
     """
-    ok0 = np.asarray(ok0, dtype=bool)
+    ok0 = np.asarray(ok0, dtype=np.uint8).view(bool)
     if np.any(pairu[1:] < pairu[:-1]):
         raise ValueError("pairu must be non-decreasing")
     n = len(ok0)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pairu, minlength=n), out=offsets[1:])
-    rows = np.arange(start, stop, stride)
-    for lo in range(0, len(rows), _WALK_ROWS):
-        block = rows[lo:lo + _WALK_ROWS]
+    span = _WALK_ROWS * stride
+    for lo in range(start, stop, span):
+        block = np.arange(lo, min(stop, lo + span), stride)
         valid = (ok0[pairu[block]] & ok0[pairv[block]]).reshape(-1)
         cell = np.flatnonzero(valid)  # b * n + s for each valid septuple s of row b
         s = cell % n

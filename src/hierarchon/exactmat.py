@@ -408,7 +408,8 @@ class ScaledUnitary:
     __slots__ = ("mat", "scale2")
 
     def __init__(self, mat, scale2):
-        scale2 = Fraction(scale2)
+        if not isinstance(scale2, Fraction):
+            scale2 = Fraction(scale2)
         if scale2 <= 0:
             raise ValueError("scale2 must be positive")
         self.mat = mat

@@ -223,7 +223,8 @@ class LevelCatalog:
         digest, when given, is the _digest of su.mat from a batched pass.
         """
         mat = su.mat.demote_min()
-        su = ScaledUnitary(mat, su.scale2)
+        if mat is not su.mat:
+            su = ScaledUnitary(mat, su.scale2)
         dig = self._digest(mat) if digest is None else digest
         bucket = self._buckets.get(dig)
         if bucket is not None:

@@ -155,14 +155,22 @@ def _pair_list(d=3):
     _, c_x = _commutator([0] * 3 + none + at(x, 0, 3), at(q, 1, 3) + at(x, 2, 3) + none, d)
     _, c_y = _commutator(at(q, 0, 3) + at(x, 1, 3) + none, [0] * 3 + none + at(x, 2, 3), d)
     # on the grid over (q_i, a_i, x_i, q_j, b_j, y_j), c == t exactly where
-    # c_y == t - c_x (mod d), so no d**7 x d**7 sum is formed
+    # c_y == t - c_x (mod d), so no d**7 x d**7 sum is formed; both masks
+    # are built in one grid-sized buffer, the second kept as ok0
     lin = lin.reshape(nq, 1, nx, nq, 1, nx)
     c_y = c_y.astype(np.int8).reshape(nq, nx, 1, 1, 1, nx)
     c_x = c_x.astype(np.int8).reshape(1, 1, nx, nq, nx, 1)
     n = d ** 7
+    mask = np.equal(c_y, (1 - c_x) % d, out=np.empty((nq, nx, nx, nq, nx, nx), dtype=bool))
+    mask &= lin
+    flat = np.flatnonzero(mask)
     # laid out as np.argwhere lays it out, so each column is contiguous
-    pairs = np.transpose(np.divmod(np.flatnonzero(lin & (c_y == (1 - c_x) % d)), n))
-    ok0 = (lin & (c_y == -c_x % d)).reshape(n, n).view(np.uint8)
+    cols = np.empty((2, len(flat)), dtype=flat.dtype)
+    np.divmod(flat, n, out=(cols[0], cols[1]))
+    pairs = cols.T
+    np.equal(c_y, -c_x % d, out=mask)
+    mask &= lin
+    ok0 = mask.reshape(n, n).view(np.uint8)
     d1, d2, d3 = q
     colcode = np.repeat(d1 + d * d2 + d * d * d3, nx * nx).astype(np.int64)
     return pairs, ok0, colcode
@@ -197,17 +205,18 @@ def survey(stride=1):
     """
     if stride < 1:
         raise ValueError("stride must be positive")
+    # the table first, so its scratch is gone before the pair tables exist
+    lutm = _kernels.semibasis_lut().reshape(729, 729)  # [suffix, prefix]
     pairs, ok0, colcode = _pair_list()
     pu = np.ascontiguousarray(pairs[:, 0])
     pv = np.ascontiguousarray(pairs[:, 1])
     stkey = colcode[pu] + 27 * colcode[pv]
     hist = _kernels.survey_join(pu, pv, ok0, stkey, 0, len(pairs), stride)
-    lutm = _kernels.semibasis_lut().reshape(729, 729)  # [suffix, prefix]
     total = int(hist.sum())
-    passed = int((hist * lutm.T).sum())
+    passed = int(np.einsum("ij,ji->", hist, lutm))
     failures = []
     if passed != total:
-        bad = (hist * (1 - lutm.T) > 0).reshape(-1)
+        bad = (lutm.T == 0).reshape(-1)  # every walked code has a count
         for rows, qs in _kernels.survey_walk(pu, pv, ok0, 0, len(pairs), stride):
             hit = np.flatnonzero(bad[stkey[rows] * 729 + stkey[qs]])[:20 - len(failures)]
             failures.extend(

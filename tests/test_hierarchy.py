@@ -529,6 +529,20 @@ def test_cache_load_holds_no_parsed_level(tmp_path):
     assert peak - base < 3 * (kept - base)
 
 
+def test_catalog_add_keeps_the_callers_gate_unless_it_demotes():
+    from hierarchon import hierarchy
+
+    cat = hierarchy.LevelCatalog(3, 1, 1, hierarchy.fingerprint_context(3))
+    x = ScaledUnitary.exact(to_matrix(pauli_x(3, 1, 1)))
+    assert cat.add(x)
+    assert list(cat.representatives())[0] is x
+    z = ScaledUnitary(to_matrix(pauli_z(3, 1, 1)).promote(2), Fraction(1))
+    assert cat.add(z)
+    rep = list(cat.representatives())[1]
+    assert rep is not z and rep.scale2 is z.scale2
+    assert rep.mat == z.mat.demote_min() and rep.mat.m == 1
+
+
 def test_cache_rejects_a_gate_of_another_wire_count(tmp_path):
     cache = str(tmp_path)
     path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]

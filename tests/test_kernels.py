@@ -331,6 +331,33 @@ def test_survey_join_on_the_qutrit_pairs(qutrit_pairs, stride, total):
     assert np.array_equal(got, dense_survey_join(pu, pv, ok0, stkey, 0, len(pu), stride))
 
 
+def test_survey_walk_steps_stay_within_their_candidate_bound(qutrit_pairs):
+    """The premise of _WALK_ROWS, checked on the qutrit pair list.
+
+    A row's candidates are the pairs whose first member lies in its valid
+    set; no row has more than 2,916, and a stride-1 walk yields one block
+    per _WALK_ROWS consecutive rows, so no step expands more than
+    2,916 * _WALK_ROWS.
+    """
+    pu, pv, ok0, _ = qutrit_pairs
+    ok = ok0.view(bool)
+    deg = np.bincount(pu, minlength=len(ok)).astype(np.int32)
+    cand = np.concatenate([
+        (ok[pu[lo:lo + 2048]] & ok[pv[lo:lo + 2048]]).astype(np.int32) @ deg
+        for lo in range(0, len(pu), 2048)
+    ])
+    assert cand.max() == 2916
+    starts = np.arange(0, len(pu), K._WALK_ROWS)
+    assert np.add.reduceat(cand, starts).max() <= 2916 * K._WALK_ROWS
+
+    blocks = 0
+    for rows, _ in K.survey_walk(pu, pv, ok0, 0, len(pu), 1):
+        lo = blocks * K._WALK_ROWS
+        assert rows.size == 0 or lo <= rows.min() <= rows.max() < lo + K._WALK_ROWS
+        blocks += 1
+    assert blocks == len(starts)
+
+
 def test_survey_walk_needs_sorted_first_members():
     pairu = np.array([0, 2, 1])
     pairv = np.array([1, 0, 2])

@@ -1,6 +1,7 @@
 """Septuple algebra against exact matrices, and the two-qutrit tuple survey."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,28 @@ def test_quick_survey_tier():
     assert sorted(report) == [
         "d", "failed", "failures", "pairs", "passed", "scope", "stride", "total",
     ]
+
+
+@pytest.mark.parametrize("stride", [50, 5])
+def test_survey_working_memory_stays_near_the_tables_it_keeps(stride):
+    """Peak allocation within 1.5x the pair tables, histogram and semibasis table.
+
+    The walk's scratch is bounded per step, so the bound does not grow as
+    the stride shrinks.
+    """
+    pairs, ok0, _ = _pair_list()
+    kept = ok0.nbytes + pairs.nbytes + len(pairs) * 8 + 729 * 729 * (8 + 1)  # + stkey, hist, lut
+    del pairs, ok0
+    survey(stride=5000)  # the first call pays the imports and lazy tables
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = survey(stride=stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["failed"] == 0
+    assert peak - base < 1.5 * kept
 
 
 def test_survey_is_deterministic():

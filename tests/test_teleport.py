@@ -155,6 +155,13 @@ def test_verify_gadget_is_deterministic(cats):
     assert a == b
 
 
+def test_verify_gadget_lifts_level_three_when_given_no_catalog(cats, monkeypatch):
+    monkeypatch.delenv("HIERARCHON_CACHE", raising=False)
+    report = verify_gadget(3, samples=3, seed=5)
+    assert report == verify_gadget(3, samples=3, seed=5, catalog=cats[3])
+    assert report["branches_checked"] == 9 and report["failures"] == []
+
+
 @pytest.fixture
 def squared_core(monkeypatch):
     """Drive the gadget with C1 D**2 C2 in place of the sampled C1 D C2."""

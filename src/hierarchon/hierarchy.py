@@ -11,12 +11,9 @@ only ever discards pairs, never accepts them.
 import hashlib
 import json
 import os
-import re
-import shutil
-import tempfile
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -481,15 +478,12 @@ def _lift_level(prev):
 
 
 def _cache_path(cache_dir, d, n, k):
-    return os.path.join(cache_dir, "d%d_n%d" % (d, n), "level_%d.json" % k)
+    return os.path.join(cache_dir, "d%d_n%d" % (d, n), "level_%d.jsonl" % k)
 
 
-# the hashed bytes of one gate, shared by the writer and the loader; a gate
-# document is a tree, so the check for cycles would only cost time
+# one gate's line of a level file; a gate document is a tree, so the check
+# for cycles would only cost time
 _CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
-_DECODER = json.JSONDecoder()
-# JSON's whitespace, which is narrower than str.isspace
-_WS = re.compile(r"[ \t\n\r]*")
 
 
 def _doc_bytes(su, n):
@@ -497,163 +491,93 @@ def _doc_bytes(su, n):
 
 
 def _save_cache(cat, cache_dir):
-    """Write cat to the cache and return the path.
+    """Write cat to the store and return the path.
 
-    The content hash heads the file, so each gate is serialised once into a
-    spool file beside the cache while it is hashed, and the spool is copied
-    in behind the header.
+    A level file holds one JSON value per line: the header, each gate in
+    digest order, then the sha256 of every byte before that last line.
     """
     path = _cache_path(cache_dir, cat.d, cat.n, cat.k)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     from . import __version__
 
-    tmp = path + ".tmp"
+    head = {
+        "version": 2,
+        "library": __version__,
+        "conductor": cat.fp.d ** cat.fp.m_max,
+        "d": cat.d,
+        "n": cat.n,
+        "k": cat.k,
+        "count": len(cat),
+        "meta": cat.meta,
+    }
     h = hashlib.sha256()
-    with tempfile.TemporaryFile(dir=os.path.dirname(path)) as spool:
-        for idx in range(len(cat)):
-            doc = _doc_bytes(cat._rep(idx), cat.n)
-            h.update(doc)
-            if idx:
-                spool.write(b",")
-            spool.write(doc)
-        spool.seek(0)
-        head = {
-            "version": 1,
-            "library": __version__,
-            "conductor": cat.fp.d ** cat.fp.m_max,
-            "d": cat.d,
-            "n": cat.n,
-            "k": cat.k,
-            "count": len(cat),
-            "content_hash": h.hexdigest(),
-            "meta": cat.meta,
-        }
-        with open(tmp, "wb") as fh:
-            fh.write(json.dumps(head, sort_keys=True)[:-1].encode())
-            fh.write(b',"gates":[')
-            shutil.copyfileobj(spool, fh)
-            fh.write(b"]}")
-    os.replace(tmp, path)
+    with open(path + ".tmp", "wb") as fh:
+        gates = (_doc_bytes(cat._rep(idx), cat.n) for idx in range(len(cat)))
+        for line in chain([json.dumps(head, sort_keys=True).encode()], gates):
+            line += b"\n"
+            h.update(line)
+            fh.write(line)
+        fh.write(json.dumps({"content_hash": h.hexdigest()}).encode() + b"\n")
+    os.replace(path + ".tmp", path)
     return path
 
 
-def _open(text, at, close):
-    """(offset of the first member, True) after the opener at text[at], or
-    (offset past close, False) when the array or object is empty."""
-    at = _WS.match(text, at + 1).end()
-    return (at + 1, False) if text.startswith(close, at) else (at, True)
-
-
-def _next(text, at, close):
-    """The same after a member that ends at text[at]: a comma or close follows."""
-    at = _WS.match(text, at).end()
-    if text.startswith(",", at):
-        return _WS.match(text, at + 1).end(), True
-    if text.startswith(close, at):
-        return at + 1, False
-    raise json.JSONDecodeError("Expecting ',' delimiter", text, at)
-
-
-def _scan_level(text, take):
-    """Decode a level file as json.loads would, handing each gate to take.
-
-    The "gates" array is decoded one document at a time and never held as
-    a list.  Returns the other top-level fields, or None when a key repeats
-    (json.loads would keep the last one), and the number of gates, or None
-    when there is no gates array.  A file that is not an object is decoded
-    whole and returned as it is.  Syntax errors are json.loads's, at the
-    same offsets.
-    """
-    at = _WS.match(text).end()
-    if not text.startswith("{", at):
-        return _DECODER.decode(text), None
-    fields, count, repeated = {}, None, False
-    at, more = _open(text, at, "}")
-    while more:
-        if not text.startswith('"', at):
-            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, at)
-        key, at = json.decoder.scanstring(text, at + 1)
-        at = _WS.match(text, at).end()
-        if not text.startswith(":", at):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, at)
-        at = _WS.match(text, at + 1).end()
-        repeated = repeated or key in fields or (key == "gates" and count is not None)
-        if key == "gates" and not repeated and text.startswith("[", at):
-            count = 0
-            at, item = _open(text, at, "]")
-            while item:
-                gate, at = _DECODER.raw_decode(text, at)
-                take(gate)
-                count += 1
-                at, item = _next(text, at, "]")
-        else:
-            fields[key], at = _DECODER.raw_decode(text, at)
-        at, more = _next(text, at, "}")
-    at = _WS.match(text, at).end()
-    if at != len(text):
-        raise json.JSONDecodeError("Extra data", text, at)
-    return (None if repeated else fields), count
+def _decode(line, path):
+    """One line of a level file as JSON; a value nested too deeply is a ValueError."""
+    try:
+        return json.loads(line)
+    except RecursionError:
+        raise ValueError("cache file %s is nested too deeply" % path) from None
 
 
 def _load_cache(d, n, k, cache_dir, fp):
     """The catalog of level (d, n, k) read from the store, or None if absent.
 
-    Each gate is hashed, decoded and added before the next one is parsed, so
-    no parsed level is ever held.  A gate's error is held until the header,
-    count and content-hash checks pass, and raised in their order.
+    A first pass checks the layout and the content hash.  The second decodes
+    the header, then each gate, adding it before the next line is read, so no
+    parsed level is ever held.
     """
     path = _cache_path(cache_dir, d, n, k)
     if not os.path.exists(path):
         return None
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    text = raw.decode(json.detect_encoding(raw), "surrogatepass")
-    del raw
-    cat = LevelCatalog(d, n, k, fp)
     h = hashlib.sha256()
-    held = []
-
-    def take(g):
-        h.update(_CANONICAL.encode(g).encode())
-        if held:
-            return
-        try:
-            su, gn = from_interchange(g)
+    lines, last = 0, b""
+    with open(path, "rb") as fh:
+        for line in fh:
+            h.update(last)
+            lines, last = lines + 1, line
+    try:
+        trailer = json.loads(last) if last.endswith(b"\n") else None
+    except (ValueError, RecursionError):
+        trailer = None
+    if not (isinstance(trailer, dict) and list(trailer) == ["content_hash"]):
+        raise ValueError("cache file %s is malformed" % path)
+    if trailer["content_hash"] != h.hexdigest():
+        raise ValueError("cache file %s fails its content hash" % path)
+    with open(path, "rb") as fh:
+        head = _decode(fh.readline(), path)
+        # type() too, since JSON true and 1.0 compare equal to 1
+        if not isinstance(head, dict) or any(
+            type(head.get(field)) is not int or head[field] != want
+            for field, want in (("version", 2), ("d", d), ("n", n), ("k", k))
+        ):
+            raise ValueError("cache file %s does not describe level (%d,%d,%d)" % (path, d, n, k))
+        meta = head.get("meta", {})
+        failures = meta.get("closure_failure_count", 0) if isinstance(meta, dict) else None
+        count = head.get("count")
+        if not (type(count) is int and count >= 0 and type(failures) is int and failures >= 0):
+            raise ValueError("cache file %s is malformed" % path)
+        if count != lines - 2:
+            raise ValueError("cache file %s is truncated" % path)
+        cat = LevelCatalog(d, n, k, fp)
+        for line in islice(fh, count):
+            su, gn = from_interchange(_decode(line, path))
             if gn != n:
                 raise ValueError("cache file %s mixes wire counts" % path)
             if su.d != d:
                 raise ValueError("cache file %s mixes base primes" % path)
             if not cat.add(su):
                 raise ValueError("cache file %s repeats a class" % path)
-        except ValueError as e:
-            held.append(e)
-
-    try:
-        doc, count = _scan_level(text, take)
-    except RecursionError:
-        raise ValueError("cache file %s is nested too deeply" % path) from None
-    if not (
-        isinstance(doc, dict)
-        and count is not None
-        and type(doc.get("count")) is int
-        and "content_hash" in doc
-    ):
-        raise ValueError("cache file %s is malformed" % path)
-    # type() too, since JSON true and 1.0 compare equal to 1
-    for field, want in (("version", 1), ("d", d), ("n", n), ("k", k)):
-        if type(doc.get(field)) is not int or doc[field] != want:
-            raise ValueError("cache file %s does not describe level (%d,%d,%d)" % (path, d, n, k))
-    # the header's meta is outside the content hash, so its shape is checked here
-    meta = doc.get("meta", {})
-    failures = meta.get("closure_failure_count", 0) if isinstance(meta, dict) else None
-    if not (type(failures) is int and failures >= 0):
-        raise ValueError("cache file %s is malformed" % path)
-    if count != doc["count"]:
-        raise ValueError("cache file %s is truncated" % path)
-    if h.hexdigest() != doc["content_hash"]:
-        raise ValueError("cache file %s fails its content hash" % path)
-    if held:
-        raise held[0]
     cat.sort()
     cat.meta = dict(meta)
     cat.meta["from_cache"] = path

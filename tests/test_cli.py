@@ -196,7 +196,8 @@ def test_membership_above_max_level_is_null_not_an_error(capsys, t9_file):
 
 
 def test_membership_rejects_a_broken_gate_file(capsys, tmp_path, t9_file):
-    doc = json.loads(open(t9_file).read())
+    with open(t9_file) as fh:
+        doc = json.load(fh)
     doc["entries"][0][0][0] = 5  # no longer unitary
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -303,7 +304,7 @@ def test_membership_stops_at_the_first_level_that_holds_the_gate(capsys, tmp_pat
     store = tmp_path / "store"
     code, out, _ = run(capsys, ["membership", str(gate), "--cache-dir", str(store)])
     assert (code, out) == (0, "level: 1\n")
-    assert os.listdir(store / "d3_n1") == ["level_1.json"]
+    assert os.listdir(store / "d3_n1") == ["level_1.jsonl"]
 
 
 def _gate_file(path, mat, n):
@@ -335,7 +336,7 @@ def test_membership_refuses_where_its_walk_reaches_a_limit(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: two-wire enumeration above level 1 is out of reach")
     assert err.count("\n") == 1
-    assert os.listdir(store / "d3_n2") == ["level_1.json"]
+    assert os.listdir(store / "d3_n2") == ["level_1.jsonl"]
     code, out, err = run(capsys, ["membership", gate, "--max-level", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error: two-wire enumeration above level 1 is out of reach")
@@ -695,9 +696,9 @@ def test_os_errors_exit_two_with_one_line(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _deep_json(path):
+def _deep_json(path, end=""):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("[" * 100000 + "]" * 100000)
+    path.write_text("[" * 100000 + "]" * 100000 + end)
 
 
 def test_deep_gate_file_exits_two_with_one_line(capsys, tmp_path):
@@ -710,7 +711,7 @@ def test_deep_gate_file_exits_two_with_one_line(capsys, tmp_path):
 
 def test_deep_store_level_file_exits_two_with_one_line(capsys, tmp_path):
     store = tmp_path / "store"
-    _deep_json(store / "d3_n1" / "level_1.json")
+    _deep_json(store / "d3_n1" / "level_1.jsonl", "\n")
     code, out, err = run(
         capsys, ["enumerate", "--d", "3", "--max-level", "1", "--cache-dir", str(store)]
     )
@@ -718,66 +719,34 @@ def test_deep_store_level_file_exits_two_with_one_line(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("meta", [5, {"closure_failure_count": "x"}], ids=["meta", "count"])
-def test_malformed_store_header_exits_two_with_one_line(capsys, tmp_path, meta):
-    store = str(tmp_path / "store")
-    assert run(capsys, ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", store])[0] == 0
-    path = os.path.join(store, "d3_n1", "level_2.json")
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    code, out, err = run(
-        capsys, ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", store]
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "malformed" in err and err.count("\n") == 1
-
-
-def test_store_with_a_repeated_class_exits_two_with_one_line(capsys, tmp_path):
-    store = str(tmp_path / "store")
-    assert run(capsys, ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", store])[0] == 0
-    path = os.path.join(store, "d3_n1", "level_2.json")
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["gates"].append(doc["gates"][0])
-    doc["count"] = len(doc["gates"])
-    h = hashlib.sha256()
-    for g in doc["gates"]:
-        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
-    doc["content_hash"] = h.hexdigest()
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    code, out, err = run(
-        capsys, ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", store]
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "repeats a class" in err and err.count("\n") == 1
-
-
-def test_store_header_true_for_one_exits_two_with_one_line(capsys, tmp_path):
-    store = str(tmp_path / "store")
-    assert run(capsys, ["enumerate", "--d", "3", "--max-level", "1", "--cache-dir", store])[0] == 0
-    path = os.path.join(store, "d3_n1", "level_1.json")
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["version"] = True
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    code, out, err = run(
-        capsys, ["enumerate", "--d", "3", "--max-level", "1", "--cache-dir", store]
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def _store_level_text(capsys, store, k):
+def _store_level(capsys, store, k):
+    """The path of d=3 level k in a store the CLI has just written, and its argv."""
     argv = ["enumerate", "--d", "3", "--max-level", str(k), "--cache-dir", store]
     assert run(capsys, argv)[0] == 0
-    path = os.path.join(store, "d3_n1", "level_%d.json" % k)
-    with open(path) as fh:
-        return path, fh.read(), argv
+    return os.path.join(store, "d3_n1", "level_%d.jsonl" % k), argv
+
+
+def _read_level(path):
+    """The header, the gate documents and the trailer line of a level file."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    return json.loads(lines[0]), [json.loads(line) for line in lines[1:-1]], lines[-1]
+
+
+def _write_level(path, head, gates, trailer=None):
+    """A level file in the writer's layout; trailer None recomputes the content hash.
+
+    A gate given as a str is written as that line.
+    """
+    lines = [json.dumps(head, sort_keys=True)] + [
+        g if isinstance(g, str) else json.dumps(g, separators=(",", ":"), sort_keys=True)
+        for g in gates
+    ]
+    body = "".join(line + "\n" for line in lines).encode()
+    if trailer is None:
+        trailer = b'{"content_hash": "%s"}\n' % hashlib.sha256(body).hexdigest().encode()
+    with open(path, "wb") as fh:
+        fh.write(body + trailer)
 
 
 def _refusal(capsys, argv):
@@ -788,86 +757,90 @@ def _refusal(capsys, argv):
     return err
 
 
-def _gates_hash(gates):
-    h = hashlib.sha256()
-    for g in gates:
-        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
-    return h.hexdigest()
+@pytest.mark.parametrize("meta", [5, {"closure_failure_count": "x"}], ids=["meta", "count"])
+def test_malformed_store_header_exits_two_with_one_line(capsys, tmp_path, meta):
+    path, argv = _store_level(capsys, str(tmp_path / "store"), 2)
+    head, gates, _ = _read_level(path)
+    _write_level(path, dict(head, meta=meta), gates)
+    assert "malformed" in _refusal(capsys, argv)
 
 
-@pytest.mark.parametrize(
-    "header,message",
-    [
-        (lambda doc: None, "content hash"),
-        (lambda doc: doc.update(count=doc["count"] + 1), "truncated"),
-        (lambda doc: doc.update(content_hash=_gates_hash(doc["gates"])), "zero denominator"),
-    ],
-    ids=["hash", "count", "held"],
-)
-def test_a_broken_gate_is_reported_after_the_header_checks(capsys, tmp_path, header, message):
-    """The loader decodes gates as it reads them, but refuses in the old order."""
-    store = str(tmp_path / "store")
-    path, text, argv = _store_level_text(capsys, store, 2)
-    doc = json.loads(text)
-    cells = doc["gates"][3]["entries"]
-    cells[1] = [[1, 0]] * len(cells[1])
-    header(doc)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    assert message in _refusal(capsys, argv)
+def test_store_with_a_repeated_class_exits_two_with_one_line(capsys, tmp_path):
+    path, argv = _store_level(capsys, str(tmp_path / "store"), 2)
+    head, gates, _ = _read_level(path)
+    gates.append(gates[0])
+    _write_level(path, dict(head, count=len(gates)), gates)
+    assert "repeats a class" in _refusal(capsys, argv)
 
 
-_SYNTAX = {
-    "trailing": lambda t: t + " x",
-    "second-object": lambda t: t + "{}",
-    "comma": lambda t: t.replace("},{", "} {", 1),
-    "key": lambda t: "{1" + t[1:],
-    "colon": lambda t: t.replace('"count":', '"count" ', 1),
-    "gates-comma": lambda t: t.replace(',"gates":', ' "gates":', 1),
-    "cut": lambda t: t[: len(t) // 2],
-}
-
-
-@pytest.mark.parametrize("name", sorted(_SYNTAX))
-def test_store_syntax_errors_are_json_errors(capsys, tmp_path, name):
-    store = str(tmp_path / "store")
-    path, text, argv = _store_level_text(capsys, store, 1)
-    broken = _SYNTAX[name](text)
-    with open(path, "w") as fh:
-        fh.write(broken)
-    with pytest.raises(json.JSONDecodeError) as parsed:
-        json.loads(broken)
-    assert _refusal(capsys, argv) == "error: %s\n" % parsed.value
+def test_store_header_true_for_one_exits_two_with_one_line(capsys, tmp_path):
+    path, argv = _store_level(capsys, str(tmp_path / "store"), 1)
+    head, gates, _ = _read_level(path)
+    _write_level(path, dict(head, version=True), gates)
+    assert "does not describe" in _refusal(capsys, argv)
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda t: '{"gates":[],' + t[1:],
-        lambda t: t[:-1] + ',"gates":[]}',
-        lambda t: t[:-1] + ',"gates":{}}',
-        lambda t: '{"d":3,' + t[1:],
-        lambda t: "{}",
-        lambda t: ' {"gates" : [ ] } ',
-        lambda t: '{"gates":5}',
+        lambda head: head["meta"].update(closure_failure_count=3),
+        lambda head: head.update(library="0.0.0"),
+        lambda head: head.update(conductor=head["conductor"] * 3),
     ],
-    ids=["gates-twice", "gates-twice-last", "gates-then-object", "header-twice", "empty",
-         "no-header", "gates-not-a-list"],
+    ids=["closure-failures", "library", "conductor"],
 )
-def test_store_level_with_a_repeated_or_missing_key_is_malformed(capsys, tmp_path, edit):
-    """json.loads would keep a repeated key's last value; the store refuses it."""
-    store = str(tmp_path / "store")
-    path, text, argv = _store_level_text(capsys, store, 1)
-    with open(path, "w") as fh:
-        fh.write(edit(text))
-    assert "malformed" in _refusal(capsys, argv)
+def test_store_header_edits_fail_the_content_hash(capsys, tmp_path, edit):
+    """The content hash covers the header, meta included, not the gates alone."""
+    path, argv = _store_level(capsys, str(tmp_path / "store"), 2)
+    head, gates, trailer = _read_level(path)
+    edit(head)
+    _write_level(path, head, gates, trailer)
+    assert _refusal(capsys, argv).endswith(" fails its content hash\n")
+
+
+@pytest.mark.parametrize(
+    "count,rehash,message",
+    [(0, False, "content hash"), (1, True, "truncated"), (0, True, "zero denominator")],
+    ids=["hash", "count", "held"],
+)
+def test_a_broken_gate_is_reported_after_the_header_checks(
+    capsys, tmp_path, count, rehash, message
+):
+    """A gate's own error is raised only once the hash, header and count hold."""
+    path, argv = _store_level(capsys, str(tmp_path / "store"), 2)
+    head, gates, trailer = _read_level(path)
+    cells = gates[3]["entries"]
+    cells[1] = [[1, 0]] * len(cells[1])
+    head["count"] += count
+    _write_level(path, head, gates, None if rehash else trailer)
+    assert message in _refusal(capsys, argv)
+
+
+_LAYOUT = {
+    "empty": (lambda raw: b"", "malformed"),
+    "no-final-newline": (lambda raw: raw[:-1], "malformed"),
+    "cut": (lambda raw: raw[: len(raw) // 2], "malformed"),
+    "data-after-trailer": (lambda raw: raw + b'{"x": 1}\n', "malformed"),
+    "trailer-twice": (lambda raw: raw + raw.splitlines(keepends=True)[-1], "content hash"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUT))
+def test_store_level_layout_faults_exit_two_with_one_line(capsys, tmp_path, name):
+    path, argv = _store_level(capsys, str(tmp_path / "store"), 1)
+    edit, message = _LAYOUT[name]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(edit(raw))
+    assert message in _refusal(capsys, argv)
 
 
 def test_deep_gate_in_a_store_level_exits_two_with_one_line(capsys, tmp_path):
-    store = str(tmp_path / "store")
-    path, text, argv = _store_level_text(capsys, store, 1)
-    with open(path, "w") as fh:
-        fh.write(text.replace('"gates":[', '"gates":[' + "[" * 100000 + "]" * 100000 + ",", 1))
+    path, argv = _store_level(capsys, str(tmp_path / "store"), 1)
+    head, gates, _ = _read_level(path)
+    deep = "[" * 100000 + "]" * 100000
+    _write_level(path, dict(head, count=len(gates) + 1), [deep] + gates)
     assert "nested too deeply" in _refusal(capsys, argv)
 
 

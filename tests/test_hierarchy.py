@@ -124,6 +124,32 @@ def test_corrections_refuse_uncorrectable_gates():
     assert order_d_corrections(companion(rat(3, 2))) is None
 
 
+_TWO_MINUS_OMEGA = rat(3, 2) - CycloScalar.omega(3)
+
+
+@pytest.mark.parametrize(
+    "lam,reason",
+    [
+        # |1 + zeta_9|^2 = 2 + zeta_9 + zeta_9^-1 is not rational
+        (rat(3, 1) + CycloScalar.zeta(3, 2, 1), "norm_not_dth_power"),
+        (rat(3, 2), "norm_not_dth_power"),
+        # |2 - w|^2 = 7, and 7 is no power of 3 times a square
+        (_TWO_MINUS_OMEGA ** 3, "no_norm_witness"),
+        # the norm 7^6 has the witness 7^3, but (2 - w)^6 / 7^3 is no root of unity
+        (_TWO_MINUS_OMEGA ** 6, "unit_not_root"),
+    ],
+    ids=["irrational-norm", "norm", "witness", "unit"],
+)
+def test_corrections_name_why_a_scalar_cube_is_refused(lam, reason):
+    from hierarchon import hierarchy
+
+    zero, one = rat(3, 0), rat(3, 1)
+    M = ExactMatrix.from_scalars(3, [[zero, one, zero], [zero, zero, one], [lam, zero, zero]])
+    assert M.pow_int(3).scalar_if_scalar() == lam
+    assert hierarchy._corrections_reason(M) == (None, reason)
+    assert order_d_corrections(M) is None
+
+
 def test_corrections_in_dimension_five():
     Z, X = zx(5)
     out = order_d_corrections(Z.scale(rat(5, 5)))
@@ -387,72 +413,68 @@ def test_cache_roundtrip(tmp_path):
     assert second.meta["pairs"] == 24
 
 
+def _read_level(path):
+    """The header and the gate documents of a level file."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    return json.loads(lines[0]), [json.loads(line) for line in lines[1:-1]]
+
+
+def _write_level(path, head, gates):
+    """A level file in the writer's layout, its content hash recomputed."""
+    lines = [json.dumps(head, sort_keys=True)]
+    lines += [json.dumps(g, separators=(",", ":"), sort_keys=True) for g in gates]
+    body = "".join(line + "\n" for line in lines).encode()
+    with open(path, "wb") as fh:
+        fh.write(body + b'{"content_hash": "%s"}\n' % hashlib.sha256(body).hexdigest().encode())
+
+
 def test_cache_detects_tampering(tmp_path):
     cache = str(tmp_path)
     path = enumerate_level(3, 1, 2, cache_dir=cache).meta["cache_path"]
+    head, gates = _read_level(path)
     with open(path, "rb") as fh:
-        doc = json.load(fh)
+        lines = fh.read().splitlines(keepends=True)
 
-    def rewrite(d):
-        with open(path, "w") as fh:
-            json.dump(d, fh)
-
-    bad = dict(doc)
-    bad["gates"] = [doc["gates"][1]] + [doc["gates"][0]] + doc["gates"][2:]
-    rewrite(bad)
-    with pytest.raises(ValueError, match="content hash"):
-        enumerate_level(3, 1, 2, cache_dir=cache)
-
-    bad = dict(doc)
-    bad["gates"] = doc["gates"][:-1]
-    rewrite(bad)
-    with pytest.raises(ValueError, match="truncated"):
-        enumerate_level(3, 1, 2, cache_dir=cache)
-
-    bad = dict(doc)
-    bad["k"] = 3
-    rewrite(bad)
-    with pytest.raises(ValueError, match="does not describe"):
-        enumerate_level(3, 1, 2, cache_dir=cache)
-
-    for bad in (doc["gates"], {k: v for k, v in doc.items() if k != "gates"}):
-        rewrite(bad)
-        with pytest.raises(ValueError, match="malformed"):
+    def refused(match):
+        with pytest.raises(ValueError, match=match):
             enumerate_level(3, 1, 2, cache_dir=cache)
+
+    with open(path, "wb") as fh:
+        fh.write(b"".join([lines[0], lines[2], lines[1]] + lines[3:]))
+    refused("content hash")
+
+    _write_level(path, head, gates[:-1])
+    refused("truncated")
+
+    _write_level(path, dict(head, k=3), gates)
+    refused("does not describe")
+
+    _write_level(path, dict(head, count=-1), gates)
+    refused("malformed")
 
     # the header's meta: a JSON object, with a non-negative int failure count
     for meta in (5, None, [], {"closure_failure_count": "x"},
                  {"closure_failure_count": -1}, {"closure_failure_count": True}):
-        rewrite(dict(doc, meta=meta))
-        with pytest.raises(ValueError, match="malformed"):
-            enumerate_level(3, 1, 2, cache_dir=cache)
-
-
-def _content_hash(gates):
-    h = hashlib.sha256()
-    for g in gates:
-        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
-    return h.hexdigest()
+        _write_level(path, dict(head, meta=meta), gates)
+        refused("malformed")
 
 
 @pytest.mark.parametrize(
     "field,value",
-    [("version", True), ("version", 1.0), ("d", 3.0), ("n", True), ("n", 1.0),
+    [("version", True), ("version", 1.0), ("version", 2.0), ("d", 3.0), ("n", True), ("n", 1.0),
      ("k", True), ("k", 1.0), ("count", True), ("count", 1.0)],
 )
 def test_cache_header_fields_must_be_ints(tmp_path, field, value):
     """JSON true and 1.0 compare equal to 1 in Python, but are no header integers."""
     cache = str(tmp_path)
     path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
-    with open(path, "rb") as fh:
-        doc = json.load(fh)
+    head, gates = _read_level(path)
     if field == "count":
         # a one-gate level whose hash holds, so only the count's type is wrong
-        doc["gates"] = doc["gates"][:1]
-        doc["content_hash"] = _content_hash(doc["gates"])
-    doc[field] = value
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+        gates = gates[:1]
+    head[field] = value
+    _write_level(path, head, gates)
     with pytest.raises(ValueError, match="malformed|does not describe"):
         enumerate_level(3, 1, 1, cache_dir=cache)
 
@@ -460,14 +482,10 @@ def test_cache_header_fields_must_be_ints(tmp_path, field, value):
 def test_cache_rejects_a_repeated_class(tmp_path):
     cache = str(tmp_path)
     path = enumerate_level(3, 1, 2, cache_dir=cache).meta["cache_path"]
-    with open(path, "rb") as fh:
-        doc = json.load(fh)
+    head, gates = _read_level(path)
     # count and content hash agree with the 217 gates, so only the repeat is wrong
-    doc["gates"].append(doc["gates"][0])
-    doc["count"] = len(doc["gates"])
-    doc["content_hash"] = _content_hash(doc["gates"])
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    gates.append(gates[0])
+    _write_level(path, dict(head, count=len(gates)), gates)
     with pytest.raises(ValueError, match="repeats a class"):
         enumerate_level(3, 1, 2, cache_dir=cache)
 
@@ -475,39 +493,11 @@ def test_cache_rejects_a_repeated_class(tmp_path):
 def test_cache_rejects_a_gate_of_another_base_prime(tmp_path):
     cache = str(tmp_path)
     path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
-    with open(path, "rb") as fh:
-        doc = json.load(fh)
-    x7 = ScaledUnitary.exact(to_matrix(pauli_x(7, 1, 1)))
-    doc["gates"][0] = to_interchange(x7, 1)
-    h = hashlib.sha256()
-    for g in doc["gates"]:
-        h.update(json.dumps(g, separators=(",", ":"), sort_keys=True).encode())
-    doc["content_hash"] = h.hexdigest()
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    head, gates = _read_level(path)
+    gates[0] = to_interchange(ScaledUnitary.exact(to_matrix(pauli_x(7, 1, 1))), 1)
+    _write_level(path, head, gates)
     with pytest.raises(ValueError, match="mixes base primes"):
         enumerate_level(3, 1, 1, cache_dir=cache)
-
-
-def test_cache_with_gates_before_the_header_loads_the_same_catalog(tmp_path):
-    """A level file in json.dump's layout, gates first, is the same level."""
-    cache = str(tmp_path)
-    first = enumerate_level(3, 1, 2, cache_dir=cache)
-    path = first.meta["cache_path"]
-    with open(path, "rb") as fh:
-        doc = json.load(fh)
-    with open(path, "w") as fh:
-        json.dump({"gates": doc.pop("gates"), **doc}, fh, indent=1)
-    second = enumerate_level(3, 1, 2, cache_dir=cache)
-    assert second.meta["from_cache"] == path
-    assert second.digests == first.digests
-    assert [su.scale2 for su in second.representatives()] == [
-        su.scale2 for su in first.representatives()
-    ]
-    assert all(
-        a.mat == b.mat and a.mat.nums.dtype == b.mat.nums.dtype
-        for a, b in zip(second.representatives(), first.representatives())
-    )
 
 
 def test_cache_load_holds_no_parsed_level(tmp_path):
@@ -546,12 +536,9 @@ def test_catalog_add_keeps_the_callers_gate_unless_it_demotes():
 def test_cache_rejects_a_gate_of_another_wire_count(tmp_path):
     cache = str(tmp_path)
     path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
-    with open(path, "rb") as fh:
-        doc = json.load(fh)
-    doc["gates"][4] = to_interchange(ScaledUnitary.exact(ExactMatrix.identity(3, 9)), 2)
-    doc["content_hash"] = _content_hash(doc["gates"])
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    head, gates = _read_level(path)
+    gates[4] = to_interchange(ScaledUnitary.exact(ExactMatrix.identity(3, 9)), 2)
+    _write_level(path, head, gates)
     with pytest.raises(ValueError, match="mixes wire counts"):
         enumerate_level(3, 1, 1, cache_dir=cache)
 
@@ -602,16 +589,34 @@ def _tree_sha256(root):
     return h.hexdigest()
 
 
-# Recorded from the per-product lift that preceded the batched one: the plain
-# JSON cache tree of d=3 through level 3, and the d=3 level-4 digest list.
-PINNED_D3_TREE = "d78f6cb4b453e450fc2d53bc09e4078c6fa6e6b0bb76312ecd7ce79bf382fba7"
+# The d=3 level-4 digest list, recorded from the per-product lift that
+# preceded the batched one, and the version-2 store tree of d=3 through
+# level 3, recorded when the store moved from one JSON object per level to
+# JSON Lines.
+PINNED_D3_TREE = "e71de4aa8139ab83c8e62a7158c610a3714d69f72c4c0666c2c5d311ebd310a0"
 PINNED_D3_LEVEL4 = "6a78d7fb4ed01d68d5ad30e21cbf2982441f7c3fafea9cdf6fdc8cc9a6742356"
+
+# The sha256 of each d=3 level's gate documents joined in digest order, which
+# is the content hash the version-1 store recorded for the level.
+VERSION_1_GATE_HASHES = {
+    1: "786ef4794549ccdc57ef93c0333a4e306feedce89eafddabfba871e31dd45006",
+    2: "d27742961f9f27c0aa2d998dee6fc2fcbe5a8bd0afb5e4227320f840756ff769",
+    3: "72daa1ee2735633299ccdc98a8d10587839bfc4d0e75f1373d2f7fc4edf1c29b",
+}
 
 
 def test_catalog_bytes_are_pinned(tmp_path, d3):
     assert hashlib.sha256(b"".join(d3[4].digests)).hexdigest() == PINNED_D3_LEVEL4
     enumerate_level(3, 1, 3, cache_dir=str(tmp_path))
     assert _tree_sha256(str(tmp_path)) == PINNED_D3_TREE
+
+
+def test_store_gate_lines_keep_the_version_1_gate_bytes(tmp_path):
+    for cat in enumerate_levels(3, 1, 3, cache_dir=str(tmp_path)):
+        with open(cat.meta["cache_path"], "rb") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == len(cat) + 2
+        assert hashlib.sha256(b"".join(lines[1:-1])).hexdigest() == VERSION_1_GATE_HASHES[cat.k]
 
 
 def test_level_walk_and_single_level_write_identical_caches(tmp_path):

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -17,7 +18,14 @@ from .diagonal import verify_cgk
 from .exactmat import from_interchange
 from .hierarchy import REFERENCE_COUNTS, _check_request, enumerate_level, enumerate_levels, top_level
 from .qutrit3 import survey
-from .semiclifford import find_witness, find_witnesses, gate_hash, gate_report, gate_reports
+from .semiclifford import (
+    certificate_report,
+    certify,
+    find_witness,
+    find_witnesses,
+    gate_hash,
+    gate_report,
+)
 from .teleport import verify_gadget
 
 # representatives a catalog run certifies per batch: the stacked tensors of
@@ -38,69 +46,73 @@ def _verdict(count, reference):
 
 _INDENT = "  "
 
-# parts the encoder gathers before it hands them on joined
-_FLUSH_PARTS = 8192
+# characters of text the encoder gathers before it hands them on
+_FLUSH_CHARS = 1 << 16
 
 
-def _dump(value, write):
+def _dump(value, write, shared=()):
     """Pass json.dumps(value, indent=2, sort_keys=True) to write, in chunks.
 
-    The walk goes through dicts with str keys and through arrays (lists and
-    tuples) that hold a dict.  Any other array or dict is encoded once per
-    distinct compact form and depth: json.dumps encodes it standalone, and
-    its line breaks are shifted by the depth's indent.  A subtree object met
-    a second time at one depth, as a catalog's certificates share their
-    factor documents, is encoded once more into one string that every later
-    meeting reuses; ids are stable because value holds every subtree while
-    the walk runs.  str and int scalars are encoded as json.dumps encodes
-    them, without its call.  Chunks go to write as the walk produces them,
-    so the whole document is never held as one string.
+    The walk goes through dicts with str keys, through arrays (lists and
+    tuples) that hold a dict, and through iterators, each encoded as the
+    list of its items and walked as they are made.  Any other array or dict
+    is encoded once per distinct compact form and depth: json.dumps encodes
+    it standalone, and its line breaks are shifted by the depth's indent.
+    Each object in shared, as a catalog's factor documents are shared by
+    its certificates, is encoded once per depth and its text reused at
+    every later meeting; the caller keeps these objects alive, so their ids
+    name them while the walk runs.  str and int scalars are encoded as
+    json.dumps encodes them, without its call.  The text goes to write in
+    chunks of about _FLUSH_CHARS characters as the walk produces it, so the
+    whole document is never held as one string.
     """
     parts = []
+    size = 0  # characters in parts
     leaves = {}
-    seen = set()
-    shared = {}
+    texts = {id(obj): {} for obj in shared}  # id -> depth -> text
     capturing = 0  # open captures; parts are handed on only outside one
 
+    def put(text):
+        nonlocal size
+        parts.append(text)
+        size += len(text)
+
     def walk(v, depth):
-        nonlocal capturing
+        nonlocal capturing, size
         if type(v) is str:
-            parts.append(encode_basestring_ascii(v))
-            return
-        if isinstance(v, int) and not isinstance(v, bool):
-            parts.append(int.__repr__(v))
-            return
-        if not isinstance(v, (list, tuple, dict)):
+            put(encode_basestring_ascii(v))
+        elif isinstance(v, int) and not isinstance(v, bool):
+            put(int.__repr__(v))
+        elif not isinstance(v, (list, tuple, dict, Iterator)):
             # a scalar's encoding has no line break to shift
-            parts.append(json.dumps(v))
-            return
-        key = (id(v), depth)
-        text = shared.get(key)
-        if text is not None:
-            parts.append(text)
-            return
-        if key in seen:
-            start = len(parts)
-            capturing += 1
+            put(json.dumps(v))
+        elif id(v) not in texts:
             encode(v, depth)
-            capturing -= 1
-            shared[key] = "".join(parts[start:])
-            del parts[start:]
-            parts.append(shared[key])
-            return
-        seen.add(key)
-        encode(v, depth)
-        if not capturing and len(parts) >= _FLUSH_PARTS:
+        else:
+            text = texts[id(v)].get(depth)
+            if text is None:
+                start = len(parts)
+                capturing += 1
+                encode(v, depth)
+                capturing -= 1
+                text = texts[id(v)][depth] = "".join(parts[start:])
+                del parts[start:]
+                size -= len(text)
+            put(text)
+        if not capturing and size >= _FLUSH_CHARS:
             write("".join(parts))
             parts.clear()
+            size = 0
 
     def encode(v, depth):
-        if isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v):
-            brackets, items = "[]", [("", x) for x in v]
+        if isinstance(v, Iterator) or (
+            isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v)
+        ):
+            brackets, items = "[]", (("", x) for x in v)
         elif isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
-            brackets, items = "{}", [
+            brackets, items = "{}", (
                 (encode_basestring_ascii(k) + ": ", v[k]) for k in sorted(v)
-            ]
+            )
         else:
             # sorted like the indented form, so the compact form fixes it:
             # {10: 0, 2: 1} and {"10": 0, "2": 1} sort their keys differently
@@ -108,25 +120,28 @@ def _dump(value, write):
             if key not in leaves:
                 indented = json.dumps(v, indent=2, sort_keys=True)
                 leaves[key] = indented.replace("\n", "\n" + _INDENT * depth)
-            parts.append(leaves[key])
+            put(leaves[key])
             return
         inner = "\n" + _INDENT * (depth + 1)
-        parts.append(brackets[0])
-        for i, (head, x) in enumerate(items):
-            parts.append(("" if i == 0 else ",") + inner + head)
+        put(brackets[0])
+        empty = True
+        for head, x in items:
+            put(("" if empty else ",") + inner + head)
+            empty = False
             walk(x, depth + 1)
-        parts.append("\n" + _INDENT * depth + brackets[1])
+        # an iterator that yields nothing is json.dumps's []
+        put(brackets[1] if empty else "\n" + _INDENT * depth + brackets[1])
 
     walk(value, 0)
     if parts:
         write("".join(parts))
 
 
-def _emit(args, report, table_lines):
+def _emit(args, report, table_lines, shared=()):
     as_json = getattr(args, "format", "table") == "json"
     # the indented document of a large catalog takes a second to build, so
     # a table run without --out does not build it; otherwise its chunks go
-    # to every sink as they are encoded
+    # to every sink as they are encoded, each object in shared encoded once
     if as_json or args.out:
         with contextlib.ExitStack() as stack:
             sinks = [stack.enter_context(open(args.out, "w")).write] if args.out else []
@@ -137,7 +152,7 @@ def _emit(args, report, table_lines):
                 for sink in sinks:
                     sink(chunk)
 
-            _dump(report, write)
+            _dump(report, write, shared)
             write("\n")
     if not as_json:
         for line in table_lines:
@@ -263,9 +278,10 @@ def cmd_semiclifford(args):
     reps = list(catalog.representatives())
     total = len(reps)
     found = 0
-    counterexamples = []
-    certificates = []
-    # one interchange document per distinct factor, for this report only
+    # each kept gate's hash, witness and factor documents, as certify
+    # returns them; the documents are one per distinct factor, for this
+    # report only
+    entries = []
     documents = {}
     for lo in range(0, total, _CERTIFY_BLOCK):
         block = reps[lo:lo + _CERTIFY_BLOCK]
@@ -273,8 +289,7 @@ def cmd_semiclifford(args):
         found += sum(w is not None for w in witnesses)
         # a counterexample is always reported, a certificate when asked for
         keep = [k for k, w in enumerate(witnesses) if w is None or args.certificates]
-        for rep in gate_reports([block[k] for k in keep], [witnesses[k] for k in keep], documents):
-            (certificates if rep["semi_clifford"] else counterexamples).append(rep)
+        entries += certify([block[k] for k in keep], [witnesses[k] for k in keep], documents)
     report = {
         "schema": "hierarchon.semiclifford/1",
         "library": __version__,
@@ -283,14 +298,17 @@ def cmd_semiclifford(args):
         "k": args.catalog,
         "total": total,
         "semi_clifford": found,
-        "counterexamples": counterexamples,
+        "counterexamples": [certificate_report(*e) for e in entries if e[1] is None],
     }
     if args.certificates:
-        report["certificates"] = certificates
+        # every split is checked above, so the encoder builds each
+        # certificate as it writes it and drops it after
+        report["certificates"] = (certificate_report(*e) for e in entries if e[1] is not None)
     _emit(
         args,
         report,
         ["%d/%d semi-Clifford at level %d (d=%d)" % (found, total, args.catalog, args.d)],
+        documents.values(),
     )
     return 0 if found == total else 1
 

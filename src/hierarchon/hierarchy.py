@@ -8,6 +8,7 @@ and sweep its right Pauli factor.  Everything is exact; the mod-p screen
 only ever discards pairs, never accepts them.
 """
 
+import contextlib
 import hashlib
 import json
 import os
@@ -519,6 +520,9 @@ def _save_cache(cat, cache_dir):
             fh.write(line)
         fh.write(json.dumps({"content_hash": h.hexdigest()}).encode() + b"\n")
     os.replace(path + ".tmp", path)
+    # the level's version-1 file, which nothing reads
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.splitext(path)[0] + ".json")
     return path
 
 

@@ -155,6 +155,15 @@ def _right_paulis(d, n):
 
 
 @lru_cache(maxsize=None)
+def _omega_powers(d, m):
+    """(d, phi) coefficient rows of omega**e, e < d, at conductor d**m."""
+    cond = conductor(d, m)
+    out = cond.zeta_vec(np.arange(d) * (cond.c // d))
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _omega_shifts(d, m):
     """(d, phi, phi) integer maps x -> x * omega**e on reduced coefficient rows."""
     cond = conductor(d, m)
@@ -228,9 +237,7 @@ def recognize_pauli(M, up_to_phase=False):
     if np.any(support.sum(axis=0) != 1):
         return None
     rows = support.argmax(axis=0)
-    cond = M.cond
-    omegas = cond.zeta_vec(np.arange(d) * (cond.c // d))
-    hits = np.all(M.nums[rows, np.arange(dim), None] == omegas, axis=-1)
+    hits = np.all(M.nums[rows, np.arange(dim), None] == _omega_powers(d, M.m), axis=-1)
     if not np.all(hits.any(axis=1)):
         return None
     # row p + q of the table sends column 0 to row index(q), so only the

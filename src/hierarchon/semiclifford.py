@@ -253,26 +253,44 @@ def gate_reports(gates, witnesses, documents=None):
     With a documents dict, equal C1, C2 and D factors across the reports
     built with it share one interchange document (see shared_interchange).
     """
+    return [certificate_report(*c) for c in certify(gates, witnesses, documents)]
+
+
+def certify(gates, witnesses, documents=None):
+    """The exact work of gate_reports: (hash, witness, factors) for each gate.
+
+    factors is the tuple of the C1, C2 and D interchange documents, or None
+    for a gate without a witness.  Every split is checked here, through
+    diagonalize_many, so building the reports afterwards checks nothing.
+    """
     documents = {} if documents is None else documents
     witnessed = [k for k, w in enumerate(witnesses) if w is not None]
     splits = diagonalize_many([gates[k] for k in witnessed], [witnesses[k] for k in witnessed])
     split_of = dict(zip(witnessed, splits))
-    reports = []
+    out = []
     for k, (G, witness, digest) in enumerate(zip(gates, witnesses, gate_hashes(gates))):
-        report = {"gate_hash": digest, "semi_clifford": witness is not None}
-        reports.append(report)
-        if witness is None:
-            report.update({"witness": None, "C1": None, "C2": None, "D": None})
-            continue
-        n = wire_count(G.d, G.dim)
-        split = split_of[k]
-        report["witness"] = {
-            "semibasis": [[list(p), list(q)] for p, q in witness.semibasis],
-            "images": [
-                {"c": P.c, "p": list(P.p), "q": list(P.q)} for P in witness.pauli_images
-            ],
-        }
-        report["C1"] = shared_interchange(split.c1, n, documents)
-        report["C2"] = shared_interchange(split.c2, n, documents)
-        report["D"] = shared_interchange(ScaledUnitary.exact(split.diag), n, documents)
-    return reports
+        factors = None
+        if witness is not None:
+            n = wire_count(G.d, G.dim)
+            split = split_of[k]
+            factors = (
+                shared_interchange(split.c1, n, documents),
+                shared_interchange(split.c2, n, documents),
+                shared_interchange(ScaledUnitary.exact(split.diag), n, documents),
+            )
+        out.append((digest, witness, factors))
+    return out
+
+
+def certificate_report(digest, witness, factors):
+    """The JSON-able report of one entry of certify."""
+    report = {"gate_hash": digest, "semi_clifford": witness is not None}
+    if witness is None:
+        report.update({"witness": None, "C1": None, "C2": None, "D": None})
+        return report
+    report["witness"] = {
+        "semibasis": [[list(p), list(q)] for p, q in witness.semibasis],
+        "images": [{"c": P.c, "p": list(P.p), "q": list(P.q)} for P in witness.pauli_images],
+    }
+    report["C1"], report["C2"], report["D"] = factors
+    return report

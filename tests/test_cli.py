@@ -6,6 +6,7 @@ stdout verbatim.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -549,16 +551,20 @@ def test_catalog_certificates_search_each_gate_once(capsys, monkeypatch):
 
 def test_catalog_certificates_share_equal_factor_documents(capsys, monkeypatch):
     emitted = []
-    monkeypatch.setattr(hierarchon.cli, "_emit", lambda args, report, lines: emitted.append(report))
+    monkeypatch.setattr(
+        hierarchon.cli, "_emit", lambda args, report, lines, shared: emitted.append((report, shared))
+    )
     code, _, _ = run(capsys, ["semiclifford", "--catalog", "2", "--d", "3", "--certificates"])
     assert code == 0
-    (report,) = emitted
+    ((report, shared),) = emitted
     docs = [c[f] for c in report["certificates"] for f in ("C1", "C2", "D")]
     assert len(docs) == 3 * 216
     by_id = {id(doc): json.dumps(doc, sort_keys=True) for doc in docs}
     # one object per distinct encoding, so equal documents are one object
     assert len(by_id) == len(set(by_id.values()))
     assert len(by_id) < len(docs)
+    # and the encoder is told of each, so it encodes each once per depth
+    assert set(by_id) == {id(doc) for doc in shared}
 
 
 def test_out_file_holds_the_bytes_printed(capsys, tmp_path):
@@ -628,17 +634,100 @@ def test_dump_streams_chunks_and_encodes_shared_subtrees_once(monkeypatch):
         calls.append(v)
         return original(v, *args, **kwargs)
 
-    monkeypatch.setattr(hierarchon.cli, "_FLUSH_PARTS", 16)
+    monkeypatch.setattr(hierarchon.cli, "_FLUSH_CHARS", 256)
     monkeypatch.setattr(hierarchon.cli.json, "dumps", counted)
     chunks = []
-    hierarchon.cli._dump(value, chunks.append)
+    hierarchon.cli._dump(value, chunks.append, [doc])
     assert len(chunks) > 1
     assert "".join(chunks) == original(value, indent=2, sort_keys=True)
-    # json.dumps runs on the leaf list alone: compact and indented at each
-    # of its two depths, and compact once more when the second meeting of
-    # the certificates' document encodes it into the string the other 98
-    # meetings reuse
-    assert calls == [doc["entries"]] * 5
+    # json.dumps runs on the leaf list alone, compact and indented at each
+    # of the shared document's two depths: the first meeting at a depth
+    # encodes the document into the string every later meeting reuses
+    assert calls == [doc["entries"]] * 4
+    # no chunk is much past the flush size: the largest holds at most one
+    # part on top of it, here one encoding of the document
+    assert max(map(len, chunks)) < 256 + len(original(doc, indent=2)) + 64
+
+
+def _fresh(rows, docs):
+    """Each row as a new dict holding one of docs, built as it is asked for.
+
+    The walk drops each dict once it is written, so a later one may be
+    given the id of one before it.
+    """
+    for k, row in enumerate(rows):
+        yield dict(copy.deepcopy(row), doc=docs[k % len(docs)] if docs else None)
+
+
+_ROWS = st.lists(st.dictionaries(_KEYS, _TREES, max_size=3), max_size=8)
+_DOCS = st.lists(st.dictionaries(_KEYS, _TREES, min_size=1, max_size=3), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_ROWS, docs=_DOCS, share=st.booleans(), flush=st.sampled_from([1, 64, 1 << 16]))
+@example(rows=[{"x": [k, {"y": k}]} for k in range(40)], docs=[], share=False, flush=1)
+def test_dump_of_a_generator_of_fresh_dicts_matches_its_list(rows, docs, share, flush):
+    chunks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hierarchon.cli, "_FLUSH_CHARS", flush)
+        hierarchon.cli._dump(
+            {"certificates": _fresh(rows, docs), "docs": docs}, chunks.append, docs if share else ()
+        )
+    listed = {"certificates": list(_fresh(rows, docs)), "docs": docs}
+    assert "".join(chunks) == json.dumps(listed, indent=2, sort_keys=True)
+
+
+def test_dump_of_an_empty_generator_is_an_empty_array():
+    cases = [(iter(()), []), ({"a": iter(()), "b": [{}, iter(())]}, {"a": [], "b": [{}, []]})]
+    for value, listed in cases:
+        chunks = []
+        hierarchon.cli._dump(value, chunks.append)
+        assert "".join(chunks) == json.dumps(listed, indent=2, sort_keys=True)
+
+
+def test_every_certificate_is_checked_before_any_output(capsys, monkeypatch, tmp_path):
+    """A split that fails its check in the last block leaves no report behind."""
+    blocks = []
+    original = hierarchon.semiclifford.diagonalize_many
+
+    def fails_last(gates, witnesses):
+        blocks.append(len(gates))
+        if sum(blocks) == 216:
+            raise ValueError("diagonalisation does not reproduce the gate")
+        return original(gates, witnesses)
+
+    monkeypatch.setattr(hierarchon.semiclifford, "diagonalize_many", fails_last)
+    path = tmp_path / "report.json"
+    argv = ["semiclifford", "--catalog", "2", "--d", "3", "--certificates", "--format", "json"]
+    code, out, err = run(capsys, argv + ["--out", str(path)])
+    assert len(blocks) > 1
+    assert (code, out) == (2, "")
+    assert err == "error: diagonalisation does not reproduce the gate\n"
+    assert not path.exists()
+
+
+def test_certificate_report_is_streamed_in_bounded_memory(capsys):
+    """Certificates add under the memory of the run without them.
+
+    Both runs read the warm store and write their report to the null
+    device.  Before the certificates were streamed, the run with them held
+    every certificate until the dump and peaked at 3.2 times the other.
+    """
+    base = ["semiclifford", "--catalog", "3", "--d", "3", "--out", os.devnull]
+    runs = [base, base + ["--certificates"]]
+    # the first runs write the store and fill the memoised syntheses
+    for argv in runs:
+        assert run(capsys, argv)[0] == 0
+    peaks = []
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_qutrit3_survey_quick(capsys):

@@ -619,6 +619,19 @@ def test_store_gate_lines_keep_the_version_1_gate_bytes(tmp_path):
         assert hashlib.sha256(b"".join(lines[1:-1])).hexdigest() == VERSION_1_GATE_HASHES[cat.k]
 
 
+def test_writing_a_level_removes_its_version_1_file(tmp_path):
+    """A version-1 level_{k}.json goes when level_{k}.jsonl is written; others stay."""
+    level_dir = tmp_path / "d3_n1"
+    level_dir.mkdir()
+    for name in ("level_2.json", "level_3.json", "notes.txt"):
+        (level_dir / name).write_text('{"version": 1}')
+    enumerate_level(3, 1, 2, cache_dir=str(tmp_path))
+    assert sorted(os.listdir(level_dir)) == [
+        "level_1.jsonl", "level_2.jsonl", "level_3.json", "notes.txt"
+    ]
+    assert (level_dir / "level_3.json").read_text() == '{"version": 1}'
+
+
 def test_level_walk_and_single_level_write_identical_caches(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     walked = list(enumerate_levels(3, 1, 3, cache_dir=a))

@@ -154,6 +154,16 @@ def test_pauli_roundtrip_two_wires_larger_d(d):
         assert recognize_pauli(swapped, up_to_phase=True) is None
 
 
+@pytest.mark.parametrize("d, m", [(3, 1), (3, 3), (5, 2)], ids=["c3", "c27", "c25"])
+def test_pauli_roundtrip_written_at_a_higher_conductor(d, m):
+    # the omega table is kept per conductor, so a table built at one
+    # conductor must not be read at another
+    for c, p, q in itertools.product(range(d), repeat=3):
+        P = PauliElement(d, c, (p,), (q,))
+        assert recognize_pauli(to_matrix(P)) == P
+        assert recognize_pauli(to_matrix(P).promote(m)) == P
+
+
 def test_recognize_rejects_dft():
     assert recognize_pauli(dft(3).mat) is None
     assert recognize_pauli(dft(3).mat, up_to_phase=True) is None

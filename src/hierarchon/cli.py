@@ -53,88 +53,63 @@ _FLUSH_CHARS = 1 << 16
 def _dump(value, write, shared=()):
     """Pass json.dumps(value, indent=2, sort_keys=True) to write, in chunks.
 
-    The walk goes through dicts with str keys, through arrays (lists and
-    tuples) that hold a dict, and through iterators, each encoded as the
-    list of its items and walked as they are made.  Any other array or dict
-    is encoded once per distinct compact form and depth: json.dumps encodes
-    it standalone, and its line breaks are shifted by the depth's indent.
-    Each object in shared, as a catalog's factor documents are shared by
-    its certificates, is encoded once per depth and its text reused at
-    every later meeting; the caller keeps these objects alive, so their ids
-    name them while the walk runs.  str and int scalars are encoded as
-    json.dumps encodes them, without its call.  The text goes to write in
-    chunks of about _FLUSH_CHARS characters as the walk produces it, so the
-    whole document is never held as one string.
+    One walk over dicts, lists, tuples and iterators, an iterator written as
+    a list, that writes str and int scalars itself.  Each object in shared,
+    kept alive by the caller so its id names it, is encoded once per depth.
+    Text goes to write in chunks of about _FLUSH_CHARS characters, never whole.
     """
     parts = []
     size = 0  # characters in parts
-    leaves = {}
     texts = {id(obj): {} for obj in shared}  # id -> depth -> text
-    capturing = 0  # open captures; parts are handed on only outside one
 
-    def put(text):
+    def send(text):
         nonlocal size
         parts.append(text)
         size += len(text)
-
-    def walk(v, depth):
-        nonlocal capturing, size
-        if type(v) is str:
-            put(encode_basestring_ascii(v))
-        elif isinstance(v, int) and not isinstance(v, bool):
-            put(int.__repr__(v))
-        elif not isinstance(v, (list, tuple, dict, Iterator)):
-            # a scalar's encoding has no line break to shift
-            put(json.dumps(v))
-        elif id(v) not in texts:
-            encode(v, depth)
-        else:
-            text = texts[id(v)].get(depth)
-            if text is None:
-                start = len(parts)
-                capturing += 1
-                encode(v, depth)
-                capturing -= 1
-                text = texts[id(v)][depth] = "".join(parts[start:])
-                del parts[start:]
-                size -= len(text)
-            put(text)
-        if not capturing and size >= _FLUSH_CHARS:
+        if size >= _FLUSH_CHARS:
             write("".join(parts))
             parts.clear()
             size = 0
 
-    def encode(v, depth):
-        if isinstance(v, Iterator) or (
-            isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v)
-        ):
-            brackets, items = "[]", (("", x) for x in v)
-        elif isinstance(v, dict) and v and all(isinstance(k, str) for k in v):
-            brackets, items = "{}", (
-                (encode_basestring_ascii(k) + ": ", v[k]) for k in sorted(v)
-            )
+    def walk(v, depth, put, memo=True):
+        if isinstance(v, str):
+            put(encode_basestring_ascii(v))
+        elif isinstance(v, int) and not isinstance(v, bool):
+            put(int.__repr__(v))
+        elif not isinstance(v, (list, tuple, dict, Iterator)):
+            put(json.dumps(v))
+        elif memo and id(v) in texts:
+            if depth not in texts[id(v)]:
+                text = []
+                walk(v, depth, text.append, memo=False)
+                texts[id(v)][depth] = "".join(text)
+            put(texts[id(v)][depth])
         else:
-            # sorted like the indented form, so the compact form fixes it:
-            # {10: 0, 2: 1} and {"10": 0, "2": 1} sort their keys differently
-            key = (json.dumps(v, sort_keys=True), depth)
-            if key not in leaves:
-                indented = json.dumps(v, indent=2, sort_keys=True)
-                leaves[key] = indented.replace("\n", "\n" + _INDENT * depth)
-            put(leaves[key])
-            return
-        inner = "\n" + _INDENT * (depth + 1)
-        put(brackets[0])
-        empty = True
-        for head, x in items:
-            put(("" if empty else ",") + inner + head)
-            empty = False
-            walk(x, depth + 1)
-        # an iterator that yields nothing is json.dumps's []
-        put(brackets[1] if empty else "\n" + _INDENT * depth + brackets[1])
+            if isinstance(v, dict):
+                brackets, items = "{}", ((_key(k), v[k]) for k in sorted(v))
+            else:
+                brackets, items = "[]", (("", x) for x in v)
+            put(brackets[0])
+            sep = "\n"
+            for head, x in items:
+                put(sep + _INDENT * (depth + 1) + head)
+                sep = ",\n"
+                walk(x, depth + 1, put)
+            # nothing written inside: an empty array or dict is [] or {}
+            put(brackets[1] if sep == "\n" else "\n" + _INDENT * depth + brackets[1])
 
-    walk(value, 0)
+    walk(value, 0, send)
     if parts:
         write("".join(parts))
+
+
+def _key(k):
+    # json.dumps writes a key that is not a str as its own encoding, quoted
+    if not isinstance(k, str):
+        if k is not None and not isinstance(k, (int, float)):
+            raise TypeError("keys must be str, int, float, bool or None, not " + type(k).__name__)
+        k = json.dumps(k)
+    return encode_basestring_ascii(k) + ": "
 
 
 def _emit(args, report, table_lines, shared=()):

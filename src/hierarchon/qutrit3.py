@@ -27,23 +27,27 @@ Septuple = namedtuple("Septuple", "d1 d2 d3 a1 a2 alpha1 alpha2")
 
 TupleQuadruple = namedtuple("TupleQuadruple", "u v s t")
 
+# the qudit dimension, the digit base of every septuple: the survey is
+# specific to qutrits
+DIM = 3
+
 SCOPE = (
     "tuples in the diagonal-times-X normal form; reduction of arbitrary "
     "third-level tuples into this form is assumed, not recomputed"
 )
 
 
-def septuple_from_index(i, d=3):
+def septuple_from_index(i):
     digits = []
     for pw in range(6, -1, -1):
-        digits.append((i // d ** pw) % d)
+        digits.append((i // DIM ** pw) % DIM)
     return Septuple(*digits)
 
 
-def septuple_index(s, d=3):
+def septuple_index(s):
     out = 0
     for comp in s:
-        out = out * d + comp % d
+        out = out * DIM + comp % DIM
     return out
 
 
@@ -71,30 +75,31 @@ def _commutator(s1, s2, d):
     return lin, c
 
 
-def commutation_check(s1, s2, d=3):
+def commutation_check(s1, s2):
     """c with U V = w^c V U, or None when no such phase exists."""
-    lin, c = _commutator(s1, s2, d)
+    lin, c = _commutator(s1, s2, DIM)
     return c if lin else None
 
 
-def quadruple_relations(q, d=3):
+def quadruple_relations(q):
     """The six c-values for (UV, ST, US, UT, VS, VT).
 
     A conjugate tuple must come out (1, 1, 0, 0, 0, 0); None marks a pair
     that fails the linear congruences outright.
     """
     return (
-        commutation_check(q.u, q.v, d),
-        commutation_check(q.s, q.t, d),
-        commutation_check(q.u, q.s, d),
-        commutation_check(q.u, q.t, d),
-        commutation_check(q.v, q.s, d),
-        commutation_check(q.v, q.t, d),
+        commutation_check(q.u, q.v),
+        commutation_check(q.s, q.t),
+        commutation_check(q.u, q.s),
+        commutation_check(q.u, q.t),
+        commutation_check(q.v, q.s),
+        commutation_check(q.v, q.t),
     )
 
 
-def septuple_matrix(s, d=3):
+def septuple_matrix(s):
     """The gate D[w^phi] Z^a X^alpha as an exact matrix, wire 1 most significant."""
+    d = DIM
     w = CycloScalar.omega(d)
     zero = CycloScalar.from_rational(d, Fraction(0))
     grid = [[zero] * (d * d) for _ in range(d * d)]
@@ -130,7 +135,7 @@ def _digit_columns(d, count):
     return [idx // d ** pw % d for pw in range(count - 1, -1, -1)]
 
 
-def _pair_list(d=3):
+def _pair_list():
     """(pairs, ok0, colcode) over every ordered pair of septuples.
 
     pairs lists the (i, j) with U_i U_j = w U_j U_i, row-major; ok0[i, j] is
@@ -142,6 +147,7 @@ def _pair_list(d=3):
     column's y.  So _commutator runs on three small tables, and each
     d**7 x d**7 mask is one comparison of two int8 tables and one AND.
     """
+    d = DIM
     nq, nx = d ** 3, d ** 2
     q, x = _digit_columns(d, 3), _digit_columns(d, 2)
 
@@ -176,19 +182,17 @@ def _pair_list(d=3):
     return pairs, ok0, colcode
 
 
-def enumerate_tuples(d=3, stride=1):
+def enumerate_tuples(stride=1):
     """Yield conjugate tuples (U, V, S, T) in a fixed lexicographic order.
 
     stride keeps every stride-th leading pair, the same stratification the
     survey uses for its quick tier.
     """
-    if d != 3:
-        raise ValueError("the tuple survey is specific to qutrits")
     if stride < 1:
         raise ValueError("stride must be positive")
-    pairs, ok0, _ = _pair_list(d)
+    pairs, ok0, _ = _pair_list()
     pu, pv = pairs[:, 0], pairs[:, 1]
-    septs = [septuple_from_index(i, d) for i in range(d ** 7)]
+    septs = [septuple_from_index(i) for i in range(DIM ** 7)]
     for rows, qs in _kernels.survey_walk(pu, pv, ok0, 0, len(pairs), stride):
         for r, q in zip(rows.tolist(), qs.tolist()):
             yield TupleQuadruple(septs[pu[r]], septs[pv[r]], septs[pu[q]], septs[pv[q]])
@@ -231,7 +235,7 @@ def survey(stride=1):
             if len(failures) == 20:
                 break
     return {
-        "d": 3,
+        "d": DIM,
         "total": total,
         "passed": passed,
         "failed": total - passed,

@@ -131,13 +131,13 @@ def _rational_fixed_vector(T, prod):
             [imgs[0].q[0], imgs[1].q[0] - 1],
         ]
     ) % d
+    # U of order d makes A nilpotent, so f, orthogonal to A's first nonzero
+    # row, lies in A's kernel; the check on the start below decides for any U
     f = (1, 0)
     for a, b in A:
         if a % d or b % d:
             f = (b % d, (-a) % d)
             break
-    if np.any(A @ f % d):
-        raise fail
     C = synthesize_clifford([weyl(d, (f[0],), (f[1],))])
     start = _rational_column(prod @ C.mat)
     if start is None or U @ start[0] != start[0]:

@@ -618,6 +618,7 @@ _TREES = _trees(_SCALARS)
 @given(value=st.one_of(_TREES, _repeated(_TREES), st.sampled_from([{}, [], (), [{}], {"": []}])))
 # equal unsorted encodings at one depth, sorted differently: int keys by value
 @example(value={"a": [[{2: 0, 10: 1}]], "b": [[{"2": 0, "10": 1}]]})
+@example(value={"a": {10: [], -1: {}, 2: [[]]}, "b": [[], {}, ()]})
 def test_dumps_matches_the_indented_json_encoding(value):
     chunks = []
     hierarchon.cli._dump(value, chunks.append)
@@ -625,8 +626,20 @@ def test_dumps_matches_the_indented_json_encoding(value):
 
 
 def test_dump_streams_chunks_and_encodes_shared_subtrees_once(monkeypatch):
-    doc = {"conductor": 3, "entries": [[[1, -1], [0, 2 ** 70]]], "name": "\u00e9"}
-    value = {"certificates": [{"C1": doc, "D": doc, "id": k} for k in range(50)], "doc": doc}
+    class Walked(dict):
+        """A dict that counts the walks over its keys."""
+
+        walks = 0
+
+        def __iter__(self):
+            self.walks += 1
+            return super().__iter__()
+
+    doc = Walked(conductor=3, entries=[[[1, -1], [0, 2 ** 70]]], name="\u00e9")
+    value = {
+        "certificates": [{"C1": doc, "D": doc, "id": k, "ok": k % 2 == 0} for k in range(50)],
+        "doc": doc,
+    }
     calls = []
     original = json.dumps
 
@@ -640,13 +653,27 @@ def test_dump_streams_chunks_and_encodes_shared_subtrees_once(monkeypatch):
     hierarchon.cli._dump(value, chunks.append, [doc])
     assert len(chunks) > 1
     assert "".join(chunks) == original(value, indent=2, sort_keys=True)
-    # json.dumps runs on the leaf list alone, compact and indented at each
-    # of the shared document's two depths: the first meeting at a depth
-    # encodes the document into the string every later meeting reuses
-    assert calls == [doc["entries"]] * 4
+    # json.dumps runs on scalars alone, here the 50 booleans, never on an
+    # array or a dict
+    assert calls == [k % 2 == 0 for k in range(50)]
+    assert not any(isinstance(v, (list, tuple, dict)) for v in calls)
+    # the document is met 101 times at two depths, and walked once at each:
+    # the first meeting at a depth encodes it into the string every later
+    # meeting reuses
+    assert "".join(chunks).count('"name": "\\u00e9"') == 101
+    assert doc.walks == 2
     # no chunk is much past the flush size: the largest holds at most one
     # part on top of it, here one encoding of the document
     assert max(map(len, chunks)) < 256 + len(original(doc, indent=2)) + 64
+
+
+def test_dump_refuses_the_keys_json_dumps_refuses():
+    for value in ({(1, 2): 0}, {"a": [{"b": {frozenset(): 1}}]}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as refused:
+            hierarchon.cli._dump(value, [].append)
+        assert str(refused.value) == str(expected.value)
 
 
 def _fresh(rows, docs):
@@ -666,6 +693,13 @@ _DOCS = st.lists(st.dictionaries(_KEYS, _TREES, min_size=1, max_size=3), max_siz
 @settings(max_examples=300, deadline=None)
 @given(rows=_ROWS, docs=_DOCS, share=st.booleans(), flush=st.sampled_from([1, 64, 1 << 16]))
 @example(rows=[{"x": [k, {"y": k}]} for k in range(40)], docs=[], share=False, flush=1)
+# a shared document that holds an int-keyed dict and an empty list
+@example(
+    rows=[{"x": []}, {}, {"y": {3: [], 1: 0}}],
+    docs=[{"a": {10: [], 2: {}}, "b": []}],
+    share=True,
+    flush=1,
+)
 def test_dump_of_a_generator_of_fresh_dicts_matches_its_list(rows, docs, share, flush):
     chunks = []
     with pytest.MonkeyPatch.context() as mp:
@@ -683,6 +717,23 @@ def test_dump_of_an_empty_generator_is_an_empty_array():
         chunks = []
         hierarchon.cli._dump(value, chunks.append)
         assert "".join(chunks) == json.dumps(listed, indent=2, sort_keys=True)
+
+
+# the two encoder fuzz tests above at 5000 examples, for the extended tier
+@pytest.mark.extended
+@settings(max_examples=5000, deadline=None)
+@given(value=st.one_of(_TREES, _repeated(_TREES), st.sampled_from([{}, [], (), [{}], {"": []}])))
+def test_dumps_matches_the_indented_json_encoding_extended(value):
+    test_dumps_matches_the_indented_json_encoding.hypothesis.inner_test(value)
+
+
+@pytest.mark.extended
+@settings(max_examples=5000, deadline=None)
+@given(rows=_ROWS, docs=_DOCS, share=st.booleans(), flush=st.sampled_from([1, 64, 1 << 16]))
+def test_dump_of_a_generator_of_fresh_dicts_matches_its_list_extended(rows, docs, share, flush):
+    test_dump_of_a_generator_of_fresh_dicts_matches_its_list.hypothesis.inner_test(
+        rows, docs, share, flush
+    )
 
 
 def test_every_certificate_is_checked_before_any_output(capsys, monkeypatch, tmp_path):
@@ -959,10 +1010,10 @@ def test_benchmark_tracer_wraps_every_boundary(tmp_path):
 
 
 def test_table_mode_without_out_builds_no_document(capsys, monkeypatch):
-    def no_dumps(*args, **kwargs):
+    def no_dump(*args, **kwargs):
         raise AssertionError("a report document was serialised")
 
-    monkeypatch.setattr(hierarchon.cli.json, "dumps", no_dumps)
+    monkeypatch.setattr(hierarchon.cli, "_dump", no_dump)
     code, out, _ = run(capsys, ["qutrit3", "survey", "--stride", "5000"])
     assert code == 0
     assert "tuples contain a Lagrangian semibasis" in out

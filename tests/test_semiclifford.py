@@ -133,6 +133,16 @@ def test_wrong_witness_is_rejected():
         diagonalize(dft(3), fake)
 
 
+def test_a_wrong_diagonal_factor_is_caught(monkeypatch):
+    """D squared is still diagonal, but C1 D**2 C2 is not the gate."""
+    T = t_gate()
+    witness = find_witness(T)
+    real = semiclifford.canonical_reps
+    monkeypatch.setattr(semiclifford, "canonical_reps", lambda mats: [D @ D for D in real(mats)])
+    with pytest.raises(ValueError, match="^diagonalisation does not reproduce the gate$"):
+        diagonalize(T, witness)
+
+
 def test_witness_search_is_deterministic():
     F, T = dft(3), t_gate()
     G = ScaledUnitary(T.mat @ F.mat, F.scale2)

@@ -3,7 +3,7 @@ import pytest
 
 from hierarchon import svn
 from hierarchon.cyclo import CycloScalar
-from hierarchon.exactmat import ExactMatrix, ScaledUnitary, conjugate_action
+from hierarchon.exactmat import ExactMatrix, ScaledUnitary, conjugate_action, kron
 from hierarchon.hierarchy import enumerate_level
 from hierarchon.phasespace import (
     PauliElement,
@@ -100,6 +100,52 @@ def test_validate_rejects_bad_tuples():
     nonord = ExactMatrix.diag(3, [1, CycloScalar.zeta(3, 2), 1])
     with pytest.raises(ValueError, match="order"):
         ConjugateTuple(d, 1, [(nonord, X)]).validate()
+
+
+def test_validate_rejects_a_wrong_pair_count_and_broken_cross_commutation():
+    d = 3
+    Z, X = zx(d)
+    with pytest.raises(ValueError, match="one \\(U, V\\) pair per wire"):
+        ConjugateTuple(d, 2, [(Z, X)])
+    # each pair is a Weyl pair, but Z_1 of the first fails to commute with X_1 of the second
+    with pytest.raises(ValueError, match="^pairs 1,2 break cross commutation$"):
+        ConjugateTuple(d, 2, [(Z, X), (Z, X)]).validate()
+
+
+def test_a_member_with_no_fixed_vector_is_refused():
+    d = 3
+    _, X = zx(d)
+    omega = ExactMatrix.diag(d, [CycloScalar.omega(d)] * d)
+    with pytest.raises(ValueError, match="joint fixed space is empty"):
+        reconstruct(ConjugateTuple(d, 1, [(omega, X)]))
+
+
+def _no_rational_start():
+    """U = diag(z, z^2, z^2) and V = z^2 I, z a primitive ninth root of unity.
+
+    Not a conjugate tuple: neither member has order 3.  No nonzero column
+    of the orbit sums of U, V, UV or UV^2 has a rational norm, U, UV and
+    UV^2 have no Pauli images, and V, a scalar other than 1, fixes no vector.
+    """
+    z = [CycloScalar.zeta(3, 2, e) for e in range(3)]
+    return ExactMatrix.diag(3, [z[1], z[2], z[2]]), ExactMatrix.diag(3, [z[2]] * 3)
+
+
+def test_a_one_wire_tuple_that_no_rotation_starts_is_refused():
+    U, V = _no_rational_start()
+    with pytest.raises(ValueError, match="^reconstruction norm is not rational$"):
+        reconstruct(ConjugateTuple(3, 1, [(U, V)]))
+
+
+def test_a_two_wire_tuple_with_no_rational_start_is_refused():
+    # the U of _no_rational_start on the first wire, and Z_2, X_2 on the second
+    U, _ = _no_rational_start()
+    pairs = [
+        (kron(U, ExactMatrix.identity(3, 3)), to_matrix(pauli_x(3, 2, 1))),
+        (to_matrix(pauli_z(3, 2, 2)), to_matrix(pauli_x(3, 2, 2))),
+    ]
+    with pytest.raises(ValueError, match="^reconstruction norm is not rational$"):
+        reconstruct(ConjugateTuple(3, 2, pairs))
 
 
 def test_scale2_tracks_u0_norm():

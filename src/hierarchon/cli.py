@@ -16,7 +16,8 @@ from json.encoder import encode_basestring_ascii
 from . import __version__
 from .diagonal import verify_cgk
 from .exactmat import from_interchange
-from .hierarchy import REFERENCE_COUNTS, _check_request, enumerate_level, enumerate_levels, top_level
+from .hierarchy import REFERENCE_COUNTS, _check_request, enumerate_level, enumerate_levels
+from .hierarchy import membership, top_level
 from .qutrit3 import survey
 from .semiclifford import (
     certificate_report,
@@ -24,7 +25,6 @@ from .semiclifford import (
     find_witness,
     find_witnesses,
     gate_hash,
-    gate_report,
 )
 from .teleport import verify_gadget
 
@@ -178,13 +178,14 @@ def _load_gate(path):
 
 def cmd_membership(args):
     su, n = _load_gate(args.gate)
-    # the walk stops at the first level that holds the gate, so a limit
-    # below --max-level is met only by a gate that no level within it holds
+    # level 1 is decided exactly with no catalog; the walk from level 2 stops
+    # at the first level that holds the gate, so a limit below --max-level is
+    # met only by a gate that no level within it holds
     reach = min(args.max_level, top_level(su.d, n))
-    level = None
-    if reach >= 1:
+    level = 1 if reach >= 1 and membership(su, 1) else None
+    if level is None and reach >= 2:
         for k, cat in enumerate(enumerate_levels(su.d, n, reach, _cache_dir(args)), 1):
-            if cat.contains(su.mat):
+            if k >= 2 and cat.contains(su.mat):
                 level = k
                 break
     if level is None:
@@ -237,7 +238,7 @@ def cmd_semiclifford(args):
         return 2
     if args.gate is not None:
         su, _ = _load_gate(args.gate)
-        rep = gate_report(su, find_witness(su))
+        rep = certificate_report(*certify([su], [find_witness(su)], {})[0])
         report = {
             "schema": "hierarchon.semiclifford/1",
             "library": __version__,
@@ -294,7 +295,7 @@ def cmd_teleport(args):
         return 2
     cache = _cache_dir(args)
     catalog = enumerate_level(args.d, 1, 3, cache_dir=cache)
-    result = verify_gadget(args.d, samples=args.samples, seed=args.seed, catalog=catalog)
+    result = verify_gadget(catalog, samples=args.samples, seed=args.seed)
     report = {
         "schema": "hierarchon.teleport/1",
         "library": __version__,

@@ -163,6 +163,8 @@ def norm_inverse(nums, den, cond):
 
 # an int64 intermediate whose bound stays below this cannot overflow
 INT64_SAFE = 2 ** 61
+# a stored coefficient stays int64 only when its magnitude is below this
+INT64_LIMIT = 2 ** 62
 
 
 def wide(bound, *arrays):
@@ -183,8 +185,7 @@ def as_int64_if_safe(arr):
     arr = np.asarray(arr)
     if arr.dtype != object:
         return arr
-    lim = 2 ** 62
-    if all(-lim < int(x) < lim for x in arr.flat):
+    if all(-INT64_LIMIT < int(x) < INT64_LIMIT for x in arr.flat):
         return arr.astype(np.int64)
     return arr
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import _kernels as K
 from .cyclo import (
+    INT64_LIMIT,
     CycloScalar,
     as_int64_if_safe,
     conductor,
@@ -549,8 +550,7 @@ def from_interchange(doc):
         nums = [p * (den // q) for p, q in zip(nums, dens)]
     # numpy would infer uint64 or float64 past int64; as_int64_if_safe's bound
     # picks the dtype the object path would end in
-    lim = 2 ** 62
-    dtype = np.int64 if -lim < min(nums) and max(nums) < lim else object
+    dtype = np.int64 if -INT64_LIMIT < min(nums) and max(nums) < INT64_LIMIT else object
     nums = np.array(nums, dtype=dtype).reshape(dim, dim, cond.phi)
     return ScaledUnitary(ExactMatrix(d, m, nums, den), s2), n
 
@@ -590,32 +590,34 @@ def _is_prime(nn):
     return True
 
 
-def _find_fp_primes(modulus, count=2, below=2 ** 23):
+def _find_fp_primes(modulus):
+    """The two largest primes p = 1 (mod modulus) below 2**23."""
     out = []
-    k = (below - 2) // modulus
-    while k > 0 and len(out) < count:
+    k = (2 ** 23 - 2) // modulus
+    while k > 0 and len(out) < 2:
         p = k * modulus + 1
         if _is_prime(p):
             out.append(p)
         k -= 1
-    if len(out) < count:
-        raise RuntimeError("prime search failed")
+    if len(out) < 2:
+        raise ValueError("no two fingerprint primes below 2**23 are 1 mod %d" % modulus)
     return out
 
 
 class FingerprintContext:
     """Canonical-form keys modulo two primes with p = 1 (mod d**m_max).
 
+    m_max is fingerprint_headroom(d), the highest conductor exponent served.
     Matching exact values always produce matching keys (the evaluation
     zeta -> g_c is a ring map and the normalising slot is located exactly),
     so distinct keys prove distinct gates.  Key collisions are resolved by
     the caller with exact comparison.
     """
 
-    def __init__(self, d, m_max):
+    def __init__(self, d):
         self.d = d
-        self.m_max = m_max
-        order = d ** m_max
+        self.m_max = fingerprint_headroom(d)
+        order = d ** self.m_max
         self.primes = _find_fp_primes(order)
         self._tables = {}
         self._gens = []

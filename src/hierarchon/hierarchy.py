@@ -25,7 +25,6 @@ from .exactmat import (
     FingerprintContext,
     ScaledUnitary,
     equal_up_to_phase,
-    fingerprint_headroom,
     from_interchange,
     matmul_many,
     powers,
@@ -71,7 +70,7 @@ def level_size(d, n, k):
 
 @lru_cache(maxsize=None)
 def fingerprint_context(d):
-    return FingerprintContext(d, fingerprint_headroom(d))
+    return FingerprintContext(d)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +87,6 @@ def _iroot(x, k):
         if nr >= r:
             break
         r = nr
-    while r ** k > x:
-        r -= 1
     return r
 
 
@@ -189,11 +186,11 @@ class LevelCatalog:
     collisions cost time, never correctness.
     """
 
-    def __init__(self, d, n, k, fp):
+    def __init__(self, d, n, k):
         self.d = d
         self.n = n
         self.k = k
-        self.fp = fp
+        self.fp = fingerprint_context(d)
         self.digests = []
         self._reps = []
         self._buckets = {}
@@ -255,8 +252,8 @@ class LevelCatalog:
             self._buckets.setdefault(dig, []).append(idx)
 
 
-def _pauli_catalog(d, n, fp):
-    cat = LevelCatalog(d, n, 1, fp)
+def _pauli_catalog(d, n):
+    cat = LevelCatalog(d, n, 1)
     for pq in product(range(d), repeat=2 * n):
         P = PauliElement(d, 0, pq[:n], pq[n:])
         cat.add(ScaledUnitary.exact(to_matrix(P)))
@@ -293,8 +290,6 @@ def _omega_pairs(fp, mats, d):
         # prod[a, b] == (M_a M_b)[r, c] mod p, and prod.T gives (M_b M_a)[r, c]
         prod = rows @ cols.T % p
         mask &= (prod - omega_p * prod.T) % p == 0
-        if not mask.any():
-            return []
     out = []
     for a, b in np.argwhere(mask):
         if _omega_commutes(mats[a], mats[b], 1, d):
@@ -431,9 +426,8 @@ def _rephase_all(mats, d):
 
 def _lift_level(prev):
     d, n, k = prev.d, prev.n, prev.k + 1
-    fp = prev.fp
     reps, phased, skipped = _rephase_all([su.mat for su in prev.representatives()], d)
-    pairs = _omega_pairs(fp, reps, d)
+    pairs = _omega_pairs(prev.fp, reps, d)
 
     # monomial closure is automatic up to level 3 and a real constraint after
     closure_failures = []
@@ -449,7 +443,7 @@ def _lift_level(prev):
     # the reconstruction start depends on the first member alone, so the
     # memo computes it once per distinct a
     memo = {}
-    cat = LevelCatalog(d, n, k, fp)
+    cat = LevelCatalog(d, n, k)
     for block in _blocks(pairs, d ** (2 * n)):
         gates = [
             reconstruct(ConjugateTuple(d, n, [(phased[a], phased[b])]), memo=memo)
@@ -534,7 +528,7 @@ def _decode(line, path):
         raise ValueError("cache file %s is nested too deeply" % path) from None
 
 
-def _load_cache(d, n, k, cache_dir, fp):
+def _load_cache(d, n, k, cache_dir):
     """The catalog of level (d, n, k) read from the store, or None if absent.
 
     A first pass checks the layout and the content hash.  The second decodes
@@ -573,7 +567,7 @@ def _load_cache(d, n, k, cache_dir, fp):
             raise ValueError("cache file %s is malformed" % path)
         if count != lines - 2:
             raise ValueError("cache file %s is truncated" % path)
-        cat = LevelCatalog(d, n, k, fp)
+        cat = LevelCatalog(d, n, k)
         for line in islice(fh, count):
             su, gn = from_interchange(_decode(line, path))
             if gn != n:
@@ -643,14 +637,13 @@ def _walk(d, n, first, k, cache_dir):
 
     Level first must be level 1 or cached.
     """
-    fp = fingerprint_context(d)
     cat = None
     for level in range(first, k + 1):
-        cached = _load_cache(d, n, level, cache_dir, fp) if cache_dir else None
+        cached = _load_cache(d, n, level, cache_dir) if cache_dir else None
         if cached is not None:
             cat = cached
         else:
-            cat = _pauli_catalog(d, n, fp) if level == 1 else _lift_level(cat)
+            cat = _pauli_catalog(d, n) if level == 1 else _lift_level(cat)
             if cache_dir:
                 cat.meta["cache_path"] = _save_cache(cat, cache_dir)
         yield cat
@@ -686,22 +679,19 @@ def enumerate_level(d, n, k, cache_dir=None):
     return cat
 
 
-def membership(G, k, catalogs=None):
+def membership(G, k):
     """Exact level-k membership for a ScaledUnitary.
 
     Level 1 is monomial recognition; higher levels recurse through the
-    conjugates of the generator Paulis.  catalogs, when given as
-    {level: LevelCatalog}, replaces recursion at the levels it covers.
+    conjugates of the generator Paulis.
     """
     if k < 1:
         raise ValueError("levels start at 1")
     d = G.d
     n = wire_count(d, G.dim)
-    if catalogs and k in catalogs:
-        return catalogs[k].contains(G.mat)
     if k == 1:
         return recognize_pauli(G.mat, up_to_phase=True) is not None
     return all(
-        membership(ScaledUnitary.exact(img), k - 1, catalogs)
+        membership(ScaledUnitary.exact(img), k - 1)
         for img in tuple_of(G, n).members()
     )

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .cyclo import CycloScalar, conductor
+from .cyclo import CycloScalar
 from .exactmat import ExactMatrix
 
 Septuple = namedtuple("Septuple", "d1 d2 d3 a1 a2 alpha1 alpha2")

@@ -242,28 +242,14 @@ def shared_interchange(su, n, documents):
     return doc
 
 
-def gate_report(G, witness, documents=None):
-    """G's witness, as find_witness returned it, and its decomposition as a JSON-able dict."""
-    return gate_reports([G], [witness], documents)[0]
+def certify(gates, witnesses, documents):
+    """(hash, witness, factors) for each gate and its witness, as find_witness returned it.
 
-
-def gate_reports(gates, witnesses, documents=None):
-    """[gate_report(G, w, documents) for G, w in zip(gates, witnesses)], batched.
-
-    With a documents dict, equal C1, C2 and D factors across the reports
-    built with it share one interchange document (see shared_interchange).
+    factors holds the C1, C2 and D interchange documents, shared through the
+    documents dict (see shared_interchange), or is None for a gate without a
+    witness.  Every split is checked here, through diagonalize_many, so
+    building the reports afterwards checks nothing.
     """
-    return [certificate_report(*c) for c in certify(gates, witnesses, documents)]
-
-
-def certify(gates, witnesses, documents=None):
-    """The exact work of gate_reports: (hash, witness, factors) for each gate.
-
-    factors is the tuple of the C1, C2 and D interchange documents, or None
-    for a gate without a witness.  Every split is checked here, through
-    diagonalize_many, so building the reports afterwards checks nothing.
-    """
-    documents = {} if documents is None else documents
     witnessed = [k for k, w in enumerate(witnesses) if w is not None]
     splits = diagonalize_many([gates[k] for k in witnessed], [witnesses[k] for k in witnessed])
     split_of = dict(zip(witnessed, splits))

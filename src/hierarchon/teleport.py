@@ -13,7 +13,6 @@ import numpy as np
 
 from .cyclo import CycloScalar
 from .exactmat import ExactMatrix, ScaledUnitary, equal_up_to_phase, frozen, matmul_many, powers
-from .hierarchy import enumerate_level
 from .phasespace import pauli_x, to_matrix
 from .semiclifford import Diagonalisation, diagonalize, find_witness
 
@@ -95,27 +94,26 @@ def gadget_run(split, psi):
     return matmul_many(fixes, columns)
 
 
-def _random_state(d, m, rng):
+def _random_state(d, rng):
     while True:
         amps = []
         for _ in range(d):
             c = rng.randrange(-2, 3)
-            e = rng.randrange(d ** m)
-            amps.append(CycloScalar.zeta(d, m, e) * c)
+            e = rng.randrange(d ** 2)
+            amps.append(CycloScalar.zeta(d, 2, e) * c)
         if not all(a.is_zero() for a in amps):
             return state(d, amps)
 
 
-def verify_gadget(d=3, samples=100, seed=0, catalog=None, states=1):
-    """Gadget check over random third-level gates and random input states.
+def verify_gadget(catalog, samples=100, seed=0, states=1):
+    """Gadget check over random gates of catalog and random input states.
 
     Every sampled gate is diagonalised, run through the circuit on `states`
     random states, and each measurement branch is compared against the
     sampled gate acting directly, not the product of the circuit's own
     factors.  The report counts branches and lists any failures.
     """
-    if catalog is None:
-        catalog = enumerate_level(d, 1, 3)
+    d = catalog.d
     reps = list(catalog.representatives())
     rng = random.Random(seed)
     checked = 0
@@ -128,7 +126,7 @@ def verify_gadget(d=3, samples=100, seed=0, catalog=None, states=1):
             continue
         split = diagonalize(su, witness)
         for _ in range(states):
-            psi = _random_state(d, 2, rng)
+            psi = _random_state(d, rng)
             target = su.mat @ psi
             for J, branch in enumerate(gadget_run(split, psi)):
                 checked += 1

@@ -188,7 +188,7 @@ def test_two_qutrit_survey_full_extended():
 
 
 def test_gate_teleportation_of_sampled_gates(cache):
-    report = verify_gadget(3, samples=100, states=10, seed=7, catalog=cat(cache, 3, 1, 3))
+    report = verify_gadget(cat(cache, 3, 1, 3), samples=100, states=10, seed=7)
     assert report["branches_checked"] == 3000
     assert report["failures"] == []
 

@@ -306,7 +306,14 @@ def test_membership_stops_at_the_first_level_that_holds_the_gate(capsys, tmp_pat
     store = tmp_path / "store"
     code, out, _ = run(capsys, ["membership", str(gate), "--cache-dir", str(store)])
     assert (code, out) == (0, "level: 1\n")
-    assert os.listdir(store / "d3_n1") == ["level_1.jsonl"]
+    # level 1 needs no catalog, so nothing is walked or stored
+    assert not store.exists()
+    w = CycloScalar.omega(3)
+    gate.write_text(json.dumps(to_interchange(ScaledUnitary.exact(
+        ExactMatrix.diag(3, [w ** (z * z) for z in range(3)])), 1)))
+    code, out, _ = run(capsys, ["membership", str(gate), "--cache-dir", str(store)])
+    assert (code, out) == (0, "level: 2\n")
+    assert sorted(os.listdir(store / "d3_n1")) == ["level_1.jsonl", "level_2.jsonl"]
 
 
 def _gate_file(path, mat, n):
@@ -338,7 +345,8 @@ def test_membership_refuses_where_its_walk_reaches_a_limit(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: two-wire enumeration above level 1 is out of reach")
     assert err.count("\n") == 1
-    assert os.listdir(store / "d3_n2") == ["level_1.jsonl"]
+    # two wires reach level 1 alone, which needs no catalog
+    assert not store.exists()
     code, out, err = run(capsys, ["membership", gate, "--max-level", "2"])
     assert (code, out) == (2, "")
     assert err.startswith("error: two-wire enumeration above level 1 is out of reach")
@@ -360,6 +368,22 @@ def test_membership_of_a_d17_clifford_stops_at_the_ceiling_without_a_lift(
     assert err == (
         "error: estimated at least 1414944 gates at level 4 is past the ceiling of 1000000\n"
     )
+
+
+def test_membership_places_a_d61_identity_at_level_one(capsys, tmp_path):
+    # no two fingerprint primes below 2**23 are 1 mod 61^3, so no d=61 catalog exists
+    gate = _gate_file(tmp_path / "i61.json", ExactMatrix.identity(61, 61, 1), 1)
+    code, out, err = run(capsys, ["membership", gate])
+    assert (code, out, err) == (0, "level: 1\n", "")
+
+
+def test_membership_of_a_d61_clifford_past_level_one_exits_two(capsys, tmp_path):
+    w = CycloScalar.omega(61)
+    quadratic_phase = ExactMatrix.diag(61, [w ** (z * z) for z in range(61)])
+    gate = _gate_file(tmp_path / "q61.json", quadratic_phase, 1)
+    code, out, err = run(capsys, ["membership", gate, "--max-level", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
@@ -996,17 +1020,35 @@ def test_nonpositive_counts_exit_two_with_one_line(capsys, argv):
 
 
 def test_benchmark_tracer_wraps_every_boundary(tmp_path):
-    """The traced benchmark's install() finds every name it wraps, and the CLI runs."""
+    """The traced benchmark's install() finds every name it wraps, and the CLI runs.
+
+    The hooks that read a boundary's arguments or result by position count
+    what the reports say: the bytes of the store levels a run reloads, and
+    the survey rows the stride keeps.
+    """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    trace = tmp_path / "trace.json"
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "clibench", "tracer.py"), str(trace),
-         "enumerate", "--d", "3", "--max-level", "1", "--cache-dir", str(tmp_path / "cache")],
-        env=env, capture_output=True, text=True, timeout=300,
+    trace, report, store = tmp_path / "trace.json", tmp_path / "report.json", tmp_path / "cache"
+
+    def traced(*argv):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "clibench", "tracer.py"), str(trace)]
+            + list(argv) + ["--out", str(report)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(trace.read_text())["counts"]
+
+    enumerate_argv = ["enumerate", "--d", "3", "--max-level", "2", "--cache-dir", str(store)]
+    assert "hierarchy.store_load.bytes" not in traced(*enumerate_argv)
+    levels = [store / "d3_n1" / ("level_%d.jsonl" % k) for k in (1, 2)]
+    assert traced(*enumerate_argv)["hierarchy.store_load.bytes"] == sum(
+        os.path.getsize(p) for p in levels
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(trace.read_text())
+    counts = traced("qutrit3", "survey", "--stride", "5000")
+    pairs = json.loads(report.read_text())["pairs"]
+    assert counts["kernels.survey_join.rows"] == len(range(0, pairs, 5000))
+    assert counts["kernels.survey_join.pair_checks"] == len(range(0, pairs, 5000)) * pairs
 
 
 def test_table_mode_without_out_builds_no_document(capsys, monkeypatch):

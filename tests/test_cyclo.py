@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hierarchon.cyclo import (
+    Conductor,
     CycloScalar,
     conductor,
+    max_abs,
     monomial_log,
     norm_inverse,
     normalize,
@@ -310,3 +312,53 @@ def test_demote_min_matches_min_level_then_demote(d, m, dtype):
                 assert np.array_equal(got, want)
                 levels.add(got_m)
     assert levels == set(range(1, m + 1))
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Conductor(2, 1), ValueError, "power of an odd prime"),
+        (lambda: Conductor(3, 0), ValueError, "power of an odd prime"),
+        (lambda: conductor(3, 2).galois(np.zeros(6, dtype=np.int64), 3), ValueError, "gcd"),
+        (lambda: conductor(3, 2).promote_tensor(np.zeros(6, dtype=np.int64), 1), ValueError,
+         "cannot shrink"),
+        (lambda: normalize([1, 2], 0), ZeroDivisionError, "zero denominator"),
+        (lambda: CycloScalar(3, 1, [1, 2, 3]), ValueError, "expected 2 coefficients"),
+        (lambda: CycloScalar.omega(3) + CycloScalar.omega(5), ValueError, "mixed base primes"),
+        (lambda: CycloScalar.omega(3).as_fraction(), ValueError, "not rational"),
+    ],
+    ids=["d-even", "m-zero", "galois-non-unit", "promote-shrinks", "zero-den",
+         "coefficient-count", "mixed-primes", "irrational-fraction"],
+)
+def test_input_checks_refuse(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+w3, w5 = CycloScalar.omega(3), CycloScalar.omega(5)
+
+
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        (max_abs(np.zeros((0, 2), dtype=np.int64)), 0),
+        (1 - w3, -(w3 - 1)),
+        (1 / w3, w3.inverse()),
+        (w3 ** -1, w3.conjugate()),
+        (w3 ** -2, w3),
+        (w3 == "w", False),
+        # across base primes only rational values compare, by value
+        (CycloScalar.from_rational(3, Fraction(2, 3)) == CycloScalar.from_rational(5, Fraction(2, 3)),
+         True),
+        (CycloScalar.from_rational(3, 2) == CycloScalar.from_rational(5, 3), False),
+        (w3 == w5, False),
+    ],
+    ids=["max-abs-empty", "rsub", "rtruediv", "pow-minus-one", "pow-minus-two", "eq-other-type",
+         "eq-rational-across-primes", "eq-rational-differs", "eq-irrational-across-primes"],
+)
+def test_reflected_operators_and_mixed_comparisons(got, want):
+    assert got == want and type(got) is type(want)

@@ -157,7 +157,7 @@ def test_int64_and_object_lanes_agree(d, m):
     assert equal_up_to_phase(W, M.scale_zeta(1))
     assert not equal_up_to_phase(W, N)
     assert equal_up_to_phase(W.scale_zeta(2), W)
-    ctx = FingerprintContext(d, 3)
+    ctx = FingerprintContext(d)
     assert ctx.keys([M, W]) == [ctx.key(M)] * 2
 
 
@@ -507,7 +507,7 @@ def test_max_conductor_is_the_fingerprint_headroom_within_the_table_cap():
 # fingerprints
 
 def test_fingerprint_matches_on_equal_values():
-    ctx = FingerprintContext(3, 5)
+    ctx = FingerprintContext(3)
     Z = zmat(3)
     assert ctx.key(Z) == ctx.key(Z.scale(CycloScalar.omega(3)))
     assert ctx.key(Z) == ctx.key(Z.scale_q(Fraction(3, 7)))
@@ -516,14 +516,14 @@ def test_fingerprint_matches_on_equal_values():
 
 
 def test_fingerprint_separates_distinct_gates():
-    ctx = FingerprintContext(3, 5)
+    ctx = FingerprintContext(3)
     Z, X = zmat(3), xmat(3)
     seen = {ctx.key(Z), ctx.key(X), ctx.key(Z @ X), ctx.key(fmat(3).mat)}
     assert len(seen) == 4
 
 
 def test_fingerprint_zero_slot_fallback():
-    ctx = FingerprintContext(3, 2)
+    ctx = FingerprintContext(3)
     p = ctx.primes[0]
     a = ExactMatrix.from_scalars(3, [[p, 1], [0, 1]])
     b = a.scale_q(2)
@@ -533,8 +533,9 @@ def test_fingerprint_zero_slot_fallback():
 
 
 def test_fingerprint_primes_are_usable():
-    for d, m in ((3, 5), (5, 3), (7, 2)):
-        ctx = FingerprintContext(d, m)
+    for d, m in ((3, 5), (5, 3), (7, 3)):
+        ctx = FingerprintContext(d)
+        assert ctx.m_max == m
         for p in ctx.primes:
             assert p < 2 ** 23 and (p - 1) % d ** m == 0
         assert ctx.primes[0] != ctx.primes[1]
@@ -543,3 +544,52 @@ def test_fingerprint_primes_are_usable():
         assert tab[0] == 1
         if conductor(d, m).phi > 1:
             assert tab[1] != 1
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+I3, I5 = ExactMatrix.identity(3, 3), ExactMatrix.identity(5, 5)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: ExactMatrix(3, 1, np.zeros((2, 2), dtype=np.int64)), r"\(rows, cols, phi\)"),
+        (lambda: ExactMatrix(3, 1, np.zeros((2, 2, 3), dtype=np.int64)), r"\(rows, cols, phi\)"),
+        (lambda: ExactMatrix.zeros(3, 1, 2, 3).dim, "not square"),
+        (lambda: I3 + I5, "mixed base primes"),
+        (lambda: I3.scale(CycloScalar.omega(5)), "mixed base primes"),
+        (lambda: kron(I3, I5), "mixed base primes"),
+        (lambda: matmul_many([I3], [I5]), "mixed base primes"),
+        (lambda: ExactMatrix.identity(3, 2) @ I3, "dim mismatch"),
+        (lambda: matmul_many([ExactMatrix.identity(3, 2)], [I3]), "dim mismatch"),
+        (lambda: I3.pow_int(-1), "negative matrix powers"),
+        (lambda: ScaledUnitary(I3, 0), "scale2 must be positive"),
+        (lambda: ScaledUnitary(I3, -2), "scale2 must be positive"),
+        (lambda: FingerprintContext(3).keys([I3, ExactMatrix.zeros(3, 1, 3)]), "zero matrix"),
+    ],
+    ids=["tensor-ndim", "tensor-phi", "dim-not-square", "common-mixed", "scale-mixed",
+         "kron-mixed", "matmul-many-mixed", "matmul-dims", "matmul-many-dims", "pow-negative",
+         "scale2-zero", "scale2-negative", "keys-zero-matrix"],
+)
+def test_input_checks_refuse(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        (I3 == "I", False),
+        (I3 == I5, False),
+        (equal_up_to_phase(I3, ExactMatrix.identity(3, 2)), False),
+        (equal_up_to_phase(ExactMatrix.zeros(3, 1, 3, 1), ExactMatrix.zeros(3, 1, 1, 3)), False),
+        (_is_prime(1), False),
+        (_is_prime(0), False),
+    ],
+    ids=["eq-other-type", "eq-other-prime", "phase-shapes", "phase-transposed",
+         "prime-one", "prime-zero"],
+)
+def test_mixed_comparisons_are_false(got, want):
+    assert got is want

@@ -225,6 +225,12 @@ def test_membership_rejects_bad_inputs():
         membership(odd, 2)
 
 
+def test_a_base_prime_with_no_fingerprint_primes_is_refused():
+    # the first such prime: fewer than two primes below 2**23 are 1 mod 61^3
+    with pytest.raises(ValueError, match="fingerprint primes"):
+        enumerate_level(61, 1, 1, cache_dir=False)
+
+
 def test_membership_catalog_shortcut_agrees(d3):
     gates = [
         dft(3),
@@ -233,7 +239,7 @@ def test_membership_catalog_shortcut_agrees(d3):
     ]
     for G in gates:
         for k in (2, 3):
-            assert membership(G, k, catalogs=d3) == membership(G, k)
+            assert d3[k].contains(G.mat) == membership(G, k)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +325,17 @@ def test_closure_gaps_of_single_wire_tuples(d3):
     # U = T9 Z T9* is Z, while every V**j with j > 0 sits at level 2
     assert closure_gaps(tuple_of(T9, 1), d3[1]) == [(i, j) for i in range(3) for j in (1, 2)]
     assert closure_gaps(tuple_of(T9, 1), d3[2]) == []
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [[], [ExactMatrix.identity(3, 3), to_matrix(pauli_z(3, 1, 1))]],
+    ids=["no-matrices", "no-pair-survives-the-screen"],
+)
+def test_omega_pairs_without_a_pair_is_empty(mats):
+    from hierarchon import hierarchy
+
+    assert hierarchy._omega_pairs(hierarchy.fingerprint_context(3), mats, 3) == []
 
 
 def _level_pairs(cat):
@@ -506,12 +523,11 @@ def test_cache_load_holds_no_parsed_level(tmp_path):
 
     cache = str(tmp_path)
     enumerate_level(3, 1, 3, cache_dir=cache)
-    fp = hierarchy.fingerprint_context(3)
-    hierarchy._load_cache(3, 1, 2, cache, fp)  # fills the lazy key tables
+    hierarchy._load_cache(3, 1, 2, cache)  # fills the lazy key tables
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cat = hierarchy._load_cache(3, 1, 3, cache, fp)
+        cat = hierarchy._load_cache(3, 1, 3, cache)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -522,7 +538,7 @@ def test_cache_load_holds_no_parsed_level(tmp_path):
 def test_catalog_add_keeps_the_callers_gate_unless_it_demotes():
     from hierarchon import hierarchy
 
-    cat = hierarchy.LevelCatalog(3, 1, 1, hierarchy.fingerprint_context(3))
+    cat = hierarchy.LevelCatalog(3, 1, 1)
     x = ScaledUnitary.exact(to_matrix(pauli_x(3, 1, 1)))
     assert cat.add(x)
     assert list(cat.representatives())[0] is x
@@ -564,8 +580,8 @@ def test_cache_resume_reads_only_the_highest_cached_level(tmp_path, monkeypatch)
     read = []
     real = hierarchy._load_cache
 
-    def spy(d, n, k, cache_dir, fp):
-        cat = real(d, n, k, cache_dir, fp)
+    def spy(d, n, k, cache_dir):
+        cat = real(d, n, k, cache_dir)
         if cat is not None:
             read.append(k)
         return cat

@@ -471,3 +471,20 @@ def test_synthesize_rejects_bad_targets():
 def test_half_inverse():
     for d in (3, 5, 7):
         assert (2 * half(d)) % d == 1
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: PauliElement(3, 0, (1,), (1, 2)), "equal nonempty length"),
+        (lambda: PauliElement(3, 0, (), ()), "equal nonempty length"),
+        (lambda: enumerate_semibases(3, 3), "n capped at 2"),
+        # the second point is twice the first
+        (lambda: extend_to_symplectic_basis([((1, 0), (0, 0)), ((2, 0), (0, 0))], 3),
+         "not a semibasis"),
+    ],
+    ids=["pq-lengths", "pq-empty", "semibases-three-wires", "dependent-points"],
+)
+def test_input_checks_refuse(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

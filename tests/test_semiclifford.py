@@ -22,13 +22,13 @@ import hierarchon.semiclifford as semiclifford
 from hierarchon.phasespace import enumerate_semibases, recognize_pauli, to_matrix
 from hierarchon.semiclifford import (
     SemiCliffordWitness,
+    certificate_report,
+    certify,
     diagonalize,
     diagonalize_many,
     find_witness,
     find_witnesses,
     gate_hash,
-    gate_report,
-    gate_reports,
     shared_interchange,
     sp_order,
 )
@@ -44,6 +44,11 @@ def dft(d):
 def t_gate():
     z9 = CycloScalar.zeta(3, 2, 1)
     return ScaledUnitary.exact(ExactMatrix.diag(3, [z9 ** 0, z9, z9 ** 2]))
+
+
+def gate_report(G, witness, documents=None):
+    """The certificate report of one gate, as certify and certificate_report build it."""
+    return certificate_report(*certify([G], [witness], {} if documents is None else documents)[0])
 
 
 def rational_matrix(d, vals, den=1):
@@ -279,7 +284,7 @@ def test_gate_reports_equal_the_batches_of_one(where):
         if w is not None:
             assert w.semibasis == one.semibasis and points_of(w) == points_of(one)
     docs, docs_one = {}, {}
-    batched = gate_reports(gates, witnesses, docs)
+    batched = [certificate_report(*e) for e in certify(gates, witnesses, docs)]
     assert batched == [gate_report(G, find_witness(G), docs_one) for G in gates]
     assert json.dumps(batched) == json.dumps([gate_report(G, find_witness(G)) for G in gates])
     assert len(docs) == len(docs_one)
@@ -288,7 +293,7 @@ def test_gate_reports_equal_the_batches_of_one(where):
 def test_empty_batches():
     assert find_witnesses([]) == []
     assert diagonalize_many([], []) == []
-    assert gate_reports([], []) == []
+    assert certify([], [], {}) == []
 
 
 def test_wrong_witness_inside_a_batch_is_rejected():
@@ -303,7 +308,7 @@ def test_wrong_witness_inside_a_batch_is_rejected():
         diagonalize_many(gates, witnesses)
     assert str(batched.value) == str(alone.value) == "witness does not diagonalise the gate"
     with pytest.raises(ValueError, match="^witness does not diagonalise the gate$"):
-        gate_reports(gates, witnesses)
+        certify(gates, witnesses, {})
 
 
 @pytest.mark.parametrize("d, k", [(3, 2), (3, 3), (3, 4), (5, 2)])

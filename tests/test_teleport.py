@@ -130,7 +130,7 @@ def test_correction_is_clifford_for_every_third_level_core(cats):
         split = Diagonalisation(ScaledUnitary.exact(eye3()), core, ScaledUnitary.exact(eye3()))
         fix = correction(split)
         fix.verify()
-        assert membership(fix, 2, catalogs=cats)
+        assert cats[2].contains(fix.mat)
 
 
 def test_diagonal_core_commutes_with_the_control():
@@ -143,23 +143,22 @@ def test_diagonal_core_commutes_with_the_control():
 
 
 def test_gadget_implements_sampled_catalog_gates(cats):
-    report = verify_gadget(3, samples=10, seed=3, catalog=cats[3])
+    report = verify_gadget(cats[3], samples=10, seed=3)
     assert report["d"] == 3
     assert report["branches_checked"] == 30
     assert report["failures"] == []
 
 
 def test_verify_gadget_is_deterministic(cats):
-    a = verify_gadget(3, samples=5, seed=11, catalog=cats[3])
-    b = verify_gadget(3, samples=5, seed=11, catalog=cats[3])
+    a = verify_gadget(cats[3], samples=5, seed=11)
+    b = verify_gadget(cats[3], samples=5, seed=11)
     assert a == b
 
 
-def test_verify_gadget_lifts_level_three_when_given_no_catalog(cats, monkeypatch):
-    monkeypatch.delenv("HIERARCHON_CACHE", raising=False)
-    report = verify_gadget(3, samples=3, seed=5)
-    assert report == verify_gadget(3, samples=3, seed=5, catalog=cats[3])
-    assert report["branches_checked"] == 9 and report["failures"] == []
+def test_verify_gadget_reads_d_from_its_catalog():
+    report = verify_gadget(enumerate_level(5, 1, 2, cache_dir=False), samples=3, seed=5)
+    assert report["d"] == 5
+    assert report["branches_checked"] == 15 and report["failures"] == []
 
 
 @pytest.fixture
@@ -177,7 +176,7 @@ def squared_core(monkeypatch):
 
 def test_a_wrong_gadget_factor_fails_every_branch(cats, squared_core):
     # the target is the sampled gate, not a product of the gadget's own factors
-    report = verify_gadget(3, samples=20, seed=1, catalog=cats[3])
+    report = verify_gadget(cats[3], samples=20, seed=1)
     assert report["branches_checked"] == 60
     assert [f["reason"] for f in report["failures"]] == ["mismatch"] * 60
 
@@ -192,7 +191,7 @@ def test_teleport_verify_exits_1_on_a_mismatch(capsys, tmp_path, squared_core):
 
 def test_a_gate_without_a_witness_is_a_failure(cats, monkeypatch):
     monkeypatch.setattr(teleport, "find_witness", lambda su: None)
-    report = verify_gadget(3, samples=4, seed=1, catalog=cats[3])
+    report = verify_gadget(cats[3], samples=4, seed=1)
     assert report["branches_checked"] == 0
     assert report["failures"] == [
         {"sample": i, "branch": None, "reason": "no witness"} for i in range(4)
@@ -205,6 +204,6 @@ def test_a_zero_branch_is_a_mismatch(cats, monkeypatch):
         return [ExactMatrix.zeros(3, 1, 3, 1) for _ in range(3)]
 
     monkeypatch.setattr(teleport, "gadget_run", zero_branches)
-    report = verify_gadget(3, samples=4, seed=1, catalog=cats[3])
+    report = verify_gadget(cats[3], samples=4, seed=1)
     assert report["branches_checked"] == 12
     assert [f["reason"] for f in report["failures"]] == ["mismatch"] * 12

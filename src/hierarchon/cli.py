@@ -11,6 +11,7 @@ import contextlib
 import json
 import sys
 from collections.abc import Iterator
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
@@ -178,16 +179,16 @@ def _load_gate(path):
 
 def cmd_membership(args):
     su, n = _load_gate(args.gate)
+    # the wire cap and the level-1 ceiling hold for any file, placed or not
+    _check_request(su.d, n, 1)
     # level 1 is decided exactly with no catalog; the walk from level 2 stops
     # at the first level that holds the gate, so a limit below --max-level is
     # met only by a gate that no level within it holds
     reach = min(args.max_level, top_level(su.d, n))
     level = 1 if reach >= 1 and membership(su, 1) else None
     if level is None and reach >= 2:
-        for k, cat in enumerate(enumerate_levels(su.d, n, reach, _cache_dir(args)), 1):
-            if k >= 2 and cat.contains(su.mat):
-                level = k
-                break
+        above_one = islice(enumerate_levels(su.d, n, reach, _cache_dir(args)), 1, None)
+        level = next((cat.k for cat in above_one if cat.contains(su.mat)), None)
     if level is None:
         _check_request(su.d, n, args.max_level)
     report = {

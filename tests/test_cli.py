@@ -335,6 +335,14 @@ def test_membership_places_a_two_wire_x_below_the_ceiling(capsys, tmp_path, max_
     assert (code, out, err) == (0, "level: 1\n", "")
 
 
+@pytest.mark.parametrize("max_level", [[], ["--max-level", "1"]], ids=["default", "1"])
+def test_membership_refuses_a_three_wire_pauli(capsys, tmp_path, max_level):
+    # level 1 is decided without a catalog, but the wire cap still comes first
+    gate = _gate_file(tmp_path / "x3q.json", to_matrix(pauli_x(3, 3, 1)), 3)
+    code, out, err = run(capsys, ["membership", gate] + max_level)
+    assert (code, out, err) == (2, "", "error: n is capped at 2\n")
+
+
 def test_membership_refuses_where_its_walk_reaches_a_limit(capsys, tmp_path):
     """A gate in no level within the limits meets the refusal for --max-level."""
     z9 = CycloScalar.zeta(3, 2, 1)

@@ -46,11 +46,6 @@ def t_gate():
     return ScaledUnitary.exact(ExactMatrix.diag(3, [z9 ** 0, z9, z9 ** 2]))
 
 
-def gate_report(G, witness, documents=None):
-    """The certificate report of one gate, as certify and certificate_report build it."""
-    return certificate_report(*certify([G], [witness], {} if documents is None else documents)[0])
-
-
 def rational_matrix(d, vals, den=1):
     phi = conductor(d, 1).phi
     nums = np.zeros((len(vals), len(vals), phi), dtype=object)
@@ -126,7 +121,7 @@ def rotation():
 def test_rotation_is_not_semi_clifford():
     G = rotation()
     assert find_witness(G) is None
-    report = gate_report(G, None)
+    report = certificate_report(*certify([G], [None], {})[0])
     assert report["semi_clifford"] is False
     assert report["witness"] is None
     assert report["C1"] is None and report["C2"] is None and report["D"] is None
@@ -199,7 +194,7 @@ def test_every_level3_gate_is_semi_clifford(cat3):
 def test_gate_report_shape():
     F, T = dft(3), t_gate()
     G = ScaledUnitary(F.mat @ T.mat, F.scale2)
-    report = gate_report(G, find_witness(G))
+    report = certificate_report(*certify([G], [find_witness(G)], {})[0])
     assert sorted(report) == ["C1", "C2", "D", "gate_hash", "semi_clifford", "witness"]
     assert report["semi_clifford"] is True
     assert report["witness"]["semibasis"] == [[[1], [0]]]
@@ -218,7 +213,7 @@ def test_shared_matrices_refuse_in_place_writes():
     F, T = dft(3), t_gate()
     G = ScaledUnitary(F.mat @ T.mat, F.scale2)
     wit = find_witness(G)
-    before = gate_report(G, wit)
+    before = certificate_report(*certify([G], [wit], {})[0])
     shared = [
         synthesize_clifford(wit.pauli_images).mat,
         diagonalize(G, wit).c1.mat,
@@ -229,7 +224,7 @@ def test_shared_matrices_refuse_in_place_writes():
             M.nums[0, 0, 0] += 1
     # the memo hands out the same untouched matrices to the next certificate
     assert synthesize_clifford(wit.pauli_images).mat is shared[0]
-    assert gate_report(G, wit) == before
+    assert certificate_report(*certify([G], [wit], {})[0]) == before
 
 
 def test_factor_documents_are_shared_per_written_matrix():
@@ -285,8 +280,11 @@ def test_gate_reports_equal_the_batches_of_one(where):
             assert w.semibasis == one.semibasis and points_of(w) == points_of(one)
     docs, docs_one = {}, {}
     batched = [certificate_report(*e) for e in certify(gates, witnesses, docs)]
-    assert batched == [gate_report(G, find_witness(G), docs_one) for G in gates]
-    assert json.dumps(batched) == json.dumps([gate_report(G, find_witness(G)) for G in gates])
+    # each gate alone: once sharing docs_one across the singletons, once not
+    shared = [certify([G], [find_witness(G)], docs_one)[0] for G in gates]
+    alone = [certify([G], [find_witness(G)], {})[0] for G in gates]
+    assert batched == [certificate_report(*e) for e in shared]
+    assert json.dumps(batched) == json.dumps([certificate_report(*e) for e in alone])
     assert len(docs) == len(docs_one)
 
 

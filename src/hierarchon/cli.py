@@ -34,11 +34,6 @@ from .teleport import verify_gadget
 _CERTIFY_BLOCK = 128
 
 
-def _cache_dir(args):
-    # None lets the hierarchy fall back to the HIERARCHON_CACHE variable
-    return args.cache_dir or None
-
-
 def _verdict(count, reference):
     if reference is None:
         return "NEW"
@@ -114,7 +109,8 @@ def _key(k):
 
 
 def _emit(args, report, table_lines, shared=()):
-    as_json = getattr(args, "format", "table") == "json"
+    report = {"schema": "hierarchon.%s/1" % args.command, "library": __version__, **report}
+    as_json = args.format == "json"
     # the indented document of a large catalog takes a second to build, so
     # a table run without --out does not build it; otherwise its chunks go
     # to every sink as they are encoded, each object in shared encoded once
@@ -137,12 +133,11 @@ def _emit(args, report, table_lines, shared=()):
 
 def cmd_enumerate(args):
     _check_request(args.d, args.n, args.max_level)
-    cache = _cache_dir(args)
     refs = REFERENCE_COUNTS.get((args.d, args.n), {})
     levels = []
     lines = ["level  count    reference  verdict"]
     closure_failures = 0
-    for k, cat in enumerate(enumerate_levels(args.d, args.n, args.max_level, cache), 1):
+    for k, cat in enumerate(enumerate_levels(args.d, args.n, args.max_level, args.cache_dir), 1):
         ref = refs.get(k)
         verdict = _verdict(len(cat), ref)
         closure_failures += cat.meta.get("closure_failure_count", 0)
@@ -154,8 +149,6 @@ def cmd_enumerate(args):
             % (k, len(cat), "-" if ref is None else ref, verdict)
         )
     report = {
-        "schema": "hierarchon.enumerate/1",
-        "library": __version__,
         "d": args.d,
         "n": args.n,
         "max_level": args.max_level,
@@ -187,13 +180,11 @@ def cmd_membership(args):
     reach = min(args.max_level, top_level(su.d, n))
     level = 1 if reach >= 1 and membership(su, 1) else None
     if level is None and reach >= 2:
-        above_one = islice(enumerate_levels(su.d, n, reach, _cache_dir(args)), 1, None)
+        above_one = islice(enumerate_levels(su.d, n, reach, args.cache_dir), 1, None)
         level = next((cat.k for cat in above_one if cat.contains(su.mat)), None)
     if level is None:
         _check_request(su.d, n, args.max_level)
     report = {
-        "schema": "hierarchon.membership/1",
-        "library": __version__,
         "d": su.d,
         "n": n,
         "max_level": args.max_level,
@@ -211,16 +202,10 @@ def cmd_membership(args):
 
 def cmd_diagonal(args):
     _check_request(args.d, 1, args.k)
-    cache = _cache_dir(args)
-    catalog = enumerate_level(args.d, 1, args.k, cache_dir=cache)
+    catalog = enumerate_level(args.d, 1, args.k, cache_dir=args.cache_dir)
     result = verify_cgk(args.d, args.k, catalog)
     ok = not result["missing"] and not result["extra"]
-    report = {
-        "schema": "hierarchon.diagonal/1",
-        "library": __version__,
-        "verdict": "pass" if ok else "fail",
-    }
-    report.update(result)
+    report = dict(result, verdict="pass" if ok else "fail")
     lines = [
         "%s: %d diagonal classes at level %d (d=%d)"
         % (report["verdict"], result["delta_count"], args.k, args.d)
@@ -240,18 +225,11 @@ def cmd_semiclifford(args):
     if args.gate is not None:
         su, _ = _load_gate(args.gate)
         rep = certificate_report(*certify([su], [find_witness(su)], {})[0])
-        report = {
-            "schema": "hierarchon.semiclifford/1",
-            "library": __version__,
-            "mode": "gate",
-            "report": rep,
-        }
         line = "semi-Clifford" if rep["semi_clifford"] else "not semi-Clifford"
-        _emit(args, report, [line])
+        _emit(args, {"mode": "gate", "report": rep}, [line])
         return 0
     _check_request(args.d, 1, args.catalog)
-    cache = _cache_dir(args)
-    catalog = enumerate_level(args.d, 1, args.catalog, cache_dir=cache)
+    catalog = enumerate_level(args.d, 1, args.catalog, cache_dir=args.cache_dir)
     reps = list(catalog.representatives())
     total = len(reps)
     found = 0
@@ -268,8 +246,6 @@ def cmd_semiclifford(args):
         keep = [k for k, w in enumerate(witnesses) if w is None or args.certificates]
         entries += certify([block[k] for k in keep], [witnesses[k] for k in keep], documents)
     report = {
-        "schema": "hierarchon.semiclifford/1",
-        "library": __version__,
         "mode": "catalog",
         "d": args.d,
         "k": args.catalog,
@@ -294,37 +270,30 @@ def cmd_teleport(args):
     if args.samples < 1:
         print("error: --samples must be at least 1", file=sys.stderr)
         return 2
-    cache = _cache_dir(args)
-    catalog = enumerate_level(args.d, 1, 3, cache_dir=cache)
+    catalog = enumerate_level(args.d, 1, 3, cache_dir=args.cache_dir)
     result = verify_gadget(catalog, samples=args.samples, seed=args.seed)
-    report = {
-        "schema": "hierarchon.teleport/1",
-        "library": __version__,
-        "seed": args.seed,
-    }
-    report.update(result)
     lines = [
         "%d failures across %d branches (%d samples, seed %d)"
         % (len(result["failures"]), result["branches_checked"], args.samples, args.seed)
     ]
-    _emit(args, report, lines)
+    _emit(args, dict(result, seed=args.seed), lines)
     return 0 if not result["failures"] else 1
 
 
 def cmd_qutrit3(args):
     result = survey(stride=args.stride)
-    report = {"schema": "hierarchon.qutrit3/1", "library": __version__}
-    report.update(result)
     lines = [
         "%d/%d tuples contain a Lagrangian semibasis; %d fail"
         % (result["passed"], result["total"], result["failed"])
     ]
-    _emit(args, report, lines)
+    _emit(args, result, lines)
     return 0 if result["failed"] == 0 else 1
 
 
-def _common(sub):
-    sub.add_argument("--cache-dir", default=None)
+def _common(sub, store=True):
+    # only the commands that read catalogs take a store
+    if store:
+        sub.add_argument("--cache-dir", default=None)
     sub.add_argument("--format", choices=("table", "json"), default="table")
     sub.add_argument("--out", default=None)
 
@@ -375,7 +344,7 @@ def _build_parser():
     p = subs.add_parser("qutrit3", help="two-qutrit third-level survey")
     p.add_argument("action", choices=("survey",))
     p.add_argument("--stride", type=int, default=1)
-    _common(p)
+    _common(p, store=False)
     p.set_defaults(func=cmd_qutrit3)
 
     return parser

@@ -14,6 +14,31 @@ import math
 import numpy as np
 
 
+def _is_prime(nn):
+    """Miller-Rabin on the first twelve prime bases, exact below 3 * 10**24."""
+    if nn < 2:
+        return False
+    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if nn % sp == 0:
+            return nn == sp
+    dd = nn - 1
+    r = 0
+    while dd % 2 == 0:
+        dd //= 2
+        r += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, dd, nn)
+        if x in (1, nn - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % nn
+            if x == nn - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def conductor(d, m):
     return Conductor(d, m)
@@ -23,7 +48,7 @@ class Conductor:
     """Reduction, conjugation and promotion tables for one c = d**m."""
 
     def __init__(self, d, m):
-        if d < 3 or d % 2 == 0 or m < 1:
+        if d < 3 or m < 1 or not _is_prime(d):
             raise ValueError("conductor must be a power of an odd prime")
         self.d = d
         self.m = m

@@ -19,6 +19,7 @@ from . import _kernels as K
 from .cyclo import (
     INT64_LIMIT,
     CycloScalar,
+    _is_prime,
     as_int64_if_safe,
     conductor,
     max_abs,
@@ -564,30 +565,6 @@ _FP_HEADROOM = {3: 5, 5: 3, 7: 3}
 
 def fingerprint_headroom(d):
     return _FP_HEADROOM.get(d, 3)
-
-
-def _is_prime(nn):
-    if nn < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if nn % sp == 0:
-            return nn == sp
-    dd = nn - 1
-    r = 0
-    while dd % 2 == 0:
-        dd //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, dd, nn)
-        if x in (1, nn - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % nn
-            if x == nn - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _find_fp_primes(modulus):

@@ -8,7 +8,6 @@ and sweep its right Pauli factor.  Everything is exact; the mod-p screen
 only ever discards pairs, never accepts them.
 """
 
-import contextlib
 import hashlib
 import json
 import os
@@ -39,8 +38,6 @@ from .phasespace import (
     wire_count,
 )
 from .svn import ConjugateTuple, _omega_commutes, reconstruct, tuple_of
-
-CACHE_ENV = "HIERARCHON_CACHE"
 
 # Published class counts the surveys are cross-checked against; the CLI
 # reports MATCH/MISMATCH per level instead of assuming them.
@@ -514,9 +511,6 @@ def _save_cache(cat, cache_dir):
             fh.write(line)
         fh.write(json.dumps({"content_hash": h.hexdigest()}).encode() + b"\n")
     os.replace(path + ".tmp", path)
-    # the level's version-1 file, which nothing reads
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.splitext(path)[0] + ".json")
     return path
 
 
@@ -625,13 +619,6 @@ def top_level(d, n):
     return _first_past_ceiling(d, n)[0] - 1
 
 
-def _cache_root(cache_dir):
-    """cache_dir, with None resolved through the HIERARCHON_CACHE variable."""
-    if cache_dir is None:
-        return os.environ.get(CACHE_ENV) or False
-    return cache_dir
-
-
 def _walk(d, n, first, k, cache_dir):
     """Levels first..k, each loaded from the cache or lifted from the last.
 
@@ -652,14 +639,13 @@ def _walk(d, n, first, k, cache_dir):
 def enumerate_levels(d, n, k, cache_dir=None):
     """The catalogs of levels 1..k on n wires of dimension d, in order.
 
-    Each level is loaded from the cache when present and otherwise lifted
-    from the level before it, which is already in memory, so no level is
-    built twice.  cache_dir None picks up the HIERARCHON_CACHE environment
-    variable; pass False to force a fresh run.  Lifted levels are written
-    to the cache.
+    Each level is loaded from the store at cache_dir when present and
+    otherwise lifted from the level before it, which is already in memory,
+    so no level is built twice.  Lifted levels are written to the store;
+    cache_dir None keeps none.
     """
     _check_request(d, n, k)
-    return _walk(d, n, 1, k, _cache_root(cache_dir))
+    return _walk(d, n, 1, k, cache_dir)
 
 
 def enumerate_level(d, n, k, cache_dir=None):
@@ -670,7 +656,6 @@ def enumerate_level(d, n, k, cache_dir=None):
     level read.
     """
     _check_request(d, n, k)
-    cache_dir = _cache_root(cache_dir)
     first = k
     while first > 1 and not (cache_dir and os.path.exists(_cache_path(cache_dir, d, n, first))):
         first -= 1

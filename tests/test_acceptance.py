@@ -84,7 +84,7 @@ def test_level_counts_one_qutrit_extended(cache):
 @pytest.mark.extended
 def test_seventh_level_qutrit_count_matches_the_closed_form_extended():
     # counts only: holding level 7's catalog would keep about 1 GB alive
-    lifted = [len(c) for c in enumerate_levels(3, 1, 7, cache_dir=False)][-1]
+    lifted = [len(c) for c in enumerate_levels(3, 1, 7)][-1]
     closed_form = level_size(3, 1, 7)
     assert lifted == closed_form == 209304, "level 7: lift %d, N(3, 7) %d" % (lifted, closed_form)
 

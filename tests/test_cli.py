@@ -1,7 +1,8 @@
 """End-to-end checks of the command line front end.
 
-A shared cache directory keeps the catalog builds to one per session; the
-byte-identity tests rerun commands against the warm cache and compare
+A shared store keeps the catalog builds to one per module: run() hands it to
+every catalog command that names no --cache-dir of its own.  The
+byte-identity tests rerun commands against the warm store and compare
 stdout verbatim.
 """
 
@@ -24,6 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 import hierarchon.cli
 import hierarchon.hierarchy
 import hierarchon.semiclifford
+from hierarchon import __version__
 from hierarchon.cli import _verdict, main
 from hierarchon.cyclo import CycloScalar
 from hierarchon.exactmat import ExactMatrix, ScaledUnitary, max_conductor, to_interchange
@@ -31,16 +33,18 @@ from hierarchon.hierarchy import REFERENCE_COUNTS, SIZE_CEILING, level_size
 from hierarchon.phasespace import pauli_x, to_matrix
 
 
+# the commands that read catalogs, the ones that take --cache-dir
+CATALOG_COMMANDS = ("enumerate", "membership", "diagonal", "semiclifford", "teleport")
+
+_store = {}
+
+
 @pytest.fixture(scope="module", autouse=True)
-def cache_env(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("clicache")
-    old = os.environ.get("HIERARCHON_CACHE")
-    os.environ["HIERARCHON_CACHE"] = str(cache)
-    yield str(cache)
-    if old is None:
-        del os.environ["HIERARCHON_CACHE"]
-    else:
-        os.environ["HIERARCHON_CACHE"] = old
+def store(tmp_path_factory):
+    """The module's shared store."""
+    _store["path"] = str(tmp_path_factory.mktemp("clicache"))
+    yield _store["path"]
+    del _store["path"]
 
 
 def _t9_doc():
@@ -62,6 +66,9 @@ def t9_file(tmp_path_factory):
 
 
 def run(capsys, argv):
+    """main(argv)'s exit code and output; a catalog command with no store shares the module's."""
+    if argv[:1] and argv[0] in CATALOG_COMMANDS and "--cache-dir" not in argv:
+        argv = argv + ["--cache-dir", _store["path"]]
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -183,6 +190,7 @@ def test_membership_json_reports_the_gate_hash(capsys, t9_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == "hierarchon.membership/1"
+    assert doc["library"] == __version__
     assert doc["level"] == 3
     assert doc["gate_hash"] == (
         "d8343ca4f09c8d26ecb19206a57fc5175ccae95df45d4564e6f10f2d4eaaa9d8"
@@ -423,6 +431,7 @@ def test_diagonal_verify_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == "hierarchon.diagonal/1"
+    assert doc["library"] == __version__
     assert doc["verdict"] == "pass"
     assert doc["delta_count"] == 9
     assert doc["diagonal_in_catalog"] == 9
@@ -789,14 +798,15 @@ def test_every_certificate_is_checked_before_any_output(capsys, monkeypatch, tmp
     assert not path.exists()
 
 
-def test_certificate_report_is_streamed_in_bounded_memory(capsys):
+def test_certificate_report_is_streamed_in_bounded_memory(capsys, store):
     """Certificates add under the memory of the run without them.
 
     Both runs read the warm store and write their report to the null
     device.  Before the certificates were streamed, the run with them held
     every certificate until the dump and peaked at 3.2 times the other.
     """
-    base = ["semiclifford", "--catalog", "3", "--d", "3", "--out", os.devnull]
+    base = ["semiclifford", "--catalog", "3", "--d", "3", "--out", os.devnull,
+            "--cache-dir", store]
     runs = [base, base + ["--certificates"]]
     # the first runs write the store and fill the memoised syntheses
     for argv in runs:
@@ -833,14 +843,13 @@ def test_out_flag_writes_the_same_document(capsys, tmp_path):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
-def test_cache_dir_flag_beats_the_environment(capsys, tmp_path):
-    flag_cache = tmp_path / "flagcache"
-    code, _, _ = run(
-        capsys,
-        ["enumerate", "--d", "3", "--max-level", "1", "--cache-dir", str(flag_cache)],
-    )
-    assert code == 0
-    assert (flag_cache / "d3_n1").exists()
+def test_the_environment_names_no_store(capsys, monkeypatch, tmp_path):
+    # a store is kept only where --cache-dir names one, whatever the environment holds
+    env_store = tmp_path / "envstore"
+    monkeypatch.setenv("HIERARCHON_CACHE", str(env_store))
+    assert main(["enumerate", "--d", "3", "--max-level", "2"]) == 0
+    capsys.readouterr()
+    assert not env_store.exists()
 
 
 def test_usage_errors_exit_two(capsys):
@@ -852,6 +861,28 @@ def test_usage_errors_exit_two(capsys):
         main(["no-such-command"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # the survey reads no catalog, so it takes no store
+    with pytest.raises(SystemExit) as exc:
+        main(["qutrit3", "survey", "--cache-dir", "X"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir X" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The argv of each `hierarchon ...` line in README's "Command line" block."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("hierarchon ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(CATALOG_COMMANDS) | {"qutrit3"}
+    parser = hierarchon.cli._build_parser()
+    for argv in commands:
+        # parsed, not run: a flag or value the parser refuses exits 2 here
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_os_errors_exit_two_with_one_line(capsys, tmp_path):

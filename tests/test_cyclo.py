@@ -323,6 +323,9 @@ def test_demote_min_matches_min_level_then_demote(d, m, dtype):
     [
         (lambda: Conductor(2, 1), ValueError, "power of an odd prime"),
         (lambda: Conductor(3, 0), ValueError, "power of an odd prime"),
+        # odd composites: phi(d) is not d - 1, so no reduction table is right
+        (lambda: Conductor(9, 1), ValueError, "power of an odd prime"),
+        (lambda: Conductor(15, 1), ValueError, "power of an odd prime"),
         (lambda: conductor(3, 2).galois(np.zeros(6, dtype=np.int64), 3), ValueError, "gcd"),
         (lambda: conductor(3, 2).promote_tensor(np.zeros(6, dtype=np.int64), 1), ValueError,
          "cannot shrink"),
@@ -331,8 +334,8 @@ def test_demote_min_matches_min_level_then_demote(d, m, dtype):
         (lambda: CycloScalar.omega(3) + CycloScalar.omega(5), ValueError, "mixed base primes"),
         (lambda: CycloScalar.omega(3).as_fraction(), ValueError, "not rational"),
     ],
-    ids=["d-even", "m-zero", "galois-non-unit", "promote-shrinks", "zero-den",
-         "coefficient-count", "mixed-primes", "irrational-fraction"],
+    ids=["d-even", "m-zero", "d-nine", "d-fifteen", "galois-non-unit", "promote-shrinks",
+         "zero-den", "coefficient-count", "mixed-primes", "irrational-fraction"],
 )
 def test_input_checks_refuse(call, error, match):
     with pytest.raises(error, match=match):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hierarchon.cyclo import CycloScalar, conductor
+from hierarchon.cyclo import CycloScalar, _is_prime, conductor
 from hierarchon.exactmat import (
     INTERCHANGE_VERSION,
     ExactMatrix,
@@ -18,7 +18,6 @@ from hierarchon.exactmat import (
     equal_up_to_phase,
     _field,
     _is_int,
-    _is_prime,
     from_interchange,
     kron,
     matmul_many,

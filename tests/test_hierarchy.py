@@ -228,7 +228,7 @@ def test_membership_rejects_bad_inputs():
 def test_a_base_prime_with_no_fingerprint_primes_is_refused():
     # the first such prime: fewer than two primes below 2**23 are 1 mod 61^3
     with pytest.raises(ValueError, match="fingerprint primes"):
-        enumerate_level(61, 1, 1, cache_dir=False)
+        enumerate_level(61, 1, 1)
 
 
 def test_membership_catalog_shortcut_agrees(d3):
@@ -409,11 +409,11 @@ def test_walk_limits_follow_the_closed_form(monkeypatch):
     monkeypatch.setattr(hierarchy, "_lift_level", no_lift)
     # the library refuses what the command line refuses, before any lift
     with pytest.raises(ValueError, match="^estimated 1888920 gates at level 9 is past"):
-        enumerate_level(3, 1, 9, cache_dir=False)
+        enumerate_level(3, 1, 9)
     with pytest.raises(ValueError, match="^estimated at least 1414944 gates at level 3 is"):
-        enumerate_levels(17, 1, 3, cache_dir=False)
+        enumerate_levels(17, 1, 3)
     with pytest.raises(ValueError, match="^estimated 1874161 gates at level 1 is past"):
-        enumerate_level(37, 2, 1, cache_dir=False)
+        enumerate_level(37, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -635,19 +635,6 @@ def test_store_gate_lines_keep_the_version_1_gate_bytes(tmp_path):
         assert hashlib.sha256(b"".join(lines[1:-1])).hexdigest() == VERSION_1_GATE_HASHES[cat.k]
 
 
-def test_writing_a_level_removes_its_version_1_file(tmp_path):
-    """A version-1 level_{k}.json goes when level_{k}.jsonl is written; others stay."""
-    level_dir = tmp_path / "d3_n1"
-    level_dir.mkdir()
-    for name in ("level_2.json", "level_3.json", "notes.txt"):
-        (level_dir / name).write_text('{"version": 1}')
-    enumerate_level(3, 1, 2, cache_dir=str(tmp_path))
-    assert sorted(os.listdir(level_dir)) == [
-        "level_1.jsonl", "level_2.jsonl", "level_3.json", "notes.txt"
-    ]
-    assert (level_dir / "level_3.json").read_text() == '{"version": 1}'
-
-
 def test_level_walk_and_single_level_write_identical_caches(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     walked = list(enumerate_levels(3, 1, 3, cache_dir=a))
@@ -667,7 +654,7 @@ def test_enumerate_levels_lifts_each_level_once(monkeypatch):
         return real(prev)
 
     monkeypatch.setattr(hierarchy, "_lift_level", spy)
-    counts = [len(cat) for cat in enumerate_levels(3, 1, 3, cache_dir=False)]
+    counts = [len(cat) for cat in enumerate_levels(3, 1, 3)]
     assert counts == [9, 216, 1944]
     assert lifted == [2, 3]
 
@@ -762,7 +749,7 @@ def test_fingerprint_collisions_reach_the_exact_comparison(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(hierarchy, "equal_up_to_phase", spy)
-    counts = [len(cat) for cat in enumerate_levels(3, 1, 3, cache_dir=False)]
+    counts = [len(cat) for cat in enumerate_levels(3, 1, 3)]
     assert counts == [9, 216, 1944]
     assert len(compares) == COLLISION_COMPARES
 
@@ -813,7 +800,7 @@ def test_a_repeated_pair_trips_the_sweep_assertion(monkeypatch):
 
     monkeypatch.setattr(hierarchy, "_omega_pairs", repeat_first)
     with pytest.raises(AssertionError, match="right-Pauli sweep repeated a class; "):
-        enumerate_level(3, 1, 2, cache_dir=False)
+        enumerate_level(3, 1, 2)
 
 
 def test_closure_keys_object_lane_monomials_exactly(d3, monkeypatch):
@@ -866,7 +853,7 @@ def test_cache_save_serialises_each_gate_once(tmp_path, monkeypatch):
         calls.append(1)
         return real(su, n)
 
-    cat = enumerate_level(3, 1, 2, cache_dir=False)
+    cat = enumerate_level(3, 1, 2)
     monkeypatch.setattr(hierarchy, "to_interchange", spy)
     path = hierarchy._save_cache(cat, str(tmp_path))
     assert len(calls) == len(cat) == 216

@@ -156,7 +156,7 @@ def test_verify_gadget_is_deterministic(cats):
 
 
 def test_verify_gadget_reads_d_from_its_catalog():
-    report = verify_gadget(enumerate_level(5, 1, 2, cache_dir=False), samples=3, seed=5)
+    report = verify_gadget(enumerate_level(5, 1, 2), samples=3, seed=5)
     assert report["d"] == 5
     assert report["branches_checked"] == 15 and report["failures"] == []
 

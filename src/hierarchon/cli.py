@@ -132,12 +132,12 @@ def _emit(args, report, table_lines, shared=()):
 
 
 def cmd_enumerate(args):
-    _check_request(args.d, args.n, args.max_level)
-    refs = REFERENCE_COUNTS.get((args.d, args.n), {})
+    _check_request(args.d, 1, args.max_level)
+    refs = REFERENCE_COUNTS.get((args.d, 1), {})
     levels = []
     lines = ["level  count    reference  verdict"]
     closure_failures = 0
-    for k, cat in enumerate(enumerate_levels(args.d, args.n, args.max_level, args.cache_dir), 1):
+    for k, cat in enumerate(enumerate_levels(args.d, args.max_level, args.cache_dir), 1):
         ref = refs.get(k)
         verdict = _verdict(len(cat), ref)
         closure_failures += cat.meta.get("closure_failure_count", 0)
@@ -150,7 +150,7 @@ def cmd_enumerate(args):
         )
     report = {
         "d": args.d,
-        "n": args.n,
+        "n": 1,
         "max_level": args.max_level,
         "levels": levels,
         "closure_failures": closure_failures,
@@ -180,7 +180,7 @@ def cmd_membership(args):
     reach = min(args.max_level, top_level(su.d, n))
     level = 1 if reach >= 1 and membership(su, 1) else None
     if level is None and reach >= 2:
-        above_one = islice(enumerate_levels(su.d, n, reach, args.cache_dir), 1, None)
+        above_one = islice(enumerate_levels(su.d, reach, args.cache_dir), 1, None)
         level = next((cat.k for cat in above_one if cat.contains(su.mat)), None)
     if level is None:
         _check_request(su.d, n, args.max_level)
@@ -202,7 +202,7 @@ def cmd_membership(args):
 
 def cmd_diagonal(args):
     _check_request(args.d, 1, args.k)
-    catalog = enumerate_level(args.d, 1, args.k, cache_dir=args.cache_dir)
+    catalog = enumerate_level(args.d, args.k, cache_dir=args.cache_dir)
     result = verify_cgk(args.d, args.k, catalog)
     ok = not result["missing"] and not result["extra"]
     report = dict(result, verdict="pass" if ok else "fail")
@@ -229,7 +229,7 @@ def cmd_semiclifford(args):
         _emit(args, {"mode": "gate", "report": rep}, [line])
         return 0
     _check_request(args.d, 1, args.catalog)
-    catalog = enumerate_level(args.d, 1, args.catalog, cache_dir=args.cache_dir)
+    catalog = enumerate_level(args.d, args.catalog, cache_dir=args.cache_dir)
     reps = list(catalog.representatives())
     total = len(reps)
     found = 0
@@ -270,7 +270,7 @@ def cmd_teleport(args):
     if args.samples < 1:
         print("error: --samples must be at least 1", file=sys.stderr)
         return 2
-    catalog = enumerate_level(args.d, 1, 3, cache_dir=args.cache_dir)
+    catalog = enumerate_level(args.d, 3, cache_dir=args.cache_dir)
     result = verify_gadget(catalog, samples=args.samples, seed=args.seed)
     lines = [
         "%d failures across %d branches (%d samples, seed %d)"
@@ -307,7 +307,6 @@ def _build_parser():
 
     p = subs.add_parser("enumerate", help="build hierarchy level catalogs")
     p.add_argument("--d", type=int, choices=(3, 5, 7), default=3)
-    p.add_argument("--n", type=int, choices=(1, 2), default=1)
     p.add_argument("--max-level", type=int, default=3)
     _common(p)
     p.set_defaults(func=cmd_enumerate)

@@ -119,7 +119,7 @@ def verify_cgk(d, k, catalog):
         if su.mat.is_diagonal():
             diag_count += 1
             if su.mat.canonical_rep().to_key() not in delta:
-                extra.append(to_interchange(su, catalog.n))
+                extra.append(to_interchange(su, 1))
     return {
         "d": d,
         "k": k,

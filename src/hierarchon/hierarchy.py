@@ -175,7 +175,7 @@ def order_d_corrections(M):
 
 
 class LevelCatalog:
-    """The distinct phase classes of one level, fingerprint-indexed.
+    """The distinct phase classes of one level on one wire, fingerprint-indexed.
 
     Representatives are kept in fingerprint-digest order, so repeated runs
     produce identical catalogs.  A digest miss disproves membership
@@ -183,9 +183,8 @@ class LevelCatalog:
     collisions cost time, never correctness.
     """
 
-    def __init__(self, d, n, k):
+    def __init__(self, d, k):
         self.d = d
-        self.n = n
         self.k = k
         self.fp = fingerprint_context(d)
         self.digests = []
@@ -249,11 +248,10 @@ class LevelCatalog:
             self._buckets.setdefault(dig, []).append(idx)
 
 
-def _pauli_catalog(d, n):
-    cat = LevelCatalog(d, n, 1)
-    for pq in product(range(d), repeat=2 * n):
-        P = PauliElement(d, 0, pq[:n], pq[n:])
-        cat.add(ScaledUnitary.exact(to_matrix(P)))
+def _pauli_catalog(d):
+    cat = LevelCatalog(d, 1)
+    for p, q in product(range(d), repeat=2):
+        cat.add(ScaledUnitary.exact(to_matrix(PauliElement(d, 0, [p], [q]))))
     cat.sort()
     cat.meta = {"candidates": 0, "pairs": 0}
     return cat
@@ -342,7 +340,7 @@ def _exact_key(M, m):
 
 
 # matrices one batched pass of the lift holds at a time; a pass over a block
-# of gates or pairs holds d, d*d or d**(2n) matrices for each
+# of gates or pairs holds d or d*d matrices for each
 _BATCH = 512
 
 
@@ -386,14 +384,14 @@ def _closure_failures(phased, pairs, prev):
     return gaps
 
 
-def _right_pauli_sweep(gates, d, n):
+def _right_pauli_sweep(gates, d):
     """G P for every gate G and right Pauli P, gate-major, without products.
 
     G P permutes the columns of G and multiplies each by a power of omega,
     which keeps both the minimal conductor and the content of G, so the
     images come out demoted and normalised.
     """
-    src, exps = _right_paulis(d, n)
+    src, exps = _right_paulis(d)
     out = []
     for G in gates:
         G = G.demote_min()
@@ -422,7 +420,7 @@ def _rephase_all(mats, d):
 
 
 def _lift_level(prev):
-    d, n, k = prev.d, prev.n, prev.k + 1
+    d, k = prev.d, prev.k + 1
     reps, phased, skipped = _rephase_all([su.mat for su in prev.representatives()], d)
     pairs = _omega_pairs(prev.fp, reps, d)
 
@@ -440,15 +438,15 @@ def _lift_level(prev):
     # the reconstruction start depends on the first member alone, so the
     # memo computes it once per distinct a
     memo = {}
-    cat = LevelCatalog(d, n, k)
-    for block in _blocks(pairs, d ** (2 * n)):
+    cat = LevelCatalog(d, k)
+    for block in _blocks(pairs, d * d):
         gates = [
-            reconstruct(ConjugateTuple(d, n, [(phased[a], phased[b])]), memo=memo)
+            reconstruct(ConjugateTuple(d, 1, [(phased[a], phased[b])]), memo=memo)
             for a, b in block
         ]
-        images = _right_pauli_sweep([G.mat for G in gates], d, n)
+        images = _right_pauli_sweep([G.mat for G in gates], d)
         for idx, (img, dig) in enumerate(zip(images, cat.digests_of(images))):
-            G = gates[idx // d ** (2 * n)]
+            G = gates[idx // (d * d)]
             if not cat.add(ScaledUnitary(img, G.scale2), digest=dig):
                 raise AssertionError(
                     "right-Pauli sweep repeated a class; the pair list is inconsistent"
@@ -469,8 +467,8 @@ def _lift_level(prev):
 # cache
 
 
-def _cache_path(cache_dir, d, n, k):
-    return os.path.join(cache_dir, "d%d_n%d" % (d, n), "level_%d.jsonl" % k)
+def _cache_path(cache_dir, d, k):
+    return os.path.join(cache_dir, "d%d_n1" % d, "level_%d.jsonl" % k)
 
 
 # one gate's line of a level file; a gate document is a tree, so the check
@@ -478,8 +476,8 @@ def _cache_path(cache_dir, d, n, k):
 _CANONICAL = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False)
 
 
-def _doc_bytes(su, n):
-    return _CANONICAL.encode(to_interchange(su, n)).encode()
+def _doc_bytes(su):
+    return _CANONICAL.encode(to_interchange(su, 1)).encode()
 
 
 def _save_cache(cat, cache_dir):
@@ -488,7 +486,7 @@ def _save_cache(cat, cache_dir):
     A level file holds one JSON value per line: the header, each gate in
     digest order, then the sha256 of every byte before that last line.
     """
-    path = _cache_path(cache_dir, cat.d, cat.n, cat.k)
+    path = _cache_path(cache_dir, cat.d, cat.k)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     from . import __version__
 
@@ -497,14 +495,14 @@ def _save_cache(cat, cache_dir):
         "library": __version__,
         "conductor": cat.fp.d ** cat.fp.m_max,
         "d": cat.d,
-        "n": cat.n,
+        "n": 1,
         "k": cat.k,
         "count": len(cat),
         "meta": cat.meta,
     }
     h = hashlib.sha256()
     with open(path + ".tmp", "wb") as fh:
-        gates = (_doc_bytes(cat._rep(idx), cat.n) for idx in range(len(cat)))
+        gates = (_doc_bytes(cat._rep(idx)) for idx in range(len(cat)))
         for line in chain([json.dumps(head, sort_keys=True).encode()], gates):
             line += b"\n"
             h.update(line)
@@ -522,14 +520,14 @@ def _decode(line, path):
         raise ValueError("cache file %s is nested too deeply" % path) from None
 
 
-def _load_cache(d, n, k, cache_dir):
-    """The catalog of level (d, n, k) read from the store, or None if absent.
+def _load_cache(d, k, cache_dir):
+    """The catalog of level k at dimension d read from the store, or None if absent.
 
     A first pass checks the layout and the content hash.  The second decodes
     the header, then each gate, adding it before the next line is read, so no
     parsed level is ever held.
     """
-    path = _cache_path(cache_dir, d, n, k)
+    path = _cache_path(cache_dir, d, k)
     if not os.path.exists(path):
         return None
     h = hashlib.sha256()
@@ -551,9 +549,9 @@ def _load_cache(d, n, k, cache_dir):
         # type() too, since JSON true and 1.0 compare equal to 1
         if not isinstance(head, dict) or any(
             type(head.get(field)) is not int or head[field] != want
-            for field, want in (("version", 2), ("d", d), ("n", n), ("k", k))
+            for field, want in (("version", 2), ("d", d), ("n", 1), ("k", k))
         ):
-            raise ValueError("cache file %s does not describe level (%d,%d,%d)" % (path, d, n, k))
+            raise ValueError("cache file %s does not describe level %d at d=%d" % (path, k, d))
         meta = head.get("meta", {})
         failures = meta.get("closure_failure_count", 0) if isinstance(meta, dict) else None
         count = head.get("count")
@@ -561,10 +559,10 @@ def _load_cache(d, n, k, cache_dir):
             raise ValueError("cache file %s is malformed" % path)
         if count != lines - 2:
             raise ValueError("cache file %s is truncated" % path)
-        cat = LevelCatalog(d, n, k)
+        cat = LevelCatalog(d, k)
         for line in islice(fh, count):
-            su, gn = from_interchange(_decode(line, path))
-            if gn != n:
+            su, n = from_interchange(_decode(line, path))
+            if n != 1:
                 raise ValueError("cache file %s mixes wire counts" % path)
             if su.d != d:
                 raise ValueError("cache file %s mixes base primes" % path)
@@ -581,6 +579,7 @@ def _load_cache(d, n, k, cache_dir):
 
 
 def _check_request(d, n, k):
+    # catalogs are one-wire; n > 1 is the wire count of a gate file
     if k < 1:
         raise ValueError("levels start at 1")
     if n not in (1, 2):
@@ -619,47 +618,47 @@ def top_level(d, n):
     return _first_past_ceiling(d, n)[0] - 1
 
 
-def _walk(d, n, first, k, cache_dir):
+def _walk(d, first, k, cache_dir):
     """Levels first..k, each loaded from the cache or lifted from the last.
 
     Level first must be level 1 or cached.
     """
     cat = None
     for level in range(first, k + 1):
-        cached = _load_cache(d, n, level, cache_dir) if cache_dir else None
+        cached = _load_cache(d, level, cache_dir) if cache_dir else None
         if cached is not None:
             cat = cached
         else:
-            cat = _pauli_catalog(d, n) if level == 1 else _lift_level(cat)
+            cat = _pauli_catalog(d) if level == 1 else _lift_level(cat)
             if cache_dir:
                 cat.meta["cache_path"] = _save_cache(cat, cache_dir)
         yield cat
 
 
-def enumerate_levels(d, n, k, cache_dir=None):
-    """The catalogs of levels 1..k on n wires of dimension d, in order.
+def enumerate_levels(d, k, cache_dir=None):
+    """The catalogs of levels 1..k on one wire of dimension d, in order.
 
     Each level is loaded from the store at cache_dir when present and
     otherwise lifted from the level before it, which is already in memory,
     so no level is built twice.  Lifted levels are written to the store;
     cache_dir None keeps none.
     """
-    _check_request(d, n, k)
-    return _walk(d, n, 1, k, cache_dir)
+    _check_request(d, 1, k)
+    return _walk(d, 1, k, cache_dir)
 
 
-def enumerate_level(d, n, k, cache_dir=None):
-    """The catalog of level-k phase classes on n wires of dimension d.
+def enumerate_level(d, k, cache_dir=None):
+    """The catalog of level-k phase classes on one wire of dimension d.
 
     Takes the arguments of enumerate_levels.  The walk starts from the
     highest cached level at or below k, so a cached level k is the only
     level read.
     """
-    _check_request(d, n, k)
+    _check_request(d, 1, k)
     first = k
-    while first > 1 and not (cache_dir and os.path.exists(_cache_path(cache_dir, d, n, first))):
+    while first > 1 and not (cache_dir and os.path.exists(_cache_path(cache_dir, d, first))):
         first -= 1
-    for cat in _walk(d, n, first, k, cache_dir):
+    for cat in _walk(d, first, k, cache_dir):
         pass
     return cat
 

@@ -132,26 +132,30 @@ def to_matrix(P):
 
 
 def column_map(P):
-    """(src, e) with (M P)[:, j] = M[:, src[j]] omega**e[j]: P's row of _right_paulis."""
-    src, exps = _right_paulis(P.d, P.n)
-    pi = _index(P.p + P.q, P.d)
-    return src[pi], exps[pi] + P.c
+    """(src, e) with (M P)[:, j] = M[:, src[j]] omega**e[j], for M P = M to_matrix(P)."""
+    src, exps = _column_maps(P.d, np.array(P.p), np.array(P.q))
+    return src, exps + P.c
 
 
-@lru_cache(maxsize=None)
-def _right_paulis(d, n):
-    """Every Z^p X^q on n wires as a column map, one row per p + q in index order.
+def _column_maps(d, p, q):
+    """(src, e) of Z^p X^q for p and q of shape (..., n), each of shape (..., d**n).
 
     Column j of Z^p X^q holds omega**e[j] at row src[j]: with z the digits
     of j, src = index(z + q) and e = p.(z + q) mod d.  So a right Pauli
     factor permutes and rephases columns, (G P)[:, j] = G[:, src[j]] omega**e[j].
     """
-    pq = np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
-    z = np.indices((d,) * n).reshape(n, -1).T
-    zq = (z + pq[:, None, n:]) % d
+    n = p.shape[-1]
+    zq = (np.indices((d,) * n).reshape(n, -1).T + q[..., None, :]) % d
     src = zq @ d ** np.arange(n - 1, -1, -1)
-    exps = (pq[:, None, :n] * zq).sum(axis=-1) % d
+    exps = (p[..., None, :] * zq).sum(axis=-1) % d
     return src, exps
+
+
+@lru_cache(maxsize=None)
+def _right_paulis(d):
+    """The column maps of every one-wire Z^p X^q, one row per p * d + q."""
+    p, q = np.indices((d, d)).reshape(2, -1, 1)
+    return _column_maps(d, p, q)
 
 
 @lru_cache(maxsize=None)
@@ -209,20 +213,13 @@ def wire_count(d, dim):
     return n
 
 
-def _index(z, d):
-    idx = 0
-    for digit in z:
-        idx = idx * d + digit
-    return idx
-
-
 def recognize_pauli(M, up_to_phase=False):
     """Invert to_matrix; None when M is not of Pauli shape.
 
     With up_to_phase, any nonzero scalar multiple is accepted and the
     returned phase is the c = 0 convention.  M is a Pauli when each column
     holds one power of omega and no other nonzero entry, at the rows and
-    exponents of one column map of _right_paulis up to a constant c.
+    exponents of the column map of the one Pauli they name.
     """
     if up_to_phase:
         M = M.canonical_rep()
@@ -240,18 +237,16 @@ def recognize_pauli(M, up_to_phase=False):
     hits = np.all(M.nums[rows, np.arange(dim), None] == _omega_powers(d, M.m), axis=-1)
     if not np.all(hits.any(axis=1)):
         return None
-    # row p + q of the table sends column 0 to row index(q), so only the
-    # d**n rows with q read off M's first column can match
-    cand = rows[0] + dim * np.arange(dim)
-    src, exps = _right_paulis(d, n)
-    src, exps = src[cand], exps[cand]
-    c = (hits.argmax(axis=1) - exps) % d
-    match = np.flatnonzero(np.all(src == rows, axis=1) & np.all(c == c[:, :1], axis=1))
-    if not match.size:
-        return None
-    hit = int(match[0])
-    pq = np.unravel_index(int(cand[hit]), (d,) * (2 * n))
-    return PauliElement(d, c[hit, 0], pq[:n], pq[n:])
+    exps = hits.argmax(axis=1)
+    # omega^c Z^p X^q sends column 0 to row index(q) with exponent c + p.q,
+    # and the column of wire i's unit digit gets p_i more
+    q = np.unravel_index(rows[0], (d,) * n)
+    p = exps[d ** np.arange(n - 1, -1, -1)] - exps[0]
+    P = PauliElement(d, exps[0] - p @ q, p, q)
+    src, e = column_map(P)
+    if np.array_equal(src, rows) and np.array_equal(e % d, exps):
+        return P
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ def cache(tmp_path_factory):
     return str(tmp_path_factory.mktemp("acceptance_cache"))
 
 
-def cat(cache, d, n, k):
-    key = (d, n, k)
+def cat(cache, d, k):
+    key = (d, k)
     if key not in _cats:
-        _cats[key] = enumerate_level(d, n, k, cache_dir=cache)
+        _cats[key] = enumerate_level(d, k, cache_dir=cache)
     return _cats[key]
 
 
@@ -54,37 +54,37 @@ def _assert_nested(inner, outer):
 def test_level_counts_one_qutrit(cache):
     expected = {1: 9, 2: 216, 3: 1944, 4: 7128}
     for k, want in expected.items():
-        c = cat(cache, 3, 1, k)
+        c = cat(cache, 3, k)
         assert len(c) == want == level_size(3, 1, k)
         assert c.meta.get("closure_failure_count", 0) == 0
     for k in (1, 2, 3):
-        _assert_nested(cat(cache, 3, 1, k), cat(cache, 3, 1, k + 1))
+        _assert_nested(cat(cache, 3, k), cat(cache, 3, k + 1))
 
 
 def test_level_counts_one_ququint(cache):
-    assert len(cat(cache, 5, 1, 1)) == 25 == level_size(5, 1, 1)
-    assert len(cat(cache, 5, 1, 2)) == 3000 == level_size(5, 1, 2)
-    _assert_nested(cat(cache, 5, 1, 1), cat(cache, 5, 1, 2))
+    assert len(cat(cache, 5, 1)) == 25 == level_size(5, 1, 1)
+    assert len(cat(cache, 5, 2)) == 3000 == level_size(5, 1, 2)
+    _assert_nested(cat(cache, 5, 1), cat(cache, 5, 2))
 
 
 def test_level_counts_one_quseptit(cache):
-    assert len(cat(cache, 7, 1, 1)) == 49 == level_size(7, 1, 1)
-    assert len(cat(cache, 7, 1, 2)) == 16464 == level_size(7, 1, 2)
-    _assert_nested(cat(cache, 7, 1, 1), cat(cache, 7, 1, 2))
+    assert len(cat(cache, 7, 1)) == 49 == level_size(7, 1, 1)
+    assert len(cat(cache, 7, 2)) == 16464 == level_size(7, 1, 2)
+    _assert_nested(cat(cache, 7, 1), cat(cache, 7, 2))
 
 
 @pytest.mark.extended
 def test_level_counts_one_qutrit_extended(cache):
-    assert len(cat(cache, 3, 1, 5)) == 22680
-    assert len(cat(cache, 3, 1, 6)) == 69336
-    _assert_nested(cat(cache, 3, 1, 4), cat(cache, 3, 1, 5))
-    _assert_nested(cat(cache, 3, 1, 5), cat(cache, 3, 1, 6))
+    assert len(cat(cache, 3, 5)) == 22680
+    assert len(cat(cache, 3, 6)) == 69336
+    _assert_nested(cat(cache, 3, 4), cat(cache, 3, 5))
+    _assert_nested(cat(cache, 3, 5), cat(cache, 3, 6))
 
 
 @pytest.mark.extended
 def test_seventh_level_qutrit_count_matches_the_closed_form_extended():
     # counts only: holding level 7's catalog would keep about 1 GB alive
-    lifted = [len(c) for c in enumerate_levels(3, 1, 7)][-1]
+    lifted = [len(c) for c in enumerate_levels(3, 7)][-1]
     closed_form = level_size(3, 1, 7)
     assert lifted == closed_form == 209304, "level 7: lift %d, N(3, 7) %d" % (lifted, closed_form)
 
@@ -95,20 +95,20 @@ def test_third_level_ququint_count_extended(cache):
     # is a multiple of the 3,000 Cliffords below it, as every level must be,
     # and it equals the closed form N(5, 3) that every other reference count
     # follows, so the computed number stands until a second method settles it.
-    c3 = cat(cache, 5, 1, 3)
+    c3 = cat(cache, 5, 3)
     assert len(c3) == 75000 == level_size(5, 1, 3)
     assert len(c3) != 7500
     assert len(c3) % 5 ** 2 == 0
-    assert len(c3) % len(cat(cache, 5, 1, 2)) == 0
+    assert len(c3) % len(cat(cache, 5, 2)) == 0
     assert c3.meta.get("closure_failure_count", 0) == 0
-    _assert_nested(cat(cache, 5, 1, 2), c3)
+    _assert_nested(cat(cache, 5, 2), c3)
 
 
 @pytest.mark.extended
 def test_third_level_quseptit_count_extended(cache):
-    c3 = cat(cache, 7, 1, 3)
+    c3 = cat(cache, 7, 3)
     assert len(c3) == 806736
-    _assert_nested(cat(cache, 7, 1, 2), c3)
+    _assert_nested(cat(cache, 7, 2), c3)
 
 
 # -- diagonal classification ------------------------------------------------
@@ -116,7 +116,7 @@ def test_third_level_quseptit_count_extended(cache):
 
 def test_diagonal_classes_one_qutrit(cache):
     for k in (1, 2, 3, 4):
-        result = verify_cgk(3, k, cat(cache, 3, 1, k))
+        result = verify_cgk(3, k, cat(cache, 3, k))
         assert result["delta_count"] == 3 ** k
         assert result["diagonal_in_catalog"] == 3 ** k
         assert result["missing"] == [] and result["extra"] == []
@@ -124,7 +124,7 @@ def test_diagonal_classes_one_qutrit(cache):
 
 def test_diagonal_classes_one_ququint(cache):
     for k in (1, 2):
-        result = verify_cgk(5, k, cat(cache, 5, 1, k))
+        result = verify_cgk(5, k, cat(cache, 5, k))
         assert result["delta_count"] == 5 ** k
         assert result["diagonal_in_catalog"] == 5 ** k
         assert result["missing"] == [] and result["extra"] == []
@@ -133,7 +133,7 @@ def test_diagonal_classes_one_ququint(cache):
 @pytest.mark.extended
 def test_diagonal_classes_extended(cache):
     for d, k in ((3, 5), (3, 6), (5, 3)):
-        result = verify_cgk(d, k, cat(cache, d, 1, k))
+        result = verify_cgk(d, k, cat(cache, d, k))
         assert result["delta_count"] == d ** k
         assert result["diagonal_in_catalog"] == d ** k
         assert result["missing"] == [] and result["extra"] == []
@@ -143,12 +143,12 @@ def test_diagonal_classes_extended(cache):
 
 
 def test_every_third_level_qutrit_gate_is_semi_clifford(cache):
-    misses = [su for su in cat(cache, 3, 1, 3).representatives() if find_witness(su) is None]
+    misses = [su for su in cat(cache, 3, 3).representatives() if find_witness(su) is None]
     assert misses == []
 
 
 def test_semi_clifford_holds_through_level_four(cache):
-    misses = [su for su in cat(cache, 3, 1, 4).representatives() if find_witness(su) is None]
+    misses = [su for su in cat(cache, 3, 4).representatives() if find_witness(su) is None]
     assert misses == []
 
 
@@ -156,14 +156,14 @@ def test_semi_clifford_holds_through_level_four(cache):
 def test_semi_clifford_holds_through_level_six_extended(cache):
     for k in (5, 6):
         misses = [
-            su for su in cat(cache, 3, 1, k).representatives() if find_witness(su) is None
+            su for su in cat(cache, 3, k).representatives() if find_witness(su) is None
         ]
         assert misses == []
 
 
 @pytest.mark.extended
 def test_third_level_ququint_gates_are_semi_clifford_extended(cache):
-    reps = list(cat(cache, 5, 1, 3).representatives())
+    reps = list(cat(cache, 5, 3).representatives())
     misses = [su for su, w in zip(reps, find_witnesses(reps)) if w is None]
     assert misses == []
 
@@ -188,7 +188,7 @@ def test_two_qutrit_survey_full_extended():
 
 
 def test_gate_teleportation_of_sampled_gates(cache):
-    report = verify_gadget(cat(cache, 3, 1, 3), samples=100, states=10, seed=7)
+    report = verify_gadget(cat(cache, 3, 3), samples=100, states=10, seed=7)
     assert report["branches_checked"] == 3000
     assert report["failures"] == []
 
@@ -199,7 +199,7 @@ def test_gate_teleportation_of_sampled_gates(cache):
 def test_reconstruction_round_trip_for_sampled_gates(cache):
     reps = []
     for k in (1, 2, 3, 4):
-        reps.extend(cat(cache, 3, 1, k).representatives())
+        reps.extend(cat(cache, 3, k).representatives())
     rng = random.Random(20260816)
     for G in rng.sample(reps, 200):
         T = tuple_of(G, 1)
@@ -285,6 +285,6 @@ def _tree_bytes(root):
 
 def test_enumeration_is_byte_identical_across_cache_dirs(tmp_path):
     a, b = str(tmp_path / "first"), str(tmp_path / "second")
-    for first, second in zip(enumerate_levels(3, 1, 3, a), enumerate_levels(3, 1, 3, b)):
+    for first, second in zip(enumerate_levels(3, 3, a), enumerate_levels(3, 3, b)):
         assert first.digests == second.digests
     assert _tree_bytes(a) == _tree_bytes(b)

@@ -108,10 +108,12 @@ def test_enumerate_is_deterministic_across_reruns(capsys):
     assert first == second
 
 
-def test_enumerate_refuses_two_wire_levels(capsys):
-    code, _, err = run(capsys, ["enumerate", "--d", "3", "--n", "2", "--max-level", "2"])
-    assert code == 2
-    assert "survey" in err
+def test_enumerate_takes_no_wire_count(capsys):
+    # catalogs are one-wire; two qutrits are the qutrit3 survey's
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--n", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n 1" in capsys.readouterr().err
 
 
 def test_enumerate_refuses_runaway_sizes(capsys):
@@ -446,8 +448,8 @@ def test_diagonal_verify_json(capsys):
 def test_diagonal_verify_exits_1_on_the_wrong_level(capsys, monkeypatch, k, served, line):
     real = hierarchon.cli.enumerate_level
 
-    def wrong_level(d, n, k, cache_dir=None):
-        return real(d, n, served, cache_dir=cache_dir)
+    def wrong_level(d, k, cache_dir=None):
+        return real(d, served, cache_dir=cache_dir)
 
     monkeypatch.setattr(hierarchon.cli, "enumerate_level", wrong_level)
     code, out, _ = run(capsys, ["diagonal", "verify", "--d", "3", "--k", str(k)])

@@ -176,7 +176,7 @@ def test_dxd_step_lands_one_level_down():
 
 def test_verify_cgk_reports():
     for d, k, total in [(3, 1, 3), (3, 3, 27), (5, 2, 25)]:
-        report = verify_cgk(d, k, enumerate_level(d, 1, k))
+        report = verify_cgk(d, k, enumerate_level(d, k))
         assert set(report) == {"d", "k", "delta_count", "diagonal_in_catalog", "missing", "extra"}
         assert report["d"] == d and report["k"] == k
         assert report["delta_count"] == total
@@ -186,11 +186,11 @@ def test_verify_cgk_reports():
 
 def test_verify_cgk_flags_a_wrong_catalog():
     # the level-1 catalog misses every nontrivial level-2 diagonal
-    report = verify_cgk(3, 2, enumerate_level(3, 1, 1))
+    report = verify_cgk(3, 2, enumerate_level(3, 1))
     assert report["delta_count"] == 9
     assert len(report["missing"]) == 6
     assert report["diagonal_in_catalog"] == 3
     # the level-3 catalog holds 27 - 9 diagonal classes the level-2 family misses
-    report = verify_cgk(3, 2, enumerate_level(3, 1, 3))
+    report = verify_cgk(3, 2, enumerate_level(3, 3))
     assert report["missing"] == [] and len(report["extra"]) == 18
     assert report["diagonal_in_catalog"] == 27

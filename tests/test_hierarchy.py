@@ -20,6 +20,7 @@ from hierarchon.exactmat import (
 )
 from hierarchon.hierarchy import (
     REFERENCE_COUNTS,
+    _check_request,
     _closure_gaps,
     _monomials,
     enumerate_level,
@@ -69,7 +70,7 @@ def cnot(d):
 @pytest.fixture(scope="module")
 def d3(tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("levels"))
-    return {k: enumerate_level(3, 1, k, cache_dir=cache) for k in range(1, 5)}
+    return {k: enumerate_level(3, k, cache_dir=cache) for k in range(1, 5)}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +229,7 @@ def test_membership_rejects_bad_inputs():
 def test_a_base_prime_with_no_fingerprint_primes_is_refused():
     # the first such prime: fewer than two primes below 2**23 are 1 mod 61^3
     with pytest.raises(ValueError, match="fingerprint primes"):
-        enumerate_level(61, 1, 1)
+        enumerate_level(61, 1)
 
 
 def test_membership_catalog_shortcut_agrees(d3):
@@ -257,9 +258,9 @@ def test_level_counts_and_meta_d3(d3):
 
 
 def test_level_counts_d5_d7():
-    cat5 = enumerate_level(5, 1, 2)
+    cat5 = enumerate_level(5, 2)
     assert len(cat5) == 3000 and cat5.meta["pairs"] == 120
-    cat7 = enumerate_level(7, 1, 2)
+    cat7 = enumerate_level(7, 2)
     assert len(cat7) == 16464 and cat7.meta["pairs"] == 336
 
 
@@ -389,11 +390,12 @@ def test_closure_decides_each_distinct_monomial_once(d3, monkeypatch):
 
 def test_enumerate_rejects_bad_requests():
     with pytest.raises(ValueError, match="levels start at 1"):
-        enumerate_level(3, 1, 0)
+        enumerate_level(3, 0)
+    # catalogs are one-wire, and the wire rules judge the gate files membership reads
     with pytest.raises(ValueError, match="two-wire"):
-        enumerate_level(3, 2, 2)
+        _check_request(3, 2, 2)
     with pytest.raises(ValueError, match="capped"):
-        enumerate_level(3, 3, 1)
+        _check_request(3, 3, 1)
 
 
 def test_walk_limits_follow_the_closed_form(monkeypatch):
@@ -409,11 +411,11 @@ def test_walk_limits_follow_the_closed_form(monkeypatch):
     monkeypatch.setattr(hierarchy, "_lift_level", no_lift)
     # the library refuses what the command line refuses, before any lift
     with pytest.raises(ValueError, match="^estimated 1888920 gates at level 9 is past"):
-        enumerate_level(3, 1, 9)
+        enumerate_level(3, 9)
     with pytest.raises(ValueError, match="^estimated at least 1414944 gates at level 3 is"):
-        enumerate_levels(17, 1, 3)
+        enumerate_levels(17, 3)
     with pytest.raises(ValueError, match="^estimated 1874161 gates at level 1 is past"):
-        enumerate_level(37, 2, 1)
+        _check_request(37, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +424,9 @@ def test_walk_limits_follow_the_closed_form(monkeypatch):
 
 def test_cache_roundtrip(tmp_path):
     cache = str(tmp_path)
-    first = enumerate_level(3, 1, 2, cache_dir=cache)
+    first = enumerate_level(3, 2, cache_dir=cache)
     assert "cache_path" in first.meta
-    second = enumerate_level(3, 1, 2, cache_dir=cache)
+    second = enumerate_level(3, 2, cache_dir=cache)
     assert second.meta["from_cache"] == first.meta["cache_path"]
     assert second.digests == first.digests
     assert second.meta["pairs"] == 24
@@ -448,14 +450,14 @@ def _write_level(path, head, gates):
 
 def test_cache_detects_tampering(tmp_path):
     cache = str(tmp_path)
-    path = enumerate_level(3, 1, 2, cache_dir=cache).meta["cache_path"]
+    path = enumerate_level(3, 2, cache_dir=cache).meta["cache_path"]
     head, gates = _read_level(path)
     with open(path, "rb") as fh:
         lines = fh.read().splitlines(keepends=True)
 
     def refused(match):
         with pytest.raises(ValueError, match=match):
-            enumerate_level(3, 1, 2, cache_dir=cache)
+            enumerate_level(3, 2, cache_dir=cache)
 
     with open(path, "wb") as fh:
         fh.write(b"".join([lines[0], lines[2], lines[1]] + lines[3:]))
@@ -485,7 +487,7 @@ def test_cache_detects_tampering(tmp_path):
 def test_cache_header_fields_must_be_ints(tmp_path, field, value):
     """JSON true and 1.0 compare equal to 1 in Python, but are no header integers."""
     cache = str(tmp_path)
-    path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
+    path = enumerate_level(3, 1, cache_dir=cache).meta["cache_path"]
     head, gates = _read_level(path)
     if field == "count":
         # a one-gate level whose hash holds, so only the count's type is wrong
@@ -493,28 +495,28 @@ def test_cache_header_fields_must_be_ints(tmp_path, field, value):
     head[field] = value
     _write_level(path, head, gates)
     with pytest.raises(ValueError, match="malformed|does not describe"):
-        enumerate_level(3, 1, 1, cache_dir=cache)
+        enumerate_level(3, 1, cache_dir=cache)
 
 
 def test_cache_rejects_a_repeated_class(tmp_path):
     cache = str(tmp_path)
-    path = enumerate_level(3, 1, 2, cache_dir=cache).meta["cache_path"]
+    path = enumerate_level(3, 2, cache_dir=cache).meta["cache_path"]
     head, gates = _read_level(path)
     # count and content hash agree with the 217 gates, so only the repeat is wrong
     gates.append(gates[0])
     _write_level(path, dict(head, count=len(gates)), gates)
     with pytest.raises(ValueError, match="repeats a class"):
-        enumerate_level(3, 1, 2, cache_dir=cache)
+        enumerate_level(3, 2, cache_dir=cache)
 
 
 def test_cache_rejects_a_gate_of_another_base_prime(tmp_path):
     cache = str(tmp_path)
-    path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
+    path = enumerate_level(3, 1, cache_dir=cache).meta["cache_path"]
     head, gates = _read_level(path)
     gates[0] = to_interchange(ScaledUnitary.exact(to_matrix(pauli_x(7, 1, 1))), 1)
     _write_level(path, head, gates)
     with pytest.raises(ValueError, match="mixes base primes"):
-        enumerate_level(3, 1, 1, cache_dir=cache)
+        enumerate_level(3, 1, cache_dir=cache)
 
 
 def test_cache_load_holds_no_parsed_level(tmp_path):
@@ -522,12 +524,12 @@ def test_cache_load_holds_no_parsed_level(tmp_path):
     from hierarchon import hierarchy
 
     cache = str(tmp_path)
-    enumerate_level(3, 1, 3, cache_dir=cache)
-    hierarchy._load_cache(3, 1, 2, cache)  # fills the lazy key tables
+    enumerate_level(3, 3, cache_dir=cache)
+    hierarchy._load_cache(3, 2, cache)  # fills the lazy key tables
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cat = hierarchy._load_cache(3, 1, 3, cache)
+        cat = hierarchy._load_cache(3, 3, cache)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -538,7 +540,7 @@ def test_cache_load_holds_no_parsed_level(tmp_path):
 def test_catalog_add_keeps_the_callers_gate_unless_it_demotes():
     from hierarchon import hierarchy
 
-    cat = hierarchy.LevelCatalog(3, 1, 1)
+    cat = hierarchy.LevelCatalog(3, 1)
     x = ScaledUnitary.exact(to_matrix(pauli_x(3, 1, 1)))
     assert cat.add(x)
     assert list(cat.representatives())[0] is x
@@ -551,22 +553,22 @@ def test_catalog_add_keeps_the_callers_gate_unless_it_demotes():
 
 def test_cache_rejects_a_gate_of_another_wire_count(tmp_path):
     cache = str(tmp_path)
-    path = enumerate_level(3, 1, 1, cache_dir=cache).meta["cache_path"]
+    path = enumerate_level(3, 1, cache_dir=cache).meta["cache_path"]
     head, gates = _read_level(path)
     gates[4] = to_interchange(ScaledUnitary.exact(ExactMatrix.identity(3, 9)), 2)
     _write_level(path, head, gates)
     with pytest.raises(ValueError, match="mixes wire counts"):
-        enumerate_level(3, 1, 1, cache_dir=cache)
+        enumerate_level(3, 1, cache_dir=cache)
 
 
 def test_cache_resume_recomputes_only_the_top(tmp_path):
     import os
 
     cache = str(tmp_path)
-    full = enumerate_level(3, 1, 3, cache_dir=cache)
+    full = enumerate_level(3, 3, cache_dir=cache)
     top = full.meta["cache_path"]
     os.remove(top)
-    again = enumerate_level(3, 1, 3, cache_dir=cache)
+    again = enumerate_level(3, 3, cache_dir=cache)
     assert again.digests == full.digests
     assert os.path.exists(top)
 
@@ -575,21 +577,21 @@ def test_cache_resume_reads_only_the_highest_cached_level(tmp_path, monkeypatch)
     from hierarchon import hierarchy
 
     cache = str(tmp_path)
-    full = enumerate_level(3, 1, 3, cache_dir=cache)
+    full = enumerate_level(3, 3, cache_dir=cache)
     os.remove(full.meta["cache_path"])
     read = []
     real = hierarchy._load_cache
 
-    def spy(d, n, k, cache_dir):
-        cat = real(d, n, k, cache_dir)
+    def spy(d, k, cache_dir):
+        cat = real(d, k, cache_dir)
         if cat is not None:
             read.append(k)
         return cat
 
     monkeypatch.setattr(hierarchy, "_load_cache", spy)
-    assert enumerate_level(3, 1, 3, cache_dir=cache).digests == full.digests
+    assert enumerate_level(3, 3, cache_dir=cache).digests == full.digests
     assert read == [2]
-    assert enumerate_level(3, 1, 3, cache_dir=cache).digests == full.digests
+    assert enumerate_level(3, 3, cache_dir=cache).digests == full.digests
     assert read == [2, 3]
 
 
@@ -623,12 +625,12 @@ VERSION_1_GATE_HASHES = {
 
 def test_catalog_bytes_are_pinned(tmp_path, d3):
     assert hashlib.sha256(b"".join(d3[4].digests)).hexdigest() == PINNED_D3_LEVEL4
-    enumerate_level(3, 1, 3, cache_dir=str(tmp_path))
+    enumerate_level(3, 3, cache_dir=str(tmp_path))
     assert _tree_sha256(str(tmp_path)) == PINNED_D3_TREE
 
 
 def test_store_gate_lines_keep_the_version_1_gate_bytes(tmp_path):
-    for cat in enumerate_levels(3, 1, 3, cache_dir=str(tmp_path)):
+    for cat in enumerate_levels(3, 3, cache_dir=str(tmp_path)):
         with open(cat.meta["cache_path"], "rb") as fh:
             lines = fh.read().splitlines()
         assert len(lines) == len(cat) + 2
@@ -637,8 +639,8 @@ def test_store_gate_lines_keep_the_version_1_gate_bytes(tmp_path):
 
 def test_level_walk_and_single_level_write_identical_caches(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    walked = list(enumerate_levels(3, 1, 3, cache_dir=a))
-    single = enumerate_level(3, 1, 3, cache_dir=b)
+    walked = list(enumerate_levels(3, 3, cache_dir=a))
+    single = enumerate_level(3, 3, cache_dir=b)
     assert walked[-1].digests == single.digests
     assert _tree_sha256(a) == _tree_sha256(b)
 
@@ -654,7 +656,7 @@ def test_enumerate_levels_lifts_each_level_once(monkeypatch):
         return real(prev)
 
     monkeypatch.setattr(hierarchy, "_lift_level", spy)
-    counts = [len(cat) for cat in enumerate_levels(3, 1, 3)]
+    counts = [len(cat) for cat in enumerate_levels(3, 3)]
     assert counts == [9, 216, 1944]
     assert lifted == [2, 3]
 
@@ -701,7 +703,7 @@ def test_right_pauli_sweep_is_exact_near_and_past_int64():
         for i in range(5):
             nums[i, (2 * i + 1) % 5] = [big, -big + i, 3, -big]
         G = ExactMatrix(5, 1, nums, 1)
-        assert _right_pauli_sweep([G, G], 5, 1) == [G @ P for P in paulis] * 2
+        assert _right_pauli_sweep([G, G], 5) == [G @ P for P in paulis] * 2
 
 
 def test_batched_keys_match_single_keys(d3):
@@ -749,7 +751,7 @@ def test_fingerprint_collisions_reach_the_exact_comparison(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(hierarchy, "equal_up_to_phase", spy)
-    counts = [len(cat) for cat in enumerate_levels(3, 1, 3)]
+    counts = [len(cat) for cat in enumerate_levels(3, 3)]
     assert counts == [9, 216, 1944]
     assert len(compares) == COLLISION_COMPARES
 
@@ -765,7 +767,7 @@ def test_a_closure_failure_is_recorded_and_the_cli_exits_1(d3, tmp_path, capsys,
 
     # levels 1-3 cached first, so the CLI below lifts only level 4 with the pair
     cache = str(tmp_path)
-    enumerate_level(3, 1, 3, cache_dir=cache)
+    enumerate_level(3, 3, cache_dir=cache)
     real = hierarchy._omega_pairs
     monkeypatch.setattr(
         hierarchy, "_omega_pairs", lambda fp, mats, d: [NOT_A_TUPLE] + real(fp, mats, d)[:4]
@@ -800,7 +802,7 @@ def test_a_repeated_pair_trips_the_sweep_assertion(monkeypatch):
 
     monkeypatch.setattr(hierarchy, "_omega_pairs", repeat_first)
     with pytest.raises(AssertionError, match="right-Pauli sweep repeated a class; "):
-        enumerate_level(3, 1, 2)
+        enumerate_level(3, 2)
 
 
 def test_closure_keys_object_lane_monomials_exactly(d3, monkeypatch):
@@ -829,13 +831,13 @@ def test_closure_keys_object_lane_monomials_exactly(d3, monkeypatch):
 @pytest.mark.extended
 def test_level_five_and_six_d3(tmp_path):
     cache = str(tmp_path)
-    assert len(enumerate_level(3, 1, 5, cache_dir=cache)) == 22680
-    assert len(enumerate_level(3, 1, 6, cache_dir=cache)) == 69336
+    assert len(enumerate_level(3, 5, cache_dir=cache)) == 22680
+    assert len(enumerate_level(3, 6, cache_dir=cache)) == 69336
 
 
 @pytest.mark.extended
 def test_level_three_d5():
-    cat = enumerate_level(5, 1, 3)
+    cat = enumerate_level(5, 3)
     # the reference table records 7500 here; the run lands on 25 * pairs
     # reproducibly, and the same d**2 ratio holds at d=3 and d=7
     assert cat.meta["pairs"] == 3000
@@ -853,7 +855,7 @@ def test_cache_save_serialises_each_gate_once(tmp_path, monkeypatch):
         calls.append(1)
         return real(su, n)
 
-    cat = enumerate_level(3, 1, 2)
+    cat = enumerate_level(3, 2)
     monkeypatch.setattr(hierarchy, "to_interchange", spy)
     path = hierarchy._save_cache(cat, str(tmp_path))
     assert len(calls) == len(cat) == 216

@@ -66,7 +66,7 @@ def cache(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cat3(cache):
-    return enumerate_level(3, 1, 3, cache_dir=cache)
+    return enumerate_level(3, 3, cache_dir=cache)
 
 
 def test_sp_order():
@@ -312,7 +312,7 @@ def test_wrong_witness_inside_a_batch_is_rejected():
 @pytest.mark.parametrize("d, k", [(3, 2), (3, 3), (3, 4), (5, 2)])
 def test_the_pauli_screen_rejects_only_non_paulis(cache, d, k):
     """Every image the screen rejects makes recognize_pauli return None."""
-    gates = list(enumerate_level(d, 1, k, cache_dir=cache).representatives())
+    gates = list(enumerate_level(d, k, cache_dir=cache).representatives())
     rejected = checked = 0
     for m in sorted({G.mat.m for G in gates}):
         group = [G for G in gates if G.mat.m == m]

@@ -179,7 +179,7 @@ def start_paths():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(svn, "_rational_fixed_vector", spy_frame)
         mp.setattr(svn, "_rotated_reconstruct", spy_rotate)
-        enumerate_level(3, 1, 4)
+        enumerate_level(3, 4)
     return framed, rotated
 
 

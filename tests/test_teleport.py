@@ -47,7 +47,7 @@ def t_core():
 @pytest.fixture(scope="module")
 def cats(tmp_path_factory):
     cache = str(tmp_path_factory.mktemp("cache"))
-    return {k: enumerate_level(3, 1, k, cache_dir=cache) for k in (1, 2, 3)}
+    return {k: enumerate_level(3, k, cache_dir=cache) for k in (1, 2, 3)}
 
 
 def test_statevec_rejects_empty_and_zero():
@@ -156,7 +156,7 @@ def test_verify_gadget_is_deterministic(cats):
 
 
 def test_verify_gadget_reads_d_from_its_catalog():
-    report = verify_gadget(enumerate_level(5, 1, 2), samples=3, seed=5)
+    report = verify_gadget(enumerate_level(5, 2), samples=3, seed=5)
     assert report["d"] == 5
     assert report["branches_checked"] == 15 and report["failures"] == []
 

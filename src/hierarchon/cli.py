@@ -223,13 +223,21 @@ def cmd_semiclifford(args):
         print("error: pass a gate file or --catalog K, not both", file=sys.stderr)
         return 2
     if args.gate is not None:
+        # the gate's own file fixes d, and a lone gate reads no store
+        catalog_only = {"--d": args.d is not None, "--cache-dir": args.cache_dir is not None,
+                        "--certificates": args.certificates}
+        flag = next((flag for flag, given in catalog_only.items() if given), None)
+        if flag:
+            print("error: %s needs --catalog K, not a gate file" % flag, file=sys.stderr)
+            return 2
         su, _ = _load_gate(args.gate)
         rep = certificate_report(*certify([su], [find_witness(su)], {})[0])
         line = "semi-Clifford" if rep["semi_clifford"] else "not semi-Clifford"
         _emit(args, {"mode": "gate", "report": rep}, [line])
         return 0
-    _check_request(args.d, 1, args.catalog)
-    catalog = enumerate_level(args.d, args.catalog, cache_dir=args.cache_dir)
+    d = 3 if args.d is None else args.d
+    _check_request(d, 1, args.catalog)
+    catalog = enumerate_level(d, args.catalog, cache_dir=args.cache_dir)
     reps = list(catalog.representatives())
     total = len(reps)
     found = 0
@@ -247,7 +255,7 @@ def cmd_semiclifford(args):
         entries += certify([block[k] for k in keep], [witnesses[k] for k in keep], documents)
     report = {
         "mode": "catalog",
-        "d": args.d,
+        "d": d,
         "k": args.catalog,
         "total": total,
         "semi_clifford": found,
@@ -260,7 +268,7 @@ def cmd_semiclifford(args):
     _emit(
         args,
         report,
-        ["%d/%d semi-Clifford at level %d (d=%d)" % (found, total, args.catalog, args.d)],
+        ["%d/%d semi-Clifford at level %d (d=%d)" % (found, total, args.catalog, d)],
         documents.values(),
     )
     return 0 if found == total else 1
@@ -327,7 +335,8 @@ def _build_parser():
     p = subs.add_parser("semiclifford", help="witness and diagonalise gates")
     p.add_argument("gate", nargs="?", default=None, help="gate in interchange JSON")
     p.add_argument("--catalog", type=int, default=None, metavar="K")
-    p.add_argument("--d", type=int, choices=(3, 5, 7), default=3)
+    # 3 when unset, in catalog mode alone
+    p.add_argument("--d", type=int, choices=(3, 5, 7), default=None)
     p.add_argument("--certificates", action="store_true")
     _common(p)
     p.set_defaults(func=cmd_semiclifford)

@@ -6,6 +6,7 @@ byte-identity tests rerun commands against the warm store and compare
 stdout verbatim.
 """
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -13,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -66,8 +68,12 @@ def t9_file(tmp_path_factory):
 
 
 def run(capsys, argv):
-    """main(argv)'s exit code and output; a catalog command with no store shares the module's."""
-    if argv[:1] and argv[0] in CATALOG_COMMANDS and "--cache-dir" not in argv:
+    """main(argv)'s exit code and output; a catalog command with no store shares the module's.
+
+    semiclifford reads a store only with --catalog: a lone gate file refuses one.
+    """
+    lone_gate = argv[:1] == ["semiclifford"] and "--catalog" not in argv
+    if argv[:1] and argv[0] in CATALOG_COMMANDS and "--cache-dir" not in argv and not lone_gate:
         argv = argv + ["--cache-dir", _store["path"]]
     code = main(argv)
     captured = capsys.readouterr()
@@ -479,6 +485,17 @@ def test_semiclifford_catalog_mode(capsys):
     assert doc["counterexamples"] == []
 
 
+@pytest.mark.parametrize(
+    "flag", [["--certificates"], ["--cache-dir"], ["--d", "5"]], ids=["certificates", "cache", "d"]
+)
+def test_semiclifford_gate_mode_refuses_catalog_flags(capsys, tmp_path, t9_file, flag):
+    store = tmp_path / "store"
+    argv = ["semiclifford", t9_file] + (flag + [str(store)] if flag == ["--cache-dir"] else flag)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", "error: %s needs --catalog K, not a gate file\n" % flag[0])
+    assert not store.exists()
+
+
 def test_semiclifford_needs_exactly_one_input(capsys, t9_file):
     code, _, err = run(capsys, ["semiclifford"])
     assert code == 2
@@ -885,6 +902,22 @@ def test_readme_commands_parse():
     for argv in commands:
         # parsed, not run: a flag or value the parser refuses exits 2 here
         assert parser.parse_args(argv).command == argv[0]
+
+
+def test_readme_names_every_option():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        named = set(re.findall(r"--[a-z][a-z-]*", fh.read()))
+    parser = hierarchon.cli._build_parser()
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        (command, option)
+        for command, sub in subs.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    assert sorted((c, o) for c, o in options if o not in named) == []
 
 
 def test_os_errors_exit_two_with_one_line(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -126,10 +127,29 @@ def test_pauli_roundtrip():
     assert got == P
 
 
-def test_pauli_roundtrip_all_d3_n1():
-    for c, p, q in itertools.product(range(3), repeat=3):
-        P = PauliElement(3, c, (p,), (q,))
-        assert recognize_pauli(to_matrix(P)) == P
+@pytest.mark.parametrize("d, n", [(3, 1), (5, 1), (3, 2)], ids=["d3-n1", "d5-n1", "d3-n2"])
+def test_pauli_roundtrip_all(d, n):
+    identity = ExactMatrix.identity(d, d ** n)
+    for c, p, q in _labels(d, n):
+        P = PauliElement(d, c, p, q)
+        M = to_matrix(P)
+        assert recognize_pauli(M) == P
+        assert times_pauli(identity, P) == M
+        assert recognize_pauli(times_pauli(M, P)) == P * P
+
+
+def test_recognizing_a_two_wire_d13_pauli_stays_small():
+    """The column map is computed from the label: no table of all d^(2n) Paulis is formed."""
+    P = PauliElement(13, 5, (3, 11), (7, 2))
+    tracemalloc.start()
+    try:
+        got = recognize_pauli(to_matrix(P), up_to_phase=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == PauliElement(13, 0, P.p, P.q)
+    # the matrix itself is 169 x 169 x 12 int64 coefficients, 2.7 MB
+    assert peak < 30 * 2 ** 20
 
 
 def test_pauli_roundtrip_two_wires():

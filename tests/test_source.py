@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "hierarchon")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "hierarchon")
 
 
 def _unused_imports(path):
@@ -31,3 +32,29 @@ def test_the_unused_import_check_sees_an_unused_name(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("import os\nimport numpy as np\nfrom a.b import c, d\n\nx = np.zeros(c)\n")
     assert _unused_imports(str(path)) == [(1, "os"), (3, "d")]
+
+
+def test_every_module_parses_with_the_python_3_10_grammar():
+    """requires-python is 3.10; this checks grammar only, not the numpy 1.24 API."""
+    refused = []
+    paths = [
+        os.path.join(dirpath, f)
+        for top in ("src/hierarchon", "tests", "clibench")
+        for dirpath, _, files in os.walk(os.path.join(ROOT, top))
+        for f in files
+        if f.endswith(".py")
+    ]
+    assert len(paths) > 30
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                ast.parse(fh.read(), path, feature_version=(3, 10))
+            except SyntaxError as e:
+                refused.append("%s: %s" % (os.path.relpath(path, ROOT), e.msg))
+    assert refused == []
+
+
+def test_the_3_10_grammar_check_refuses_except_star():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
